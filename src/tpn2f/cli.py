@@ -76,7 +76,7 @@ def apply_config_entries(cfg: TrainConfig, entries: dict) -> TrainConfig:
             raise ConfigError(f"unknown config key {key!r}")
         updates[key] = None if value in (None, "", "none", "None") else _coerce(
             key, value, _FIELD_TYPES[key])
-    return dataclasses.replace(cfg, **updates)
+    return TrainConfig.from_dict({**cfg.to_dict(), **updates})
 
 
 def load_config(path) -> TrainConfig:
@@ -149,7 +149,7 @@ def _effective_config(args) -> TrainConfig:
                  for _, dest, _ in _OVERRIDE_FLAGS if getattr(args, f"cfg_{dest}") is not None}
     if getattr(args, "cfg_stop_at_full_accuracy", None):
         overrides["stop_at_full_accuracy"] = True
-    return dataclasses.replace(cfg, **overrides)
+    return TrainConfig.from_dict({**cfg.to_dict(), **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +246,9 @@ def cmd_eval(args) -> int:
 def _load_model(path):
     try:
         ckpt = training_mod.load_checkpoint(_require_file(path, "checkpoint"))
+        model, _ = ckpt.build()
     except training_mod.CheckpointError as exc:
         raise UserError(str(exc)) from exc
-    model, _ = ckpt.build()
     return model, ckpt
 
 

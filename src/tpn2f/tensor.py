@@ -3,6 +3,13 @@
 Everything downstream (the encoder-decoder, the training loop, the gradient
 checks) is built on the small op set in this module.  Arrays are row-major
 float64 throughout; reshape/transpose are metadata-only views.
+
+One gradient is formed late: ``matmul(W, x)`` with a vector ``x`` and a leaf
+``W`` (a tensor no node on the tape produced, i.e. a parameter) hands
+``backward`` the factors of its outer product instead of the product.
+``backward`` collects them per leaf and forms each leaf's grad with one GEMM
+after the reverse sweep, instead of one ``np.outer`` and one full-size add per
+step of a recurrence.
 """
 
 from __future__ import annotations
@@ -91,6 +98,14 @@ class GradientTape:
     second loss recorded on the same tape would re-count the first one's
     subgraph.  For batch accumulation, open a fresh tape per sample; leaf
     parameter grads persist and add up across tapes.
+
+    A leaf's matrix-times-vector grads are deferred to the end of
+    ``backward`` (see the module docstring).  This is safe because a node's
+    output grad is final once that node is replayed: every consumer of a
+    tensor was recorded after the node that produced it, so it is replayed
+    before.  A leaf's grad is never read during the sweep, so it may be
+    completed after it; a produced matrix's grad is read when its node is
+    replayed, so it takes the outer product at once.
     """
 
     def __init__(self):
@@ -114,10 +129,6 @@ class GradientTape:
 _ACTIVE_TAPE: GradientTape | None = None
 
 
-def active_tape() -> GradientTape | None:
-    return _ACTIVE_TAPE
-
-
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     tape = _ACTIVE_TAPE
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -136,24 +147,55 @@ def _accumulate(t: Tensor, g: np.ndarray | None) -> None:
         t.grad += g
 
 
+class _OuterFactors:
+    """The grad ``np.outer(g, x)`` of a matmul weight, not yet formed."""
+
+    __slots__ = ("g", "x")
+
+    def __init__(self, g: np.ndarray, x: np.ndarray):
+        self.g = g
+        self.x = x
+
+
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
     Gradients accumulate additively across uses and across calls; clearing
-    is the optimizer's job.
+    is the optimizer's job.  The outer-product grads that ``matmul(W, x)``
+    sends to a leaf ``W`` are kept as factor pairs during the reverse sweep
+    and added to ``W.grad`` after it as one ``G^T X`` product over the
+    stacked steps; all other grads, including those of produced matrices,
+    are added at once.
     """
     tape = _ACTIVE_TAPE
     if tape is None:
         raise TapeError("backward() requires an active gradient tape")
     if loss.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
+    produced = {out for out, _, _ in tape._nodes}
+    deferred: dict[Tensor, tuple[list[np.ndarray], list[np.ndarray]]] = {}
     _accumulate(loss, np.ones_like(loss.data))
     for out, inputs, backward_fn in reversed(tape._nodes):
         g = out.grad
         if g is None:
             continue
         for t, gt in zip(inputs, backward_fn(g)):
+            if type(gt) is _OuterFactors:
+                if not t.requires_grad:
+                    continue
+                if t not in produced:
+                    gs, xs = deferred.setdefault(t, ([], []))
+                    gs.append(gt.g)
+                    xs.append(gt.x)
+                    continue
+                gt = np.outer(gt.g, gt.x)
             _accumulate(t, gt)
+    for t, (gs, xs) in deferred.items():
+        gw = np.stack(gs, 1) @ np.stack(xs)
+        if t.grad is None:
+            t.grad = gw
+        else:
+            t.grad += gw
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +213,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
+            return _OuterFactors(g, bd), ad.T @ g
         return g @ bd.T, ad.T @ g
 
     return _record(out, (a, b), bw)

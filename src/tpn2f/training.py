@@ -9,6 +9,7 @@ so a fixed seed gives a bit-identical loss trajectory.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import zlib
@@ -94,9 +95,27 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         cfg = cls(**d)
-        if cfg.positions not in (2, 3):
-            raise ConfigError(f"positions must be 2 or 3, got {cfg.positions}")
+        for key, ok, wanted in _VALUE_CHECKS:
+            value = getattr(cfg, key)
+            try:
+                good = ok(value)
+            except TypeError:  # e.g. None or a string where a number belongs
+                good = False
+            if not good:
+                raise ConfigError(f"{key} must be {wanted}, got {value!r}")
+        try:
+            cfg.variant().validate()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
         return cfg
+
+
+_VALUE_CHECKS = (
+    ("positions", lambda v: v in (2, 3), "2 or 3"),
+    ("batch_size", lambda v: v >= 1, ">= 1"),
+    ("learning_rate", lambda v: v > 0.0, "> 0"),
+    ("epochs", lambda v: v >= 0, ">= 0"),
+)
 
 
 def mathqa_preset() -> TrainConfig:
@@ -330,6 +349,7 @@ def train(model: Tpn2fModel, samples: Sequence[Sample], config: TrainConfig,
 
 CHECKPOINT_MAGIC = b"TPN2FCK1"
 CHECKPOINT_VERSION = 1
+_ADAM_FIELDS = ("step_count", "learning_rate", "beta1", "beta2", "epsilon")
 
 
 @dataclass
@@ -350,22 +370,19 @@ class Checkpoint:
                             rel_decode_linear=self.config.rel_decode_linear)
         names = []
         for name, tensor in model.parameters():
-            if name not in self.tensors:
-                raise CheckpointError(f"checkpoint is missing tensor {name!r}")
-            saved = self.tensors[name]
-            if saved.shape != tensor.data.shape:
-                raise CheckpointError(
-                    f"tensor {name!r} has shape {saved.shape}, model expects {tensor.data.shape}")
-            tensor.data[...] = saved
+            for key in (name, f"adam.m.{name}", f"adam.v.{name}"):
+                if key not in self.tensors:
+                    raise CheckpointError(f"checkpoint is missing tensor {key!r}")
+                saved = self.tensors[key]
+                if saved.shape != tensor.data.shape:
+                    raise CheckpointError(f"tensor {key!r} has shape {saved.shape}, "
+                                          f"model expects {tensor.data.shape}")
+            tensor.data[...] = self.tensors[name]
             names.append(name)
         optimizer = AdamState(
             m=[self.tensors[f"adam.m.{n}"].copy() for n in names],
             v=[self.tensors[f"adam.v.{n}"].copy() for n in names],
-            step_count=self.adam["step_count"],
-            learning_rate=self.adam["learning_rate"],
-            beta1=self.adam["beta1"],
-            beta2=self.adam["beta2"],
-            epsilon=self.adam["epsilon"],
+            **{k: self.adam[k] for k in _ADAM_FIELDS},
         )
         return model, optimizer
 
@@ -395,13 +412,7 @@ def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: Train
         "config": config.to_dict(),
         "vocab": model.vocab.to_dict(),
         "tensors": table,
-        "adam": {
-            "step_count": optimizer.step_count,
-            "learning_rate": optimizer.learning_rate,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "epsilon": optimizer.epsilon,
-        },
+        "adam": {k: getattr(optimizer, k) for k in _ADAM_FIELDS},
         "rng_state": rng_state if rng_state is not None else {},
         "epoch": epoch,
     }
@@ -412,6 +423,28 @@ def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: Train
     with open(tmp, "wb") as fh:
         fh.write(payload)
     os.replace(tmp, path)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _tensor_entry(entry, n_bytes: int) -> tuple[str, tuple[int, ...], int]:
+    """Name, shape and byte offset of one header tensor entry, checked
+    against the ``n_bytes`` of packed data that follow the header."""
+    if not isinstance(entry, dict) or not {"name", "shape", "offset"} <= entry.keys():
+        raise CheckpointError(f"tensor entry {entry!r} needs name, shape and offset")
+    name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+    if not (isinstance(name, str) and isinstance(shape, list)
+            and all(_is_count(d) for d in shape) and _is_count(offset)):
+        raise CheckpointError(
+            f"tensor {name!r}: shape and offset must be non-negative integers, "
+            f"got shape {shape!r}, offset {offset!r}")
+    end = offset + 8 * math.prod(shape)
+    if end > n_bytes:
+        raise CheckpointError(f"tensor {name!r} ends at byte {end}, "
+                              f"past the {n_bytes} bytes of tensor data")
+    return name, tuple(shape), offset
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -429,18 +462,25 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(body[16:16 + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {header.get('version')!r} "
             f"(supported: {CHECKPOINT_VERSION})")
+    missing = {"config", "vocab", "tensors", "adam"} - header.keys()
+    if missing:
+        raise CheckpointError(f"checkpoint header lacks {', '.join(sorted(missing))}")
+    if not isinstance(header["tensors"], list):
+        raise CheckpointError("checkpoint tensor table is not a list")
+    if not (isinstance(header["adam"], dict) and set(_ADAM_FIELDS) <= header["adam"].keys()):
+        raise CheckpointError(f"checkpoint optimizer state needs {', '.join(_ADAM_FIELDS)}")
     data = body[16 + head_len:]
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=start)
-        tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        name, shape, start = _tensor_entry(entry, len(data))
+        arr = np.frombuffer(data, dtype="<f8", count=math.prod(shape), offset=start)
+        tensors[name] = arr.reshape(shape).astype(np.float64)
     config = TrainConfig.from_dict(header["config"])
     return Checkpoint(
         version=header["version"],

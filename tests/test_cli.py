@@ -1,6 +1,7 @@
 """Command dispatch, config precedence, and the end-to-end command cycle."""
 
 import json
+import zlib
 
 import pytest
 
@@ -165,3 +166,28 @@ def test_full_command_cycle(tmp_path, micro_file, capsys):
     assert len(log_lines) == 2
     first = json.loads(log_lines[0])
     assert set(first) == {"epoch", "mean_loss", "op_acc", "wallclock"}
+
+
+def test_infer_on_checkpoint_with_out_of_range_offset_exits_1(tmp_path, micro_file, capsys):
+    """A header whose CRC is valid but whose tensor offset points past the data
+    is a user-facing checkpoint error, not an internal one."""
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(MICRO_CFG)
+    assert dispatch(["train", "--data", str(micro_file), "--out", str(tmp_path / "run"),
+                     "--config", str(cfg_file)]) == 0
+    raw = (tmp_path / "run" / "model.ckpt").read_bytes()
+    head_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + head_len])
+    header["tensors"][0]["offset"] = 10**12
+    head = json.dumps(header).encode("utf-8")
+    body = raw[:8] + len(head).to_bytes(8, "little") + head + raw[16 + head_len:-4]
+    (tmp_path / "bad.ckpt").write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    assert dispatch(["infer", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                     "--data", str(micro_file), "--out", str(tmp_path / "pred.jsonl")]) == 1
+    assert "past" in capsys.readouterr().err
+
+
+def test_train_rejects_zero_batch_size(tmp_path, micro_file, capsys):
+    assert dispatch(["train", "--data", str(micro_file), "--out", str(tmp_path / "run"),
+                     "--batch-size", "0"]) == 1
+    assert "batch_size" in capsys.readouterr().err

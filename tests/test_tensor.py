@@ -7,6 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tpn2f.model as model_mod
+import tpn2f.tensor as tensor_mod
+from tpn2f.data import build_vocabularies, preprocess_samples
+from tpn2f.model import build_model
+from tpn2f.synthetic import make_micro_dataset, micro_config
 from tpn2f.tensor import (
     AdamState,
     GradientTape,
@@ -37,6 +42,7 @@ from tpn2f.tensor import (
     tanh,
     transpose,
 )
+from tpn2f.training import encode_samples, mathqa_preset, sample_loss
 
 finite_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -279,7 +285,7 @@ def test_tape_determinism():
 @pytest.mark.parametrize("name", [
     "matmul_mat", "matmul_vec", "outer", "contract3", "softmax", "sigmoid",
     "tanh", "add", "mul", "cross_entropy", "reshape", "transpose", "concat",
-    "stack", "embed", "scale",
+    "stack", "embed", "scale", "matmul_recurrent", "matmul_produced", "matmul_mixed",
 ])
 def test_gradient_check_all_ops(name):
     """Central differences (h=1e-5) vs backward(): relative error < 1e-4."""
@@ -301,6 +307,9 @@ def test_gradient_check_all_ops(name):
         "stack": [(3,), (3,)],
         "embed": [(4, 3)],
         "scale": [(3, 2)],
+        "matmul_recurrent": [(4, 4), (4,), (4,), (4,)],
+        "matmul_produced": [(3, 4), (4,), (4,)],
+        "matmul_mixed": [(4, 3), (3,), (4,)],
     }[name]]
 
     def forward():
@@ -335,6 +344,18 @@ def test_gradient_check_all_ops(name):
             return sum_all(tanh(embedding_row(xs[0], 1)))
         if name == "scale":
             return sum_all(scale(xs[0], 2.5))
+        if name == "matmul_recurrent":  # one leaf weight, a different vector each step
+            h = tanh(matmul(xs[0], xs[1]))
+            for x in xs[2:]:
+                h = tanh(add(matmul(xs[0], h), x))
+            return sum_all(h)
+        if name == "matmul_produced":  # a produced matrix keeps the immediate outer product
+            w = tanh(xs[0])
+            return sum_all(tanh(add(matmul(w, xs[1]), matmul(w, xs[2]))))
+        if name == "matmul_mixed":  # deferred and immediate grads of one leaf must sum
+            w = xs[0]
+            return sum_all(tanh(concat([matmul(w, xs[1]),
+                                        add(matmul(transpose(w), xs[2]), embedding_row(w, 1))])))
         raise AssertionError(name)
 
     with GradientTape():
@@ -342,6 +363,68 @@ def test_gradient_check_all_ops(name):
     for x in xs:
         fd = numeric_grad(lambda: forward().item(), x.data)
         assert rel_err(x.grad, fd) < 1e-4, f"{name}: gradient mismatch"
+
+
+def test_matmul_weight_grad_accumulates_across_tapes():
+    rng = np.random.default_rng(5)
+    w = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+    xs = [Tensor(rng.uniform(-1, 1, 4)) for _ in range(2)]
+
+    def run(x):
+        with GradientTape():
+            backward(sum_all(tanh(matmul(w, x))))
+
+    alone = []
+    for x in xs:
+        run(x)
+        alone.append(w.grad)
+        w.grad = None
+    for x in xs:
+        run(x)
+    assert np.allclose(w.grad, alone[0] + alone[1], rtol=1e-12, atol=0.0)
+
+
+def _outer_per_step_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Reference matmul: forms and adds the weight's outer product every step."""
+    out = Tensor(a.data @ b.data)
+    ad, bd = a.data, b.data
+
+    def bw(g):
+        if bd.ndim == 1:
+            return np.outer(g, bd), ad.T @ g
+        return g @ bd.T, ad.T @ g
+
+    return tensor_mod._record(out, (a, b), bw)
+
+
+@pytest.mark.parametrize("dims", ["micro", "published"])
+def test_deferred_weight_grads_match_outer_per_step(dims, monkeypatch):
+    """Every parameter grad of one sample equals the per-step outer-product
+    rule's within 1e-12 relative; only the summation order differs."""
+    cfg = micro_config() if dims == "micro" else mathqa_preset()
+    cfg.d_word = 16
+    samples = preprocess_samples(make_micro_dataset(2, seed=0), positions=cfg.positions)
+    vocab = build_vocabularies(samples)
+    model = build_model(cfg.variant(), cfg.dims(), vocab, np.random.default_rng(0))
+    enc = encode_samples(samples, vocab, cfg.positions)[1]
+
+    def grads():
+        with GradientTape():
+            backward(sample_loss(model, enc))
+        out = [(n, t.grad) for n, t in model.parameters()]
+        for _, t in model.parameters():
+            t.grad = None
+        return out
+
+    deferred = grads()
+    monkeypatch.setattr(model_mod, "matmul", _outer_per_step_matmul)
+    reference = grads()
+    for (name, got), (_, want) in zip(deferred, reference):
+        if want is None:
+            assert got is None, name
+            continue
+        scale_ = max(float(np.abs(want).max()), 1e-300)
+        assert float(np.abs(got - want).max()) / scale_ <= 1e-12, name
 
 
 def test_flatten_is_view_of_same_values():

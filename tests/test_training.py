@@ -1,5 +1,6 @@
 """Loss, teacher forcing, greedy decoding, determinism, checkpoints."""
 
+import json
 import math
 import zlib
 
@@ -62,6 +63,16 @@ def test_algolisp_preset_values():
 def test_config_rejects_unknown_key():
     with pytest.raises(ConfigError, match="mystery"):
         TrainConfig.from_dict({"mystery": 1})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", -1.0), ("epochs", -1),
+    ("epochs", None), ("positions", 4),
+    ("pooling", "bogus"), ("encoder", "gru"), ("decoder", "gru"),
+])
+def test_config_rejects_bad_value(key, value):
+    with pytest.raises(ConfigError, match=key.split("_")[0]):
+        TrainConfig.from_dict({key: value})
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +324,45 @@ def test_version_mismatch_is_explicit(tmp_path):
     (tmp_path / "v9.ckpt").write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(tmp_path / "v9.ckpt")
+
+
+def _reseal(raw: bytes, edit) -> bytes:
+    """Apply ``edit`` to a checkpoint's JSON header and recompute its CRC."""
+    head_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + head_len])
+    edit(header)
+    head = json.dumps(header).encode("utf-8")
+    body = raw[:8] + len(head).to_bytes(8, "little") + head + raw[16 + head_len:-4]
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def _set_first(field, value):
+    def edit(header):
+        header["tensors"][0][field] = value
+    return edit
+
+
+def _drop_first_adam_moment(header):
+    tensors = header["tensors"]
+    del tensors[next(k for k, e in enumerate(tensors) if e["name"].startswith("adam.m."))]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_first("offset", 10**12), "past"),
+    (_set_first("shape", [10**6, 10**6]), "past"),
+    (_set_first("offset", -8), "non-negative"),
+    (_set_first("shape", [2.5]), "non-negative"),
+    (lambda h: h["tensors"][0].pop("offset"), "needs name, shape and offset"),
+    (lambda h: h["adam"].pop("beta1"), "optimizer state"),
+    (lambda h: h.pop("vocab"), "lacks vocab"),
+    (_drop_first_adam_moment, "missing tensor 'adam.m."),
+], ids=["offset", "shape", "negative", "float", "no-offset", "adam-field", "no-vocab",
+        "adam-moment"])
+def test_bad_header_with_valid_crc_is_checkpoint_error(tmp_path, edit, message):
+    _trained_bundle(tmp_path)
+    (tmp_path / "bad.ckpt").write_bytes(_reseal((tmp_path / "m.ckpt").read_bytes(), edit))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(tmp_path / "bad.ckpt").build()
 
 
 def test_not_a_checkpoint(tmp_path):
