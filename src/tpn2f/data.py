@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .formal_lang import (
+    _REF_RE,
     PAD_SYMBOL,
     RelationalTuple,
     flatten_program_tree,
@@ -27,7 +28,6 @@ EOS_SYMBOL = "EOS"
 UNK_SYMBOL = "UNK"
 SPECIAL_SYMBOLS = (PAD_SYMBOL, UNK_SYMBOL, GO_SYMBOL, EOS_SYMBOL)
 
-_REF_RE = re.compile(r"^#(\d+)$")
 _TOKEN_NUMBER_RE = re.compile(r"^(\d+(?:\.\d+)?)[.,?!%:;]*$")
 
 

@@ -207,6 +207,16 @@ def encoder_step(token_id: int, prev_binding: Tensor, prev_cells: tuple[Tensor, 
     return binding, (c_f, c_r)
 
 
+def _pool(contexts: list[Tensor], pooling: str) -> Tensor:
+    """The last context (``last_state``) or the sum of all of them."""
+    if pooling == "last_state":
+        return contexts[-1]
+    pooled = contexts[0]
+    for t in contexts[1:]:
+        pooled = add(pooled, t)
+    return pooled
+
+
 def encode_sequence(token_ids: Sequence[int], params: EncoderParams,
                     pooling: str = "sum_tprs") -> tuple[Tensor, list[Tensor]]:
     """Run the encoder over a sequence; returns (pooled binding, per-token bindings)."""
@@ -219,13 +229,7 @@ def encode_sequence(token_ids: Sequence[int], params: EncoderParams,
     for tok in token_ids:
         binding, cells = encoder_step(tok, binding, cells, params)
         contexts.append(binding)
-    if pooling == "last_state":
-        pooled = contexts[-1]
-    else:
-        pooled = contexts[0]
-        for t in contexts[1:]:
-            pooled = add(pooled, t)
-    return pooled, contexts
+    return _pool(contexts, pooling), contexts
 
 
 def bag_of_embeddings(token_ids: Sequence[int], embed: Tensor) -> Tensor:
@@ -270,13 +274,7 @@ def lstm_encode_sequence(token_ids: Sequence[int], params: LstmEncoderParams,
         _check_token(tok, params)
         h, c = lstm_cell(params.lstm, embedding_row(params.embed, tok), h, c)
         contexts.append(h)
-    if pooling == "last_state":
-        pooled = contexts[-1]
-    else:
-        pooled = contexts[0]
-        for t in contexts[1:]:
-            pooled = add(pooled, t)
-    return pooled, contexts
+    return _pool(contexts, pooling), contexts
 
 
 # ---------------------------------------------------------------------------

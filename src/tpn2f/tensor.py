@@ -450,27 +450,60 @@ class AdamState:
         )
 
 
+# Elements per block of ``adam_step``: the six arrays a block touches (param,
+# grad, both moments and two scratch blocks) take 1.5 MiB, within a 2 MiB L2.
+ADAM_BLOCK = 1 << 15
+
+
 def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
-    """Standard bias-corrected Adam update; clears every grad afterwards."""
+    """Standard bias-corrected Adam update; clears every grad afterwards.
+
+    Each parameter is updated in blocks of ``ADAM_BLOCK`` elements, so a block
+    stays in cache across all its passes, and every intermediate is written
+    into one of two scratch blocks that all parameters share.  The float
+    operations and their order are those of the textbook update
+
+        m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+
+    so the result is bit-identical to it.  Params and moments must be
+    C-contiguous, as they are updated through flat views.
+    """
     if len(params) != len(state.m):
         raise StateError(f"optimizer tracks {len(state.m)} params, got {len(params)}")
-    for k, p in enumerate(params):
+    for k, (p, m, v) in enumerate(zip(params, state.m, state.v)):
         if p.grad is None:
             raise StateError(f"parameter {k} has no gradient")
-        if p.grad.shape != p.data.shape:
-            raise StateError(f"parameter {k} grad shape {p.grad.shape} != {p.data.shape}")
+        if not p.grad.shape == m.shape == v.shape == p.data.shape:
+            raise StateError(f"parameter {k} has shape {p.data.shape}, grad {p.grad.shape}, "
+                             f"moments {m.shape} and {v.shape}")
+        if not (p.data.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise StateError(f"parameter {k} or its moments are not C-contiguous")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    n_max = max((p.size for p in params), default=0)
+    scratch_a, scratch_b = np.empty(min(n_max, ADAM_BLOCK)), np.empty(min(n_max, ADAM_BLOCK))
     for p, m, v in zip(params, state.m, state.v):
-        g = p.grad
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        flat = p.data.reshape(-1), p.grad.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for lo in range(0, p.size, ADAM_BLOCK):
+            pb, gb, mb, vb = (x[lo:lo + ADAM_BLOCK] for x in flat)
+            a, b = scratch_a[:gb.size], scratch_b[:gb.size]
+            mb *= b1
+            np.multiply(gb, 1.0 - b1, out=a)
+            mb += a
+            vb *= b2
+            np.multiply(gb, 1.0 - b2, out=a)
+            a *= gb
+            vb += a
+            np.divide(mb, c1, out=a)
+            a *= lr
+            np.divide(vb, c2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            pb -= a
         p.grad = None
 
 

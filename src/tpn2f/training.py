@@ -8,6 +8,7 @@ so a fixed seed gives a bit-identical loss trajectory.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -363,7 +364,11 @@ class Checkpoint:
     epoch: int
 
     def build(self) -> tuple[Tpn2fModel, AdamState]:
-        """Reconstruct the model and optimizer this checkpoint was saved from."""
+        """Reconstruct the model and optimizer this checkpoint was saved from.
+
+        Every tensor is copied into the new model's and optimizer's own arrays,
+        so two builds share no memory with each other or with the checkpoint.
+        """
         rng = np.random.default_rng(0)  # layout only; weights are overwritten
         model = build_model(self.config.variant(), self.config.dims(), self.vocab, rng,
                             attn_tanh=self.config.attn_tanh,
@@ -392,7 +397,10 @@ def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: Train
     """Write a self-contained checkpoint: header JSON + packed f64 + CRC32.
 
     The write is atomic (temp file + rename) and byte-stable: saving a loaded
-    checkpoint reproduces the file exactly.
+    checkpoint reproduces the file exactly.  Each tensor's bytes go straight
+    from its array to the file and into the running CRC, so the save holds no
+    copy of the tensor bytes.  On any failure the temp file is removed and an
+    existing ``path`` is left untouched.
     """
     named = model.parameters()
     arrays: list[tuple[str, np.ndarray]] = [(n, t.data) for n, t in named]
@@ -401,12 +409,9 @@ def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: Train
         arrays.append((f"adam.v.{name}", v))
     table = []
     offset = 0
-    blobs = []
     for name, arr in arrays:
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
         table.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
+        offset += 8 * arr.size
     header = {
         "version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
@@ -417,12 +422,22 @@ def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: Train
         "epoch": epoch,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = CHECKPOINT_MAGIC + len(head).to_bytes(8, "little") + head + b"".join(blobs)
-    payload = body + zlib.crc32(body).to_bytes(4, "little")
+    prefix = CHECKPOINT_MAGIC + len(head).to_bytes(8, "little") + head
     tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(prefix)
+            crc = zlib.crc32(prefix)
+            for _, arr in arrays:
+                raw = np.ascontiguousarray(arr, dtype="<f8")
+                fh.write(raw)
+                crc = zlib.crc32(raw, crc)
+            fh.write(crc.to_bytes(4, "little"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _is_count(value) -> bool:
@@ -448,18 +463,36 @@ def _tensor_entry(entry, n_bytes: int) -> tuple[str, tuple[int, ...], int]:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read and verify a checkpoint written by ``save_checkpoint``.
+
+    The file is read once into one buffer and its CRC is checked in place.
+    The returned tensors are float64 views into that buffer, so a load holds
+    one copy of the tensor bytes; ``Checkpoint.build`` copies them into the
+    model's and the optimizer's own arrays.
+    """
     with open(path, "rb") as fh:
-        payload = fh.read()
-    if len(payload) < len(CHECKPOINT_MAGIC) + 12:
+        size = os.fstat(fh.fileno()).st_size
+        head_len = int.from_bytes(fh.read(16)[8:], "little")
+        # Offset the file in the buffer so that the tensor data, which follows
+        # the 16-byte prefix and the header, starts 8-byte aligned.
+        pad = -(16 + head_len) % 8
+        buf = np.empty(pad + size, dtype=np.uint8)
+        fh.seek(0)
+        n_read = fh.readinto(buf[pad:])
+    if n_read < size:
+        raise CheckpointError(f"checkpoint file is truncated: read {n_read} of {size} bytes")
+    if size < len(CHECKPOINT_MAGIC) + 12:
         raise CheckpointError("checkpoint file is truncated")
-    body, crc = payload[:-4], payload[-4:]
-    if zlib.crc32(body).to_bytes(4, "little") != crc:
+    body = memoryview(buf)[pad:pad + size - 4]
+    if zlib.crc32(body).to_bytes(4, "little") != buf[pad + size - 4:].tobytes():
         raise CheckpointError("checkpoint checksum mismatch (corrupt or truncated file)")
-    if not body.startswith(CHECKPOINT_MAGIC):
+    if body[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    head_len = int.from_bytes(body[8:16], "little")
+    if 16 + head_len > len(body):
+        raise CheckpointError(f"checkpoint header of {head_len} bytes runs past the end "
+                              f"of the file (truncated)")
     try:
-        header = json.loads(body[16:16 + head_len].decode("utf-8"))
+        header = json.loads(body[16:16 + head_len].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
@@ -475,12 +508,12 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("checkpoint tensor table is not a list")
     if not (isinstance(header["adam"], dict) and set(_ADAM_FIELDS) <= header["adam"].keys()):
         raise CheckpointError(f"checkpoint optimizer state needs {', '.join(_ADAM_FIELDS)}")
-    data = body[16 + head_len:]
+    data_start = pad + 16 + head_len
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
-        name, shape, start = _tensor_entry(entry, len(data))
-        arr = np.frombuffer(data, dtype="<f8", count=math.prod(shape), offset=start)
-        tensors[name] = arr.reshape(shape).astype(np.float64)
+        name, shape, start = _tensor_entry(entry, len(body) - 16 - head_len)
+        arr = np.frombuffer(buf, dtype="<f8", count=math.prod(shape), offset=data_start + start)
+        tensors[name] = arr.reshape(shape).astype(np.float64, copy=False)
     config = TrainConfig.from_dict(header["config"])
     return Checkpoint(
         version=header["version"],

@@ -1,6 +1,7 @@
 """Tensor op examples, gradient checks against finite differences, Adam."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ def test_tape_determinism():
 ])
 def test_gradient_check_all_ops(name):
     """Central differences (h=1e-5) vs backward(): relative error < 1e-4."""
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     xs = [Tensor(rng.uniform(-1, 1, s), requires_grad=True) for s in {
         "matmul_mat": [(3, 4), (4, 2)],
         "matmul_vec": [(3, 4), (4,)],
@@ -479,6 +480,49 @@ def test_adam_missing_grad_is_state_error():
     state = AdamState.for_params([p], learning_rate=0.1)
     with pytest.raises(StateError):
         adam_step([p], state)
+
+
+def test_adam_blocked_step_is_bit_identical_to_textbook_update():
+    """Three steps over a parameter larger than a block (and not a multiple
+    of it), one smaller than a block and a 1-element one, against the
+    whole-array update with temporaries."""
+    def textbook_step(data, grad, m, v, state):
+        t, b1, b2 = state.step_count, state.beta1, state.beta2
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+
+    block = tensor_mod.ADAM_BLOCK
+    shapes = [(3, block // 2 + 41), (17, 5), (1,)]
+    rng = np.random.default_rng(7)
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    assert params[0].size > block and params[0].size % block
+    ref = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for p in params]
+    state = AdamState.for_params(params, learning_rate=0.003)
+    for _ in range(3):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        adam_step(params, state)
+        for (data, m, v), g in zip(ref, grads):
+            textbook_step(data, g, m, v, state)
+    for p, m, v, (ref_data, ref_m, ref_v) in zip(params, state.m, state.v, ref):
+        assert p.data.tobytes() == ref_data.tobytes()
+        assert m.tobytes() == ref_m.tobytes() and v.tobytes() == ref_v.tobytes()
+
+
+def test_adam_rejects_moments_of_another_shape():
+    p = Tensor(np.zeros((2, 3)), requires_grad=True)
+    p.grad = np.ones((2, 3))
+    state = AdamState.for_params([p], learning_rate=0.1)
+    state.v[0] = np.zeros(6)
+    with pytest.raises(StateError, match="moments"):
+        adam_step([p], state)
+    assert state.step_count == 0 and np.array_equal(p.data, np.zeros((2, 3)))
 
 
 def test_clip_gradients():

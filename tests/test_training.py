@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import tracemalloc
+import types
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -376,3 +380,126 @@ def test_checkpoint_atomic_write_leaves_no_temp(tmp_path):
     cfg, samples, vocab, model = _trained_bundle(tmp_path)
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def _joined_checkpoint_bytes(model, optimizer, config, rng_state=None, epoch=0) -> bytes:
+    """The file the earlier writer produced: every tensor's bytes joined into
+    one body before a single write (kept here as the reference format)."""
+    named = model.parameters()
+    arrays = [(n, t.data) for n, t in named]
+    for (name, _), m, v in zip(named, optimizer.m, optimizer.v):
+        arrays += [(f"adam.m.{name}", m), (f"adam.v.{name}", v)]
+    table, blobs, offset = [], [], 0
+    for name, arr in arrays:
+        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        table.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        blobs.append(raw)
+        offset += len(raw)
+    header = {
+        "version": 1,
+        "config": config.to_dict(),
+        "vocab": model.vocab.to_dict(),
+        "tensors": table,
+        "adam": {k: getattr(optimizer, k)
+                 for k in ("step_count", "learning_rate", "beta1", "beta2", "epsilon")},
+        "rng_state": rng_state if rng_state is not None else {},
+        "epoch": epoch,
+    }
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = b"TPN2FCK1" + len(head).to_bytes(8, "little") + head + b"".join(blobs)
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def _fresh_state(cfg=None):
+    cfg, _, _, model, _ = micro_setup(n=8, cfg=cfg)
+    optimizer = AdamState.for_params([t for _, t in model.parameters()], 0.01)
+    return cfg, model, optimizer
+
+
+def test_streamed_checkpoint_matches_joined_writer(tmp_path):
+    cfg, model, optimizer = _fresh_state()
+    save_checkpoint(tmp_path / "fresh.ckpt", model, optimizer, cfg)
+    assert (tmp_path / "fresh.ckpt").read_bytes() == _joined_checkpoint_bytes(
+        model, optimizer, cfg)
+    _trained_bundle(tmp_path)
+    ckpt = load_checkpoint(tmp_path / "m.ckpt")
+    model, optimizer = ckpt.build()
+    assert optimizer.step_count > 0
+    assert (tmp_path / "m.ckpt").read_bytes() == _joined_checkpoint_bytes(
+        model, optimizer, ckpt.config, ckpt.rng_state, ckpt.epoch)
+
+
+def test_failed_save_removes_temp_and_keeps_existing_file(tmp_path):
+    cfg, model, optimizer = _fresh_state()
+    path = tmp_path / "m.ckpt"
+    tmp = tmp_path / "m.ckpt.tmp"
+    # The second tensor cannot be converted to float64, so the write fails
+    # after the first tensor's bytes are in the temp file.
+    second = model.parameters()[1][1]
+    good = second.data
+    second.data = np.full(good.shape, "not a number", dtype=object)
+    with pytest.raises(ValueError):
+        save_checkpoint(path, model, optimizer, cfg)
+    assert not path.exists() and not tmp.exists()
+    second.data = good
+    save_checkpoint(path, model, optimizer, cfg)
+    before = path.read_bytes()
+    second.data = np.full(good.shape, "not a number", dtype=object)
+    with pytest.raises(ValueError):
+        save_checkpoint(path, model, optimizer, cfg)
+    assert path.read_bytes() == before and not tmp.exists()
+
+
+def test_checkpoint_shorter_than_its_header_promises(tmp_path, monkeypatch):
+    _trained_bundle(tmp_path)
+    raw = (tmp_path / "m.ckpt").read_bytes()
+    head_len = int.from_bytes(raw[8:16], "little")
+    # Header length pointing past the end of the file, with a valid CRC.
+    body = raw[:8] + (len(raw) * 2).to_bytes(8, "little") + raw[16:-4]
+    (tmp_path / "long_head.ckpt").write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(tmp_path / "long_head.ckpt")
+    # Tensor data cut short, with a valid CRC.
+    body = raw[:16 + head_len + 100]
+    (tmp_path / "short_data.ckpt").write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    with pytest.raises(CheckpointError, match="past"):
+        load_checkpoint(tmp_path / "short_data.ckpt")
+    # A read that returns fewer bytes than the file's size.
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
+        st_size=real_fstat(fd).st_size + 64))
+    with pytest.raises(CheckpointError, match=r"truncated: read \d+ of \d+ bytes"):
+        load_checkpoint(tmp_path / "m.ckpt")
+
+
+def test_checkpoint_builds_share_no_memory(tmp_path):
+    _trained_bundle(tmp_path)
+    ckpt = load_checkpoint(tmp_path / "m.ckpt")
+    builds = [ckpt.build(), ckpt.build()]
+    arrays = [[t.data for _, t in model.parameters()] + optimizer.m + optimizer.v
+              for model, optimizer in builds]
+    for a in arrays[0]:
+        for b in arrays[1] + list(ckpt.tensors.values()):
+            assert not np.may_share_memory(a, b)
+    for b in arrays[1]:
+        for c in ckpt.tensors.values():
+            assert not np.may_share_memory(b, c)
+
+
+def test_checkpoint_io_allocates_no_copy_on_save_and_one_on_load(tmp_path):
+    # Dimensions chosen so that the 33 MB of tensors dwarf the JSON header.
+    cfg, model, optimizer = _fresh_state(replace(micro_config(), d_filler=20, d_role=16))
+    path = tmp_path / "big.ckpt"
+    tensor_bytes = 8 * 3 * sum(t.size for _, t in model.parameters())
+    assert tensor_bytes > 30e6
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, model, optimizer, cfg)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ckpt = load_checkpoint(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert save_peak <= 0.02 * tensor_bytes
+    assert load_peak <= 1.1 * path.stat().st_size
