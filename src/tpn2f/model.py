@@ -9,6 +9,12 @@ state is treated as an order-3 binding and unbound into relation and argument
 vectors, which feed separate classifier heads.
 
 Ablation variants swap either side for a plain LSTM (hidden size 100).
+
+Every LSTM cell keeps its gates in one weight ``w`` of shape ``(4H, in + H)``
+and one bias ``b`` of shape ``(4H,)``: row blocks f, g, i, o, columns
+``[input | recurrent]``, so a cell step is one matrix-vector product.  The
+per-gate names ``u_*``, ``v_*`` and ``b_*`` remain as read-only views of those
+blocks.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .tensor import (
     reshape,
     sigmoid,
     softmax_with_temperature,
+    split,
     stack_rows,
     tanh,
     transpose,
@@ -101,42 +108,83 @@ def _uniform(rng: np.random.Generator, shape) -> Tensor:
     return Tensor(rng.uniform(-0.1, 0.1, size=shape), requires_grad=True)
 
 
+class _GateBlock:
+    """Read-only ndarray view of one gate's block of a fused LSTM cell.
+
+    ``kind`` is ``"u"`` (input columns of ``w``), ``"v"`` (recurrent columns
+    of ``w``) or ``"b"`` (the bias); ``gate`` is the row block, 0-3 for
+    f, g, i, o.
+    """
+
+    def __init__(self, kind: str, gate: int):
+        self.kind, self.gate = kind, gate
+
+    def __get__(self, cell: "LstmParams | None", owner=None):
+        if cell is None:
+            return self
+        h = cell.hidden
+        rows = slice(self.gate * h, (self.gate + 1) * h)
+        if self.kind == "b":
+            view = cell.b.data[rows]
+        elif self.kind == "u":
+            view = cell.w.data[rows, :-h]
+        else:
+            view = cell.w.data[rows, -h:]
+        view = view.view()
+        view.flags.writeable = False
+        return view
+
+
 @dataclass
 class LstmParams:
-    """One LSTM cell: forget/candidate/input/output gates."""
+    """One LSTM cell as one fused weight and one bias.
 
-    u_f: Tensor
-    u_g: Tensor
-    u_i: Tensor
-    u_o: Tensor
-    v_f: Tensor
-    v_g: Tensor
-    v_i: Tensor
-    v_o: Tensor
-    b_f: Tensor
-    b_g: Tensor
-    b_i: Tensor
-    b_o: Tensor
+    ``w`` has shape ``(4H, in + H)`` and ``b`` shape ``(4H,)``.  Their row
+    blocks of ``H`` are the forget, candidate, input and output gates (f, g,
+    i, o, in that order); the columns of ``w`` are ``[input | recurrent]``.
+    The per-gate names ``u_f`` .. ``u_o`` (input weights, ``(H, in)``),
+    ``v_f`` .. ``v_o`` (recurrent weights, ``(H, H)``) and ``b_f`` .. ``b_o``
+    are read-only ndarray views of those blocks, not parameters.
+    """
+
+    w: Tensor
+    b: Tensor
+
+    u_f, u_g, u_i, u_o = (_GateBlock("u", k) for k in range(4))
+    v_f, v_g, v_i, v_o = (_GateBlock("v", k) for k in range(4))
+    b_f, b_g, b_i, b_o = (_GateBlock("b", k) for k in range(4))
+
+    @property
+    def hidden(self) -> int:
+        return self.b.shape[0] // 4
 
     @classmethod
     def random(cls, rng: np.random.Generator, input_dim: int, hidden_dim: int) -> "LstmParams":
-        u = lambda: _uniform(rng, (hidden_dim, input_dim))
-        v = lambda: _uniform(rng, (hidden_dim, hidden_dim))
-        b = lambda: _uniform(rng, (hidden_dim,))
-        return cls(u(), u(), u(), u(), v(), v(), v(), v(), b(), b(), b(), b())
+        """Uniform(-0.1, 0.1) weights, drawn per gate block in the order
+        u_f..u_o, v_f..v_o, b_f..b_o, each draw written into its block."""
+        h = hidden_dim
+        w = np.empty((4 * h, input_dim + h))
+        b = np.empty(4 * h)
+        for k in range(4):
+            w[k * h:(k + 1) * h, :input_dim] = rng.uniform(-0.1, 0.1, size=(h, input_dim))
+        for k in range(4):
+            w[k * h:(k + 1) * h, input_dim:] = rng.uniform(-0.1, 0.1, size=(h, h))
+        for k in range(4):
+            b[k * h:(k + 1) * h] = rng.uniform(-0.1, 0.1, size=h)
+        return cls(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
     def named_tensors(self, prefix: str):
-        for gate in ("f", "g", "i", "o"):
-            yield f"{prefix}.u_{gate}", getattr(self, f"u_{gate}")
-            yield f"{prefix}.v_{gate}", getattr(self, f"v_{gate}")
-            yield f"{prefix}.b_{gate}", getattr(self, f"b_{gate}")
+        yield f"{prefix}.w", self.w
+        yield f"{prefix}.b", self.b
 
 
 def lstm_cell(p: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    f = sigmoid(add(add(matmul(p.u_f, x), matmul(p.v_f, h_prev)), p.b_f))
-    g = tanh(add(add(matmul(p.u_g, x), matmul(p.v_g, h_prev)), p.b_g))
-    i = sigmoid(add(add(matmul(p.u_i, x), matmul(p.v_i, h_prev)), p.b_i))
-    o = sigmoid(add(add(matmul(p.u_o, x), matmul(p.v_o, h_prev)), p.b_o))
+    """One step: all four gate pre-activations from one matrix-vector product."""
+    z_f, z_g, z_i, z_o = split(add(matmul(p.w, concat([x, h_prev])), p.b), 4)
+    f = sigmoid(z_f)
+    g = tanh(z_g)
+    i = sigmoid(z_i)
+    o = sigmoid(z_o)
     c = add(mul(f, c_prev), mul(i, g))
     h = mul(o, tanh(c))
     return h, c

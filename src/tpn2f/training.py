@@ -57,7 +57,6 @@ class TrainConfig:
     max_decode_len: int = 30
     pooling: str = "sum_tprs"
     reasoning_layers: int = 1
-    teacher_forcing: bool = True
     grad_clip: float | None = None
     patience: int | None = None
     stop_at_full_accuracy: bool = False
@@ -349,8 +348,20 @@ def train(model: Tpn2fModel, samples: Sequence[Sample], config: TrainConfig,
 # checkpoints
 
 CHECKPOINT_MAGIC = b"TPN2FCK1"
-CHECKPOINT_VERSION = 1
+# Version 2: one weight ``w`` and one bias ``b`` per LSTM cell (see
+# ``model.LstmParams``); version 1 stored 12 per-gate tensors.
+CHECKPOINT_VERSION = 2
 _ADAM_FIELDS = ("step_count", "learning_rate", "beta1", "beta2", "epsilon")
+
+
+class _LayoutOnly:
+    """Stands in for the generator when only the model's shapes are needed."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+    def standard_normal(self, size):
+        return np.ones(size)
 
 
 @dataclass
@@ -368,9 +379,10 @@ class Checkpoint:
 
         Every tensor is copied into the new model's and optimizer's own arrays,
         so two builds share no memory with each other or with the checkpoint.
+        The model's layout is built from zeros, not random draws, since every
+        weight is overwritten.
         """
-        rng = np.random.default_rng(0)  # layout only; weights are overwritten
-        model = build_model(self.config.variant(), self.config.dims(), self.vocab, rng,
+        model = build_model(self.config.variant(), self.config.dims(), self.vocab, _LayoutOnly(),
                             attn_tanh=self.config.attn_tanh,
                             rel_decode_linear=self.config.rel_decode_linear)
         names = []

@@ -106,11 +106,18 @@ def test_load_config_json_and_overrides(tmp_path):
     assert cfg.epochs == 2 and cfg.d_filler == 30  # file overrides preset field-by-field
 
 
-def test_load_config_unknown_key_named(tmp_path):
+def test_load_config_unknown_key_named(tmp_path, micro_file, capsys):
     p = tmp_path / "c.cfg"
     p.write_text("banana=1\n")
     with pytest.raises(ConfigError, match="banana"):
         load_config(p)
+    # A removed field is an unknown key like any other.
+    p.write_text(MICRO_CFG + "teacher_forcing=true\n")
+    with pytest.raises(ConfigError, match="teacher_forcing"):
+        load_config(p)
+    assert dispatch(["train", "--data", str(micro_file), "--out", str(tmp_path / "run"),
+                     "--config", str(p)]) == 1
+    assert "teacher_forcing" in capsys.readouterr().err
 
 
 def test_load_config_type_mismatch(tmp_path):

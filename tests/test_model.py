@@ -9,6 +9,7 @@ from tpn2f.model import (
     EncoderParams,
     LstmDecoderParams,
     LstmEncoderParams,
+    LstmParams,
     ModelDims,
     ModelVariant,
     VocabError,
@@ -18,11 +19,23 @@ from tpn2f.model import (
     build_model,
     encode_sequence,
     encoder_step,
+    lstm_cell,
     reasoning_map,
     unbinding_module,
     _encoder_step_scores,
 )
-from tpn2f.tensor import GradientTape, Tensor, backward, zeros
+from tpn2f.tensor import (
+    GradientTape,
+    Tensor,
+    add,
+    backward,
+    matmul,
+    mul,
+    sigmoid,
+    sum_all,
+    tanh,
+    zeros,
+)
 from tpn2f.tpr import TupleTprConfig, bind3
 from tpn2f.training import sample_loss, encode_sample
 
@@ -383,3 +396,117 @@ def test_gradient_flow_all_variants(encoder, decoder):
             fd = (hi - lo) / (2 * h)
             denom = max(abs(fd), abs(grad[k]), 1e-4)
             assert abs(fd - grad[k]) / denom < 1e-3, f"{name}[{k}]"
+
+
+# ---------------------------------------------------------------------------
+# fused LSTM cell
+
+GATE_NAMES = [f"{kind}_{gate}" for gate in "fgio" for kind in "uvb"]
+
+
+def _gate_slices(cell: LstmParams, kind: str, gate: str):
+    """(tensor, index) of one gate block inside the fused ``w`` or ``b``."""
+    h, k = cell.hidden, "fgio".index(gate)
+    rows = slice(k * h, (k + 1) * h)
+    if kind == "b":
+        return cell.b, rows
+    return cell.w, (rows, slice(None, -h) if kind == "u" else slice(-h, None))
+
+
+def _four_gate_cell(p, x, h_prev, c_prev):
+    """The former cell: eight matrix-vector products over 12 per-gate tensors."""
+    f = sigmoid(add(add(matmul(p["u_f"], x), matmul(p["v_f"], h_prev)), p["b_f"]))
+    g = tanh(add(add(matmul(p["u_g"], x), matmul(p["v_g"], h_prev)), p["b_g"]))
+    i = sigmoid(add(add(matmul(p["u_i"], x), matmul(p["v_i"], h_prev)), p["b_i"]))
+    o = sigmoid(add(add(matmul(p["u_o"], x), matmul(p["v_o"], h_prev)), p["b_o"]))
+    c = add(mul(f, c_prev), mul(i, g))
+    h = mul(o, tanh(c))
+    return h, c
+
+
+@pytest.mark.parametrize("in_dim, hidden", [(8, 20), (40, 1000)], ids=["micro", "mathqa"])
+def test_fused_cell_matches_four_gate_maths(in_dim, hidden):
+    """Two recurrent steps: h, c and every grad block agree within 1e-12
+    relative (to the largest entry of the reference)."""
+    rng = np.random.default_rng(21)
+    cell = LstmParams.random(rng, in_dim, hidden)
+    gates = {n: Tensor(getattr(cell, n), requires_grad=True) for n in GATE_NAMES}
+    inputs = [rng.uniform(-1, 1, in_dim), rng.uniform(-1, 1, in_dim),
+              rng.uniform(-1, 1, hidden), rng.uniform(-1, 1, hidden)]
+    weights_h, weights_c = rng.uniform(-1, 1, hidden), rng.uniform(-1, 1, hidden)
+
+    def run(step):
+        xs = [Tensor(a, requires_grad=True) for a in inputs]
+        with GradientTape():
+            h1, c1 = step(xs[0], xs[2], xs[3])
+            h, c = step(xs[1], h1, c1)
+            backward(add(sum_all(mul(h, Tensor(weights_h))), sum_all(mul(c, Tensor(weights_c)))))
+        return h.data, c.data, [x.grad for x in xs]
+
+    fused = run(lambda x, h, c: lstm_cell(cell, x, h, c))
+    old = run(lambda x, h, c: _four_gate_cell(gates, x, h, c))
+    pairs = [(fused[0], old[0]), (fused[1], old[1])] + list(zip(fused[2], old[2]))
+    for n in GATE_NAMES:
+        t, idx = _gate_slices(cell, n[0], n[2])
+        pairs.append((t.grad[idx], gates[n].grad))
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_fused_cell_draws_the_former_initial_weights():
+    """Each gate block equals, bit for bit, its draw in the former order:
+    four (H, in), then four (H, H), then four (H,), each in gate order f, g, i, o."""
+    cell = LstmParams.random(np.random.default_rng(13), 6, 5)
+    replay = np.random.default_rng(13)
+    draws = {}
+    for kind, shape in (("u", (5, 6)), ("v", (5, 5)), ("b", (5,))):
+        for gate in "fgio":
+            draws[f"{kind}_{gate}"] = replay.uniform(-0.1, 0.1, size=shape)
+    for n in GATE_NAMES:
+        t, idx = _gate_slices(cell, n[0], n[2])
+        assert np.array_equal(t.data[idx], draws[n]), n
+        assert np.array_equal(getattr(cell, n), draws[n]), n
+
+
+def test_fused_cell_layout_and_read_only_views():
+    cell = LstmParams.random(np.random.default_rng(0), 3, 4)
+    assert cell.w.shape == (16, 7) and cell.b.shape == (16,)
+    assert [n for n, _ in cell.named_tensors("x")] == ["x.w", "x.b"]
+    assert cell.u_g.shape == (4, 3) and cell.v_o.shape == (4, 4) and cell.b_i.shape == (4,)
+    with pytest.raises(ValueError):
+        cell.v_f[0, 0] = 1.0
+    cell.w.data[4, 5] = 2.5     # the views follow the fused weight
+    assert cell.v_g[0, 2] == 2.5
+    assert len(micro_model(dims=MATHQA).parameters()) == 22
+
+
+@pytest.mark.parametrize("encoder,decoder", [("tpr", "tpr"), ("lstm", "lstm")])
+def test_gradient_flow_every_gate_block(encoder, decoder):
+    """Finite differences agree with the tape on 2 entries of every gate block
+    (u, v and b of f, g, i and o) of every LSTM cell."""
+    vocab = tiny_vocab()
+    model = build_model(ModelVariant(encoder, decoder), MICRO, vocab,
+                        np.random.default_rng(1))
+    enc = encode_sample(_audit_sample(vocab, 2), vocab, 2)
+    with GradientTape():
+        backward(sample_loss(model, enc))
+    cells = ([model.encoder.filler_lstm, model.encoder.role_lstm] if encoder == "tpr"
+             else [model.encoder.lstm]) + [model.decoder.lstm]
+    rng = np.random.default_rng(3)
+    h = 1e-5
+    for k, cell in enumerate(cells):
+        for n in GATE_NAMES:
+            t, idx = _gate_slices(cell, n[0], n[2])
+            block, grad = t.data[idx], t.grad[idx]
+            for flat in rng.choice(block.size, size=2, replace=False):
+                pos = np.unravel_index(flat, block.shape)
+                orig = block[pos]
+                block[pos] = orig + h
+                hi = sample_loss(model, enc).item()
+                block[pos] = orig - h
+                lo = sample_loss(model, enc).item()
+                block[pos] = orig
+                fd = (hi - lo) / (2 * h)
+                denom = max(abs(fd), abs(grad[pos]), 1e-4)
+                assert abs(fd - grad[pos]) / denom < 1e-3, f"cell {k} {n}{pos}"

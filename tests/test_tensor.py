@@ -38,6 +38,7 @@ from tpn2f.tensor import (
     scale,
     sigmoid,
     softmax_with_temperature,
+    split,
     stack_rows,
     sum_all,
     tanh,
@@ -287,6 +288,7 @@ def test_tape_determinism():
     "matmul_mat", "matmul_vec", "outer", "contract3", "softmax", "sigmoid",
     "tanh", "add", "mul", "cross_entropy", "reshape", "transpose", "concat",
     "stack", "embed", "scale", "matmul_recurrent", "matmul_produced", "matmul_mixed",
+    "split", "split_partial",
 ])
 def test_gradient_check_all_ops(name):
     """Central differences (h=1e-5) vs backward(): relative error < 1e-4."""
@@ -311,6 +313,8 @@ def test_gradient_check_all_ops(name):
         "matmul_recurrent": [(4, 4), (4,), (4,), (4,)],
         "matmul_produced": [(3, 4), (4,), (4,)],
         "matmul_mixed": [(4, 3), (3,), (4,)],
+        "split": [(8,), (2,)],
+        "split_partial": [(9,)],
     }[name]]
 
     def forward():
@@ -357,6 +361,12 @@ def test_gradient_check_all_ops(name):
             w = xs[0]
             return sum_all(tanh(concat([matmul(w, xs[1]),
                                         add(matmul(transpose(w), xs[2]), embedding_row(w, 1))])))
+        if name == "split":  # every piece used, one of them twice
+            a, b, c, d = split(xs[0], 4)
+            return sum_all(tanh(concat([mul(a, d), sigmoid(b), add(c, xs[1]), tanh(d)])))
+        if name == "split_partial":  # an unused piece gets a zero grad
+            a, _, c = split(tanh(xs[0]), 3)
+            return sum_all(mul(a, c))
         raise AssertionError(name)
 
     with GradientTape():
@@ -364,6 +374,15 @@ def test_gradient_check_all_ops(name):
     for x in xs:
         fd = numeric_grad(lambda: forward().item(), x.data)
         assert rel_err(x.grad, fd) < 1e-4, f"{name}: gradient mismatch"
+
+
+def test_split_pieces_are_consecutive_and_checked():
+    t = Tensor(np.arange(6.0))
+    assert [p.data.tolist() for p in split(t, 3)] == [[0, 1], [2, 3], [4, 5]]
+    with pytest.raises(ShapeError):
+        split(t, 4)
+    with pytest.raises(RankError):
+        split(Tensor(np.zeros((2, 2))), 2)
 
 
 def test_matmul_weight_grad_accumulates_across_tapes():
@@ -383,6 +402,20 @@ def test_matmul_weight_grad_accumulates_across_tapes():
     for x in xs:
         run(x)
     assert np.allclose(w.grad, alone[0] + alone[1], rtol=1e-12, atol=0.0)
+
+
+def test_weight_grad_added_in_row_blocks_equals_whole_product(monkeypatch):
+    """A deferred grad added to an existing one block by block, with a last
+    block shorter than the others, equals the sum of the per-step products."""
+    monkeypatch.setattr(tensor_mod, "GRAD_BLOCK_ROWS", 2)
+    rng = np.random.default_rng(6)
+    w = Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
+    xs = [rng.uniform(-1, 1, 3) for _ in range(3)]
+    for x in xs:  # every tape after the first adds to an existing grad
+        with GradientTape():
+            backward(sum_all(tanh(matmul(w, Tensor(x)))))
+    want = sum(np.outer(1.0 - np.tanh(w.data @ x) ** 2, x) for x in xs)
+    assert np.allclose(w.grad, want, rtol=1e-12, atol=1e-15)
 
 
 def _outer_per_step_matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -11,12 +11,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tpn2f.data import build_vocabularies, preprocess_samples
+from tpn2f.cli import dispatch
+from tpn2f.data import build_vocabularies, preprocess_samples, save_dataset
 from tpn2f.formal_lang import RelationalTuple
 from tpn2f.model import ModelDims, build_model
 from tpn2f.synthetic import make_micro_dataset, micro_config
 from tpn2f.tensor import AdamState, Tensor
 from tpn2f.training import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     ConfigError,
     TrainConfig,
@@ -324,7 +326,7 @@ def test_truncated_checkpoint_is_corrupt(tmp_path):
 def test_version_mismatch_is_explicit(tmp_path):
     cfg, samples, vocab, model = _trained_bundle(tmp_path)
     raw = (tmp_path / "m.ckpt").read_bytes()
-    body = raw[:-4].replace(b'"version":1', b'"version":9', 1)
+    body = raw[:-4].replace(b'"version":2', b'"version":9', 1)
     (tmp_path / "v9.ckpt").write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(tmp_path / "v9.ckpt")
@@ -382,7 +384,8 @@ def test_checkpoint_atomic_write_leaves_no_temp(tmp_path):
     assert leftovers == []
 
 
-def _joined_checkpoint_bytes(model, optimizer, config, rng_state=None, epoch=0) -> bytes:
+def _joined_checkpoint_bytes(model, optimizer, config, rng_state=None, epoch=0,
+                             version=CHECKPOINT_VERSION) -> bytes:
     """The file the earlier writer produced: every tensor's bytes joined into
     one body before a single write (kept here as the reference format)."""
     named = model.parameters()
@@ -396,7 +399,7 @@ def _joined_checkpoint_bytes(model, optimizer, config, rng_state=None, epoch=0) 
         blobs.append(raw)
         offset += len(raw)
     header = {
-        "version": 1,
+        "version": version,
         "config": config.to_dict(),
         "vocab": model.vocab.to_dict(),
         "tensors": table,
@@ -408,6 +411,55 @@ def _joined_checkpoint_bytes(model, optimizer, config, rng_state=None, epoch=0) 
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = b"TPN2FCK1" + len(head).to_bytes(8, "little") + head + b"".join(blobs)
     return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def _version1_checkpoint_bytes(model, config) -> bytes:
+    """A version-1 file: 12 per-gate tensors ``u_*``, ``v_*``, ``b_*`` per LSTM cell."""
+    named = []
+    for name, t in model.parameters():
+        prefix, _, leaf = name.rpartition(".")
+        if not prefix.endswith("lstm"):
+            named.append((name, t))
+        elif leaf == "w":
+            cell = model
+            for part in prefix.split("."):
+                cell = getattr(cell, part)
+            named += [(f"{prefix}.{kind}_{gate}", Tensor(getattr(cell, f"{kind}_{gate}")))
+                      for gate in "fgio" for kind in "uvb"]
+    old = types.SimpleNamespace(parameters=lambda: named, vocab=model.vocab)
+    optimizer = AdamState.for_params([t for _, t in named], config.learning_rate)
+    return _joined_checkpoint_bytes(old, optimizer, config, version=1)
+
+
+def test_version1_checkpoint_is_rejected_naming_its_version(tmp_path, capsys):
+    cfg, samples, _, model, _ = micro_setup(n=8)
+    raw = _version1_checkpoint_bytes(model, cfg)
+    assert b'"encoder.filler_lstm.u_f"' in raw and b'"decoder.lstm.b_o"' in raw
+    (tmp_path / "v1.ckpt").write_bytes(raw)
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(tmp_path / "v1.ckpt")
+    save_dataset(tmp_path / "data.jsonl", samples)
+    assert dispatch(["infer", "--checkpoint", str(tmp_path / "v1.ckpt"),
+                     "--data", str(tmp_path / "data.jsonl"),
+                     "--out", str(tmp_path / "pred.jsonl")]) == 1
+    assert "version 1" in capsys.readouterr().err
+
+
+def test_build_draws_no_random_weights(tmp_path, monkeypatch):
+    _trained_bundle(tmp_path)
+    ckpt = load_checkpoint(tmp_path / "m.ckpt")
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("build drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    model, optimizer = ckpt.build()
+    named = model.parameters()
+    assert len(named) == len(ckpt.tensors) // 3
+    for (name, t), m, v in zip(named, optimizer.m, optimizer.v):
+        assert np.array_equal(t.data, ckpt.tensors[name]), name
+        assert np.array_equal(m, ckpt.tensors[f"adam.m.{name}"]), name
+        assert np.array_equal(v, ckpt.tensors[f"adam.v.{name}"]), name
 
 
 def _fresh_state(cfg=None):
