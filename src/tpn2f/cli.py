@@ -43,28 +43,27 @@ def _setup_logging() -> None:
 
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 
 
-def _coerce(key: str, value, target_type) -> object:
+def _coerce(field: dataclasses.Field, value) -> object:
+    """A config-file or flag value as ``field``'s type; empty or ``none`` unsets it."""
+    if value in (None, "", "none", "None"):
+        return None
+    target_type = _TYPES[field.type.split(" | ")[0]]  # annotations are strings
     if target_type is bool:
         if isinstance(value, bool):
             return value
         v = str(value).lower()
         if v not in _BOOL_STRINGS:
-            raise ConfigError(f"key {key!r} expects a boolean, got {value!r}")
+            raise ConfigError(f"key {field.name!r} expects a boolean, got {value!r}")
         return _BOOL_STRINGS[v]
     try:
         return target_type(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key {key!r} expects {target_type.__name__}, got {value!r}") from exc
-
-
-_FIELD_TYPES = {
-    f.name: (int if f.type in ("int", "int | None") else
-             float if f.type in ("float", "float | None") else
-             bool if f.type == "bool" else str)
-    for f in dataclasses.fields(TrainConfig)
-}
+        raise ConfigError(
+            f"key {field.name!r} expects {target_type.__name__}, got {value!r}") from exc
 
 
 def apply_config_entries(cfg: TrainConfig, entries: dict) -> TrainConfig:
@@ -72,10 +71,9 @@ def apply_config_entries(cfg: TrainConfig, entries: dict) -> TrainConfig:
     for key, value in entries.items():
         if key == "preset":
             continue
-        if key not in _FIELD_TYPES:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
-        updates[key] = None if value in (None, "", "none", "None") else _coerce(
-            key, value, _FIELD_TYPES[key])
+        updates[key] = _coerce(_FIELDS[key], value)
     return TrainConfig.from_dict({**cfg.to_dict(), **updates})
 
 
@@ -116,24 +114,14 @@ def _config_text(cfg: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-_OVERRIDE_FLAGS = [
-    ("--epochs", "epochs", int), ("--learning-rate", "learning_rate", float),
-    ("--batch-size", "batch_size", int), ("--seed", "seed", int),
-    ("--max-decode-len", "max_decode_len", int), ("--pooling", "pooling", str),
-    ("--reasoning-layers", "reasoning_layers", int), ("--encoder", "encoder", str),
-    ("--decoder", "decoder", str), ("--positions", "positions", int),
-    ("--grad-clip", "grad_clip", float), ("--patience", "patience", int),
-    ("--d-word", "d_word", int),
-]
-
-
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """``--field-name VALUE`` for every ``TrainConfig`` field; the values are
+    parsed like config-file values, and a bare boolean flag means true."""
     p.add_argument("--preset", choices=sorted(PRESETS), help="named hyperparameter preset")
     p.add_argument("--config", help="key=value or JSON config file")
-    for flag, dest, typ in _OVERRIDE_FLAGS:
-        p.add_argument(flag, dest=f"cfg_{dest}", type=typ, default=None)
-    p.add_argument("--stop-at-full-accuracy", dest="cfg_stop_at_full_accuracy",
-                   action="store_true", default=None)
+    for name, field in _FIELDS.items():
+        bare = {"nargs": "?", "const": "true"} if field.type == "bool" else {}
+        p.add_argument("--" + name.replace("_", "-"), dest=f"cfg_{name}", **bare)
 
 
 def _effective_config(args) -> TrainConfig:
@@ -145,11 +133,8 @@ def _effective_config(args) -> TrainConfig:
         cfg = PRESETS[args.preset]()
     else:
         cfg = TrainConfig()
-    overrides = {dest: getattr(args, f"cfg_{dest}")
-                 for _, dest, _ in _OVERRIDE_FLAGS if getattr(args, f"cfg_{dest}") is not None}
-    if getattr(args, "cfg_stop_at_full_accuracy", None):
-        overrides["stop_at_full_accuracy"] = True
-    return TrainConfig.from_dict({**cfg.to_dict(), **overrides})
+    flags = {name: getattr(args, f"cfg_{name}") for name in _FIELDS}
+    return apply_config_entries(cfg, {k: v for k, v in flags.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +176,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "effective_config.cfg").write_text(_config_text(cfg), encoding="utf-8")
     rng = np.random.default_rng(cfg.seed)
-    model = build_model(cfg.variant(), cfg.dims(), vocab, rng,
-                        attn_tanh=cfg.attn_tanh, rel_decode_linear=cfg.rel_decode_linear)
+    model = build_model(cfg.variant(), cfg.dims(), vocab, rng)
     log.info("training %s/%s model on %d samples for %d epochs",
              cfg.encoder, cfg.decoder, len(samples), cfg.epochs)
     with open(out / "train_log.jsonl", "w", encoding="utf-8") as log_stream:

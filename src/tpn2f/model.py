@@ -19,7 +19,7 @@ blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +53,10 @@ class VocabError(ValueError):
 
 @dataclass
 class ModelDims:
-    """Dimension hyperparameters; derived sizes are properties."""
+    """Dimension hyperparameters; derived sizes are properties.
+
+    ``training.TrainConfig`` inherits these fields.
+    """
 
     d_word: int = 100
     d_filler: int = 30
@@ -79,9 +82,10 @@ class ModelDims:
         return self.d_rel + self.positions * self.d_arg
 
     def validate(self) -> None:
-        for name, v in vars(self).items():
-            if v <= 0:
-                raise ShapeError(f"dimension {name} must be positive, got {v}")
+        for f in fields(ModelDims):  # not vars(self): a TrainConfig has more fields
+            v = getattr(self, f.name)
+            if not (isinstance(v, int) and v >= 1):
+                raise ShapeError(f"dimension {f.name} must be an integer >= 1, got {v!r}")
         if self.positions not in (2, 3):
             raise ShapeError(f"positions must be 2 or 3, got {self.positions}")
 
@@ -376,12 +380,9 @@ class DecoderParams:
     w_dual: Tensor                # (d_rel, d_arg*d_rel)
     rel_classifier: Tensor        # (n_relations, d_rel)
     arg_classifier: Tensor        # (n_arguments, d_arg)
-    rel_decode: Tensor | None = None   # optional (d_rel, d_rel) map before classifying
-    attn_tanh: bool = True
 
     @classmethod
-    def random(cls, rng, dims: ModelDims, n_relations: int, n_arguments: int,
-               enc_dim: int, attn_tanh: bool = True, rel_decode_linear: bool = False):
+    def random(cls, rng, dims: ModelDims, n_relations: int, n_arguments: int, enc_dim: int):
         # Unbinding vectors start as distinct unit Gaussians.
         pos = []
         for _ in range(dims.positions):
@@ -397,8 +398,6 @@ class DecoderParams:
             w_dual=_uniform(rng, (dims.d_rel, dims.d_arg * dims.d_rel)),
             rel_classifier=_uniform(rng, (n_relations, dims.d_rel)),
             arg_classifier=_uniform(rng, (n_arguments, dims.d_arg)),
-            rel_decode=_uniform(rng, (dims.d_rel, dims.d_rel)) if rel_decode_linear else None,
-            attn_tanh=attn_tanh,
         )
 
     def named_tensors(self, prefix: str = "decoder"):
@@ -412,8 +411,6 @@ class DecoderParams:
         yield f"{prefix}.w_dual", self.w_dual
         yield f"{prefix}.rel_classifier", self.rel_classifier
         yield f"{prefix}.arg_classifier", self.arg_classifier
-        if self.rel_decode is not None:
-            yield f"{prefix}.rel_decode", self.rel_decode
 
 
 @dataclass
@@ -428,11 +425,9 @@ class LstmDecoderParams:
     rel_head: Tensor              # (n_relations, hidden)
     arg_heads: list[Tensor]       # per position, (n_arguments, hidden)
     hidden: int = 100
-    attn_tanh: bool = True
 
     @classmethod
-    def random(cls, rng, dims: ModelDims, n_relations: int, n_arguments: int,
-               enc_dim: int, attn_tanh: bool = True):
+    def random(cls, rng, dims: ModelDims, n_relations: int, n_arguments: int, enc_dim: int):
         h = dims.lstm_hidden
         return cls(
             rel_embed=_uniform(rng, (n_relations, dims.d_rel)),
@@ -443,7 +438,6 @@ class LstmDecoderParams:
             rel_head=_uniform(rng, (n_relations, h)),
             arg_heads=[_uniform(rng, (n_arguments, h)) for _ in range(dims.positions)],
             hidden=h,
-            attn_tanh=attn_tanh,
         )
 
     def named_tensors(self, prefix: str = "decoder"):
@@ -472,12 +466,12 @@ def _attend(h_input: Tensor, projected: Tensor,
     weights = softmax_with_temperature(scores, 1.0)
     summary = matmul(transpose(projected), weights)
     combined = matmul(params.attn_combine, concat([h_input, summary]))
-    return (tanh(combined) if params.attn_tanh else combined), weights
+    return tanh(combined), weights
 
 
 def attention(h_input: Tensor, contexts: Sequence[Tensor],
               params: DecoderParams | LstmDecoderParams) -> Tensor:
-    """Dot-product attention over encoder positions, then a combining layer."""
+    """Dot-product attention over encoder positions, then a tanh combining layer."""
     out, _ = _attend(h_input, project_contexts(contexts, params), params)
     return out
 
@@ -525,8 +519,7 @@ def unbinding_module(hidden: Tensor, params: DecoderParams, dims: ModelDims
     for s in slabs[1:]:
         total = add(total, s)
     r_unbind = matmul(params.w_dual, flatten(total))
-    rel_vec = matmul(params.rel_decode, r_unbind) if params.rel_decode is not None else r_unbind
-    rel_logits = matmul(params.rel_classifier, rel_vec)
+    rel_logits = matmul(params.rel_classifier, r_unbind)
     arg_logits = [matmul(params.arg_classifier, matmul(slab, r_unbind)) for slab in slabs]
     return rel_logits, arg_logits, r_unbind
 
@@ -586,8 +579,7 @@ class Tpn2fModel:
 
 
 def build_model(variant: ModelVariant, dims: ModelDims, vocab: Vocabularies,
-                rng: np.random.Generator, attn_tanh: bool = True,
-                rel_decode_linear: bool = False) -> Tpn2fModel:
+                rng: np.random.Generator) -> Tpn2fModel:
     """Assemble the requested encoder/decoder pair with fresh random weights."""
     dims.validate()
     variant.validate()
@@ -598,12 +590,11 @@ def build_model(variant: ModelVariant, dims: ModelDims, vocab: Vocabularies,
         encoder = LstmEncoderParams.random(rng, dims, vocab.n_tokens)
         enc_dim = dims.lstm_hidden
     if variant.decoder_kind == "tpr":
-        decoder = DecoderParams.random(rng, dims, vocab.n_relations, vocab.n_arguments,
-                                       enc_dim, attn_tanh, rel_decode_linear)
+        decoder = DecoderParams.random(rng, dims, vocab.n_relations, vocab.n_arguments, enc_dim)
         dec_hidden = dims.d_h
     else:
         decoder = LstmDecoderParams.random(rng, dims, vocab.n_relations, vocab.n_arguments,
-                                           enc_dim, attn_tanh)
+                                           enc_dim)
         dec_hidden = dims.lstm_hidden
     reasoning = ReasoningParams.random(rng, enc_dim, dec_hidden, variant.reasoning_layers)
     return Tpn2fModel(dims=dims, variant=variant, vocab=vocab,

@@ -543,7 +543,8 @@ def clip_gradients(params: Sequence[Tensor], max_norm: float) -> float:
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+            flat = p.grad.reshape(-1)
+            total += float(np.dot(flat, flat))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm

@@ -14,7 +14,7 @@ import math
 import os
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +49,9 @@ class CheckpointError(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ModelDims):
+    """Training hyperparameters; the dimension fields come from ``ModelDims``."""
+
     epochs: int = 60
     learning_rate: float = 0.00115
     batch_size: int = 64
@@ -62,24 +64,9 @@ class TrainConfig:
     stop_at_full_accuracy: bool = False
     encoder: str = "tpr"
     decoder: str = "tpr"
-    positions: int = 2
-    attn_tanh: bool = True
-    rel_decode_linear: bool = False
-    d_word: int = 100
-    n_fillers: int = 150
-    n_roles: int = 50
-    d_filler: int = 30
-    d_role: int = 20
-    d_rel: int = 20
-    d_arg: int = 10
-    d_pos: int = 5
-    lstm_hidden: int = 100
 
     def dims(self) -> ModelDims:
-        return ModelDims(d_word=self.d_word, d_filler=self.d_filler, n_fillers=self.n_fillers,
-                         d_role=self.d_role, n_roles=self.n_roles, d_rel=self.d_rel,
-                         d_arg=self.d_arg, d_pos=self.d_pos, positions=self.positions,
-                         lstm_hidden=self.lstm_hidden)
+        return ModelDims(**{f.name: getattr(self, f.name) for f in fields(ModelDims)})
 
     def variant(self) -> ModelVariant:
         return ModelVariant(encoder_kind=self.encoder, decoder_kind=self.decoder,
@@ -104,6 +91,7 @@ class TrainConfig:
             if not good:
                 raise ConfigError(f"{key} must be {wanted}, got {value!r}")
         try:
+            cfg.validate()
             cfg.variant().validate()
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -111,23 +99,21 @@ class TrainConfig:
 
 
 _VALUE_CHECKS = (
-    ("positions", lambda v: v in (2, 3), "2 or 3"),
     ("batch_size", lambda v: v >= 1, ">= 1"),
     ("learning_rate", lambda v: v > 0.0, "> 0"),
     ("epochs", lambda v: v >= 0, ">= 0"),
+    ("max_decode_len", lambda v: v >= 1, ">= 1"),
+    ("grad_clip", lambda v: v is None or v > 0.0, "> 0 or unset"),
+    ("patience", lambda v: v is None or v >= 0, ">= 0 or unset"),
 )
 
 
 def mathqa_preset() -> TrainConfig:
-    return TrainConfig(n_fillers=150, n_roles=50, d_filler=30, d_role=20,
-                       d_rel=20, d_arg=10, d_pos=5, epochs=60, learning_rate=0.00115,
-                       positions=2)
+    return TrainConfig()
 
 
 def algolisp_preset() -> TrainConfig:
-    return TrainConfig(n_fillers=150, n_roles=50, d_filler=30, d_role=30,
-                       d_rel=30, d_arg=20, d_pos=5, epochs=50, learning_rate=0.00115,
-                       positions=3)
+    return TrainConfig(d_role=30, d_rel=30, d_arg=20, positions=3, epochs=50)
 
 
 PRESETS = {"mathqa": mathqa_preset, "algolisp": algolisp_preset}
@@ -348,9 +334,10 @@ def train(model: Tpn2fModel, samples: Sequence[Sample], config: TrainConfig,
 # checkpoints
 
 CHECKPOINT_MAGIC = b"TPN2FCK1"
-# Version 2: one weight ``w`` and one bias ``b`` per LSTM cell (see
+# Version 3: the config object dropped two model options that were never enabled.
+# Version 2 introduced one weight ``w`` and one bias ``b`` per LSTM cell (see
 # ``model.LstmParams``); version 1 stored 12 per-gate tensors.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _ADAM_FIELDS = ("step_count", "learning_rate", "beta1", "beta2", "epsilon")
 
 
@@ -382,9 +369,7 @@ class Checkpoint:
         The model's layout is built from zeros, not random draws, since every
         weight is overwritten.
         """
-        model = build_model(self.config.variant(), self.config.dims(), self.vocab, _LayoutOnly(),
-                            attn_tanh=self.config.attn_tanh,
-                            rel_decode_linear=self.config.rel_decode_linear)
+        model = build_model(self.config.variant(), self.config.dims(), self.vocab, _LayoutOnly())
         names = []
         for name, tensor in model.parameters():
             for key in (name, f"adam.m.{name}", f"adam.v.{name}"):

@@ -1,14 +1,15 @@
 """Command dispatch, config precedence, and the end-to-end command cycle."""
 
+import dataclasses
 import json
 import zlib
 
 import pytest
 
-from tpn2f.cli import dispatch, load_config
+from tpn2f.cli import _config_text, _effective_config, build_parser, dispatch, load_config
 from tpn2f.data import save_dataset
 from tpn2f.synthetic import make_micro_dataset
-from tpn2f.training import ConfigError
+from tpn2f.training import ConfigError, TrainConfig
 
 MICRO_CFG = """
 # reduced dimensions for desk-scale runs
@@ -198,3 +199,61 @@ def test_train_rejects_zero_batch_size(tmp_path, micro_file, capsys):
     assert dispatch(["train", "--data", str(micro_file), "--out", str(tmp_path / "run"),
                      "--batch-size", "0"]) == 1
     assert "batch_size" in capsys.readouterr().err
+
+
+def test_train_rejects_negative_clip_and_zero_dimension(tmp_path, micro_file, capsys):
+    for flag, value, key in (("--grad-clip", "-1", "grad_clip"), ("--d-word", "0", "d_word")):
+        assert dispatch(["train", "--data", str(micro_file), "--out", str(tmp_path / "run"),
+                         flag, value]) == 1
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+_FIELDS = dataclasses.fields(TrainConfig)
+_OTHER_CHOICE = {"pooling": "last_state", "encoder": "lstm", "decoder": "lstm"}
+
+
+def _non_default(field):
+    """A valid value for ``field`` that differs from its default."""
+    if field.type == "bool":
+        return not field.default
+    if field.type == "str":
+        return _OTHER_CHOICE[field.name]
+    if field.default is None:
+        return 3 if field.type.startswith("int") else 0.25
+    return field.default + 1 if field.type == "int" else field.default * 2
+
+
+def _flag_config(*flags):
+    args = build_parser().parse_args(["train", "--data", "d.jsonl", "--out", "out", *flags])
+    return _effective_config(args)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=[f.name for f in _FIELDS])
+def test_every_config_field_is_a_flag(field):
+    value = _non_default(field)
+    flag = "--" + field.name.replace("_", "-")
+    cfg = _flag_config(flag) if value is True else _flag_config(flag, str(value))
+    assert getattr(cfg, field.name) == value
+    others = {f.name: getattr(cfg, f.name) for f in _FIELDS if f is not field}
+    assert others == {f.name: f.default for f in _FIELDS if f is not field}
+
+
+def test_flags_override_config_file_and_can_unset(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text("grad_clip=0.5\nstop_at_full_accuracy=true\nd_word=7\n")
+    cfg = _flag_config("--config", str(p), "--grad-clip", "none",
+                       "--stop-at-full-accuracy", "false", "--epochs", "3")
+    assert (cfg.grad_clip, cfg.stop_at_full_accuracy, cfg.d_word, cfg.epochs) == \
+        (None, False, 7, 3)
+    with pytest.raises(ConfigError, match="d_word"):
+        _flag_config("--d-word", "wide")
+
+
+@pytest.mark.parametrize("changed", [False, True], ids=["defaults", "every-field-changed"])
+def test_config_text_round_trips_every_field(tmp_path, changed):
+    cfg = TrainConfig(**{f.name: _non_default(f) for f in _FIELDS}) if changed else TrainConfig()
+    assert (cfg.grad_clip is None) != changed
+    p = tmp_path / "c.cfg"
+    p.write_text(_config_text(cfg))
+    assert load_config(p) == cfg

@@ -6,11 +6,12 @@ import os
 import tracemalloc
 import types
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from tpn2f import training as training_mod
 from tpn2f.cli import dispatch
 from tpn2f.data import build_vocabularies, preprocess_samples, save_dataset
 from tpn2f.formal_lang import RelationalTuple
@@ -21,6 +22,7 @@ from tpn2f.training import (
     CHECKPOINT_VERSION,
     CheckpointError,
     ConfigError,
+    EpochStats,
     TrainConfig,
     algolisp_preset,
     encode_sample,
@@ -75,10 +77,27 @@ def test_config_rejects_unknown_key():
     ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", -1.0), ("epochs", -1),
     ("epochs", None), ("positions", 4),
     ("pooling", "bogus"), ("encoder", "gru"), ("decoder", "gru"),
+    ("grad_clip", -1.0), ("grad_clip", 0.0), ("patience", -1), ("max_decode_len", 0),
+    ("d_word", "wide"), *((f.name, 0) for f in fields(ModelDims)),
 ])
 def test_config_rejects_bad_value(key, value):
-    with pytest.raises(ConfigError, match=key.split("_")[0]):
+    with pytest.raises(ConfigError, match=key):
         TrainConfig.from_dict({key: value})
+
+
+def test_config_accepts_unset_or_positive_clip_and_patience():
+    for grad_clip, patience in ((None, None), (0.5, 0)):
+        cfg = TrainConfig.from_dict({"grad_clip": grad_clip, "patience": patience})
+        assert (cfg.grad_clip, cfg.patience) == (grad_clip, patience)
+
+
+def test_dimension_fields_are_declared_once():
+    dim_names = [f.name for f in fields(ModelDims)]
+    assert [f.name for f in fields(TrainConfig)][:len(dim_names)] == dim_names
+    assert set(TrainConfig.__annotations__).isdisjoint(dim_names)
+    cfg = replace(micro_config(), lstm_hidden=7)
+    assert cfg.dims() == ModelDims(**{n: getattr(cfg, n) for n in dim_names})
+    assert type(cfg.dims()) is ModelDims and mathqa_preset() == TrainConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +249,45 @@ class _RiggedDecoder:
         return Tensor(rel), args, None
 
 
+def test_grad_clip_bounds_the_norm_adam_sees(monkeypatch):
+    cfg, samples, _, model, _ = micro_setup(n=8)
+    cfg = replace(cfg, epochs=1, batch_size=4, grad_clip=1e-3)
+    norms = []
+    real_adam_step = training_mod.adam_step
+
+    def capture(params, optimizer):
+        norms.append(math.sqrt(sum(float((p.grad ** 2).sum()) for p in params)))
+        real_adam_step(params, optimizer)
+
+    monkeypatch.setattr(training_mod, "adam_step", capture)
+    train(model, samples, cfg)
+    assert len(norms) == 2
+    # Unclipped micro grads are far above 1e-3, so each step was scaled to it.
+    assert all(n <= 1e-3 * (1 + 1e-12) for n in norms)
+    assert all(n >= 1e-3 * (1 - 1e-12) for n in norms)
+
+
+@pytest.mark.parametrize("patience, losses, expected_epochs", [
+    # Epoch 3 improves and resets the count; epochs 4-6 are stale, and the
+    # third stale epoch exceeds a patience of 2.
+    (2, [3.0, 2.0, 2.0, 1.5, 1.5, 1.6, 1.5, 1.0, 0.5], 7),
+    (0, [3.0, 2.0, 2.0, 1.0, 0.5], 3),
+    (None, [3.0, 3.0, 3.0, 3.0], 4),
+])
+def test_patience_stops_after_that_many_stale_epochs_plus_one(monkeypatch, patience, losses,
+                                                             expected_epochs):
+    cfg, samples, _, model, _ = micro_setup(n=8)
+    cfg = replace(cfg, epochs=len(losses), patience=patience)
+    scripted = iter(losses)
+
+    def fake_epoch(model, encoded, optimizer, config, rng, epoch=0):
+        return EpochStats(epoch=epoch, mean_loss=next(scripted), op_acc=0.0, wallclock=0.0)
+
+    monkeypatch.setattr(training_mod, "train_epoch", fake_epoch)
+    history = train(model, samples, cfg)
+    assert [s.mean_loss for s in history] == losses[:expected_epochs]
+
+
 def test_greedy_stops_immediately_on_eos():
     cfg, samples, vocab, model, _ = micro_setup()
     rigged = _RiggedDecoder(vocab, 2, [vocab.relation_id("EOS")])
@@ -326,7 +384,8 @@ def test_truncated_checkpoint_is_corrupt(tmp_path):
 def test_version_mismatch_is_explicit(tmp_path):
     cfg, samples, vocab, model = _trained_bundle(tmp_path)
     raw = (tmp_path / "m.ckpt").read_bytes()
-    body = raw[:-4].replace(b'"version":2', b'"version":9', 1)
+    version = f'"version":{CHECKPOINT_VERSION}'.encode()
+    body = raw[:-4].replace(version, b'"version":9', 1)
     (tmp_path / "v9.ckpt").write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(tmp_path / "v9.ckpt")
@@ -443,6 +502,23 @@ def test_version1_checkpoint_is_rejected_naming_its_version(tmp_path, capsys):
                      "--data", str(tmp_path / "data.jsonl"),
                      "--out", str(tmp_path / "pred.jsonl")]) == 1
     assert "version 1" in capsys.readouterr().err
+
+
+def test_version2_checkpoint_is_rejected_naming_its_version(tmp_path, capsys):
+    cfg, samples, _, model, _ = micro_setup(n=8)
+    optimizer = AdamState.for_params([t for _, t in model.parameters()], cfg.learning_rate)
+    # Version-2 headers carried two more config keys.
+    old_config = types.SimpleNamespace(
+        to_dict=lambda: {**cfg.to_dict(), "attn_tanh": True, "rel_decode_linear": False})
+    (tmp_path / "v2.ckpt").write_bytes(
+        _joined_checkpoint_bytes(model, optimizer, old_config, version=2))
+    with pytest.raises(CheckpointError, match="version 2"):
+        load_checkpoint(tmp_path / "v2.ckpt")
+    save_dataset(tmp_path / "data.jsonl", samples)
+    assert dispatch(["infer", "--checkpoint", str(tmp_path / "v2.ckpt"),
+                     "--data", str(tmp_path / "data.jsonl"),
+                     "--out", str(tmp_path / "pred.jsonl")]) == 1
+    assert "version 2" in capsys.readouterr().err
 
 
 def test_build_draws_no_random_weights(tmp_path, monkeypatch):
