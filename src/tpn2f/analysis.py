@@ -54,7 +54,7 @@ def threshold_scores(scores: Sequence[float], threshold: float = SCORE_THRESHOLD
 
 def extract_assignments(model: Tpn2fModel, tokens: Sequence[str]) -> list[AssignmentRecord]:
     """Run the binding encoder and record each token's surviving scores."""
-    if model.variant.encoder_kind != "tpr":
+    if model.variant.encoder != "tpr":
         raise ValueError("assignment extraction needs the binding encoder")
     params = model.encoder
     token_ids = model.vocab.encode_text(tokens)

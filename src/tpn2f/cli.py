@@ -44,6 +44,7 @@ def _setup_logging() -> None:
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+_JSON_TYPES = {**_TYPES, "float": (int, float)}
 _FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 
 
@@ -64,6 +65,15 @@ def _coerce(field: dataclasses.Field, value) -> object:
     except (TypeError, ValueError) as exc:
         raise ConfigError(
             f"key {field.name!r} expects {target_type.__name__}, got {value!r}") from exc
+
+
+def _check_json_value(field: dataclasses.Field, value) -> None:
+    """A JSON config value must already have ``field``'s type: no bool for a number,
+    no fraction for an int, no text for either; null only unsets an optional field."""
+    kind, *optional = field.type.split(" | ")
+    typed = isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
+    if not (optional if value is None else typed):
+        raise ConfigError(f"key {field.name!r} expects {kind}, got JSON {json.dumps(value)}")
 
 
 def apply_config_entries(cfg: TrainConfig, entries: dict) -> TrainConfig:
@@ -89,6 +99,9 @@ def load_config(path) -> TrainConfig:
             entries = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON config: {exc}") from exc
+        for key, value in entries.items():
+            if key in _FIELDS:
+                _check_json_value(_FIELDS[key], value)
     else:
         entries = {}
         for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -101,7 +114,7 @@ def load_config(path) -> TrainConfig:
             entries[key.strip()] = value.strip()
     preset = entries.get("preset")
     if preset is not None:
-        if preset not in PRESETS:
+        if not isinstance(preset, str) or preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r} (have: {', '.join(sorted(PRESETS))})")
         cfg = PRESETS[preset]()
     else:
@@ -182,9 +195,9 @@ def cmd_train(args) -> int:
     with open(out / "train_log.jsonl", "w", encoding="utf-8") as log_stream:
         history = training_mod.train(model, samples, cfg, log_stream=log_stream,
                                      checkpoint_path=out / "model.ckpt")
-    last = history[-1]
-    print(f"trained {len(history)} epochs; final loss {last.mean_loss:.4f} "
-          f"op_acc {last.op_acc:.3f}; checkpoint -> {out / 'model.ckpt'}")
+    final = (f"; final loss {history[-1].mean_loss:.4f} op_acc {history[-1].op_acc:.3f}"
+             if history else "")
+    print(f"trained {len(history)} epochs{final}; checkpoint -> {out / 'model.ckpt'}")
     return 0
 
 
@@ -237,10 +250,12 @@ def _load_model(path):
 
 
 def cmd_infer(args) -> int:
+    if args.max_len is not None and args.max_len < 1:
+        raise UserError(f"--max-len must be >= 1, got {args.max_len}")
     model, ckpt = _load_model(args.checkpoint)
     samples = _load_samples(args.data, args.format)
     samples = data_mod.preprocess_samples(samples, ckpt.config.positions)
-    max_len = args.max_len or ckpt.config.max_decode_len
+    max_len = ckpt.config.max_decode_len if args.max_len is None else args.max_len
     with open(args.out, "w", encoding="utf-8") as fh:
         for s in samples:
             program = training_mod.greedy_decode(model, model.vocab.encode_text(s.text), max_len)
@@ -315,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["mathqa-style", "algolisp-style"],
                    default="mathqa-style")
     p.add_argument("--out", required=True)
-    p.add_argument("--positions", type=int, default=None)
+    p.add_argument("--positions", type=int, choices=[2, 3], default=None)
     p.add_argument("--rewrite-table", default=None)
     p.set_defaults(fn=cmd_prepare)
 

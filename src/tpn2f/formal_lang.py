@@ -52,9 +52,6 @@ class RelationalTuple:
         if not 1 <= len(self.args) <= 3:
             raise ValueError(f"tuples take 1-3 arguments, got {len(self.args)}")
 
-    def arg(self, i: int) -> str:
-        return self.args[i] if i < len(self.args) else PAD_SYMBOL
-
     def real_args(self) -> tuple[str, ...]:
         return tuple(a for a in self.args if a != PAD_SYMBOL)
 

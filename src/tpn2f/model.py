@@ -15,11 +15,14 @@ and one bias ``b`` of shape ``(4H,)``: row blocks f, g, i, o, columns
 ``[input | recurrent]``, so a cell step is one matrix-vector product.  The
 per-gate names ``u_*``, ``v_*`` and ``b_*`` remain as read-only views of those
 blocks.
+
+The parameters are the tensor fields of the ``*Params`` dataclasses; each one's
+checkpoint name is its field path (``named_tensors``), e.g. ``encoder.lstm.w``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Sequence
 
 import numpy as np
@@ -92,20 +95,37 @@ class ModelDims:
 
 @dataclass
 class ModelVariant:
-    encoder_kind: str = "tpr"       # tpr | lstm
-    decoder_kind: str = "tpr"       # tpr | lstm
+    """Encoder/decoder kinds, pooling, reasoning depth; ``TrainConfig`` inherits these."""
+
+    encoder: str = "tpr"            # tpr | lstm
+    decoder: str = "tpr"            # tpr | lstm
     pooling: str = "sum_tprs"       # sum_tprs | last_state
     reasoning_layers: int = 1
 
     def validate(self) -> None:
-        if self.encoder_kind not in ("tpr", "lstm"):
-            raise ValueError(f"unknown encoder kind {self.encoder_kind!r}")
-        if self.decoder_kind not in ("tpr", "lstm"):
-            raise ValueError(f"unknown decoder kind {self.decoder_kind!r}")
+        if self.encoder not in ("tpr", "lstm"):
+            raise ValueError(f"unknown encoder kind {self.encoder!r}")
+        if self.decoder not in ("tpr", "lstm"):
+            raise ValueError(f"unknown decoder kind {self.decoder!r}")
         if self.pooling not in ("sum_tprs", "last_state"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
         if self.reasoning_layers < 1:
             raise ValueError("reasoning_layers must be >= 1")
+
+
+def named_tensors(params, prefix: str):
+    """``(name, tensor)`` per parameter of a params dataclass, in field order: a
+    tensor field is ``prefix.field``, the k-th tensor of a list ``prefix.field.k``,
+    and a nested dataclass is walked under ``prefix.field``; other fields are skipped."""
+    for f in fields(params):
+        value, name = getattr(params, f.name), f"{prefix}.{f.name}"
+        if isinstance(value, Tensor):
+            yield name, value
+        elif isinstance(value, list):
+            for k, t in enumerate(value):
+                yield f"{name}.{k}", t
+        elif is_dataclass(value):
+            yield from named_tensors(value, name)
 
 
 def _uniform(rng: np.random.Generator, shape) -> Tensor:
@@ -177,10 +197,6 @@ class LstmParams:
             b[k * h:(k + 1) * h] = rng.uniform(-0.1, 0.1, size=h)
         return cls(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
-    def named_tensors(self, prefix: str):
-        yield f"{prefix}.w", self.w
-        yield f"{prefix}.b", self.b
-
 
 def lstm_cell(p: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
     """One step: all four gate pre-activations from one matrix-vector product."""
@@ -222,15 +238,6 @@ class EncoderParams:
             fillers=_uniform(rng, (dims.d_filler, dims.n_fillers)),
             roles=_uniform(rng, (dims.d_role, dims.n_roles)),
         )
-
-    def named_tensors(self, prefix: str = "encoder"):
-        yield f"{prefix}.embed", self.embed
-        yield from self.filler_lstm.named_tensors(f"{prefix}.filler_lstm")
-        yield from self.role_lstm.named_tensors(f"{prefix}.role_lstm")
-        yield f"{prefix}.w_filler_attn", self.w_filler_attn
-        yield f"{prefix}.w_role_attn", self.w_role_attn
-        yield f"{prefix}.fillers", self.fillers
-        yield f"{prefix}.roles", self.roles
 
 
 def _check_token(token_id: int, params: EncoderParams | "LstmEncoderParams") -> None:
@@ -303,24 +310,18 @@ class LstmEncoderParams:
 
     embed: Tensor
     lstm: LstmParams
-    hidden: int
 
     @classmethod
     def random(cls, rng, dims: ModelDims, n_tokens: int) -> "LstmEncoderParams":
         return cls(embed=_uniform(rng, (n_tokens, dims.d_word)),
-                   lstm=LstmParams.random(rng, dims.d_word, dims.lstm_hidden),
-                   hidden=dims.lstm_hidden)
-
-    def named_tensors(self, prefix: str = "encoder"):
-        yield f"{prefix}.embed", self.embed
-        yield from self.lstm.named_tensors(f"{prefix}.lstm")
+                   lstm=LstmParams.random(rng, dims.d_word, dims.lstm_hidden))
 
 
 def lstm_encode_sequence(token_ids: Sequence[int], params: LstmEncoderParams,
                          pooling: str = "sum_tprs") -> tuple[Tensor, list[Tensor]]:
     if not token_ids:
         raise ValueError("cannot encode an empty token sequence")
-    h, c = zeros(params.hidden), zeros(params.hidden)
+    h, c = zeros(params.lstm.hidden), zeros(params.lstm.hidden)
     contexts: list[Tensor] = []
     for tok in token_ids:
         _check_token(tok, params)
@@ -349,11 +350,6 @@ class ReasoningParams:
             bs.append(_uniform(rng, (out_dim,)))
             cur = out_dim
         return cls(ws, bs)
-
-    def named_tensors(self, prefix: str = "reasoning"):
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            yield f"{prefix}.w{k}", w
-            yield f"{prefix}.b{k}", b
 
 
 def reasoning_map(pooled: Tensor, params: ReasoningParams) -> Tensor:
@@ -400,18 +396,6 @@ class DecoderParams:
             arg_classifier=_uniform(rng, (n_arguments, dims.d_arg)),
         )
 
-    def named_tensors(self, prefix: str = "decoder"):
-        yield f"{prefix}.rel_embed", self.rel_embed
-        yield f"{prefix}.arg_embed", self.arg_embed
-        yield from self.lstm.named_tensors(f"{prefix}.lstm")
-        yield f"{prefix}.w_context", self.w_context
-        yield f"{prefix}.attn_combine", self.attn_combine
-        for k, p in enumerate(self.pos_unbind):
-            yield f"{prefix}.pos_unbind.{k}", p
-        yield f"{prefix}.w_dual", self.w_dual
-        yield f"{prefix}.rel_classifier", self.rel_classifier
-        yield f"{prefix}.arg_classifier", self.arg_classifier
-
 
 @dataclass
 class LstmDecoderParams:
@@ -424,7 +408,6 @@ class LstmDecoderParams:
     attn_combine: Tensor          # (hidden, 2*hidden)
     rel_head: Tensor              # (n_relations, hidden)
     arg_heads: list[Tensor]       # per position, (n_arguments, hidden)
-    hidden: int = 100
 
     @classmethod
     def random(cls, rng, dims: ModelDims, n_relations: int, n_arguments: int, enc_dim: int):
@@ -437,18 +420,7 @@ class LstmDecoderParams:
             attn_combine=_uniform(rng, (h, 2 * h)),
             rel_head=_uniform(rng, (n_relations, h)),
             arg_heads=[_uniform(rng, (n_arguments, h)) for _ in range(dims.positions)],
-            hidden=h,
         )
-
-    def named_tensors(self, prefix: str = "decoder"):
-        yield f"{prefix}.rel_embed", self.rel_embed
-        yield f"{prefix}.arg_embed", self.arg_embed
-        yield from self.lstm.named_tensors(f"{prefix}.lstm")
-        yield f"{prefix}.w_context", self.w_context
-        yield f"{prefix}.attn_combine", self.attn_combine
-        yield f"{prefix}.rel_head", self.rel_head
-        for k, head in enumerate(self.arg_heads):
-            yield f"{prefix}.arg_heads.{k}", head
 
 
 def project_contexts(contexts: Sequence[Tensor],
@@ -494,16 +466,6 @@ def _embed_tuple(prev_ids: Sequence[int], params: DecoderParams | LstmDecoderPar
     return concat(parts)
 
 
-def decoder_step(prev_ids: Sequence[int], prev_hidden: Tensor, prev_cell: Tensor,
-                 projected: Tensor, params: DecoderParams | LstmDecoderParams
-                 ) -> tuple[Tensor, Tensor]:
-    """One tuple-LSTM step: embed the previous tuple, recur, attend."""
-    x = _embed_tuple(prev_ids, params)
-    h_in, c = lstm_cell(params.lstm, x, prev_hidden, prev_cell)
-    h_out, _ = _attend(h_in, projected, params)
-    return h_out, c
-
-
 def unbinding_module(hidden: Tensor, params: DecoderParams, dims: ModelDims
                      ) -> tuple[Tensor, list[Tensor], Tensor]:
     """Treat the hidden state as an order-3 binding and unbind it.
@@ -543,37 +505,33 @@ class Tpn2fModel:
     reasoning: ReasoningParams
     decoder: DecoderParams | LstmDecoderParams
 
-    @property
-    def enc_dim(self) -> int:
-        return self.dims.d_t if self.variant.encoder_kind == "tpr" else self.dims.lstm_hidden
-
-    @property
-    def dec_hidden(self) -> int:
-        return self.dims.d_h if self.variant.decoder_kind == "tpr" else self.dims.lstm_hidden
-
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out = list(self.encoder.named_tensors("encoder"))
-        out += list(self.reasoning.named_tensors("reasoning"))
-        out += list(self.decoder.named_tensors("decoder"))
-        return out
+        """Every parameter tensor with its checkpoint name, in a fixed order."""
+        return [named for part in ("encoder", "reasoning", "decoder")
+                for named in named_tensors(getattr(self, part), part)]
 
     def encode(self, token_ids: Sequence[int]) -> tuple[Tensor, list[Tensor]]:
-        if self.variant.encoder_kind == "tpr":
+        if self.variant.encoder == "tpr":
             return encode_sequence(token_ids, self.encoder, self.variant.pooling)
         return lstm_encode_sequence(token_ids, self.encoder, self.variant.pooling)
 
     def initial_decoder_state(self, pooled: Tensor) -> tuple[Tensor, Tensor]:
-        return reasoning_map(pooled, self.reasoning), zeros(self.dec_hidden)
+        hidden = reasoning_map(pooled, self.reasoning)
+        return hidden, zeros(hidden.size)
 
     def project_contexts(self, contexts: Sequence[Tensor]) -> Tensor:
         return project_contexts(contexts, self.decoder)
 
     def decode_step(self, prev_ids: Sequence[int], hidden: Tensor, cell: Tensor,
                     projected: Tensor) -> tuple[Tensor, Tensor]:
-        return decoder_step(prev_ids, hidden, cell, projected, self.decoder)
+        """One tuple-LSTM step: embed the previous tuple, recur, attend."""
+        x = _embed_tuple(prev_ids, self.decoder)
+        h_in, cell = lstm_cell(self.decoder.lstm, x, hidden, cell)
+        hidden, _ = _attend(h_in, projected, self.decoder)
+        return hidden, cell
 
     def head_logits(self, hidden: Tensor) -> tuple[Tensor, list[Tensor], Tensor | None]:
-        if self.variant.decoder_kind == "tpr":
+        if self.variant.decoder == "tpr":
             return unbinding_module(hidden, self.decoder, self.dims)
         return lstm_head_logits(hidden, self.decoder)
 
@@ -583,13 +541,13 @@ def build_model(variant: ModelVariant, dims: ModelDims, vocab: Vocabularies,
     """Assemble the requested encoder/decoder pair with fresh random weights."""
     dims.validate()
     variant.validate()
-    if variant.encoder_kind == "tpr":
+    if variant.encoder == "tpr":
         encoder = EncoderParams.random(rng, dims, vocab.n_tokens)
         enc_dim = dims.d_t
     else:
         encoder = LstmEncoderParams.random(rng, dims, vocab.n_tokens)
         enc_dim = dims.lstm_hidden
-    if variant.decoder_kind == "tpr":
+    if variant.decoder == "tpr":
         decoder = DecoderParams.random(rng, dims, vocab.n_relations, vocab.n_arguments, enc_dim)
         dec_hidden = dims.d_h
     else:

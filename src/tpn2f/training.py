@@ -49,28 +49,27 @@ class CheckpointError(RuntimeError):
 
 
 @dataclass
-class TrainConfig(ModelDims):
-    """Training hyperparameters; the dimension fields come from ``ModelDims``."""
+class TrainConfig(ModelVariant, ModelDims):
+    """Training hyperparameters; the model's fields come from ``ModelDims`` and ``ModelVariant``."""
 
     epochs: int = 60
     learning_rate: float = 0.00115
     batch_size: int = 64
     seed: int = 0
     max_decode_len: int = 30
-    pooling: str = "sum_tprs"
-    reasoning_layers: int = 1
     grad_clip: float | None = None
     patience: int | None = None
     stop_at_full_accuracy: bool = False
-    encoder: str = "tpr"
-    decoder: str = "tpr"
 
     def dims(self) -> ModelDims:
         return ModelDims(**{f.name: getattr(self, f.name) for f in fields(ModelDims)})
 
     def variant(self) -> ModelVariant:
-        return ModelVariant(encoder_kind=self.encoder, decoder_kind=self.decoder,
-                            pooling=self.pooling, reasoning_layers=self.reasoning_layers)
+        return ModelVariant(**{f.name: getattr(self, f.name) for f in fields(ModelVariant)})
+
+    def validate(self) -> None:  # both bases define one; a config must pass both
+        self.dims().validate()
+        self.variant().validate()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -92,7 +91,6 @@ class TrainConfig(ModelDims):
                 raise ConfigError(f"{key} must be {wanted}, got {value!r}")
         try:
             cfg.validate()
-            cfg.variant().validate()
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         return cfg
@@ -334,10 +332,11 @@ def train(model: Tpn2fModel, samples: Sequence[Sample], config: TrainConfig,
 # checkpoints
 
 CHECKPOINT_MAGIC = b"TPN2FCK1"
+# Version 4 renamed the reasoning tensors ``reasoning.wk``/``bk`` to ``weights.k``/``biases.k``.
 # Version 3: the config object dropped two model options that were never enabled.
 # Version 2 introduced one weight ``w`` and one bias ``b`` per LSTM cell (see
 # ``model.LstmParams``); version 1 stored 12 per-gate tensors.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _ADAM_FIELDS = ("step_count", "learning_rate", "beta1", "beta2", "epsilon")
 
 

@@ -257,3 +257,63 @@ def test_config_text_round_trips_every_field(tmp_path, changed):
     p = tmp_path / "c.cfg"
     p.write_text(_config_text(cfg))
     assert load_config(p) == cfg
+
+
+def test_train_zero_epochs_reports_zero_and_exits_0(tmp_path, micro_file, capsys):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(MICRO_CFG)
+    run = tmp_path / "run"
+    assert dispatch(["train", "--data", str(micro_file), "--out", str(run),
+                     "--config", str(cfg_file), "--epochs", "0"]) == 0
+    assert "trained 0 epochs" in capsys.readouterr().out
+    assert (run / "model.ckpt").exists() and (run / "train_log.jsonl").read_text() == ""
+
+
+@pytest.mark.parametrize("entries, key", [
+    ({"epochs": 2.7}, "epochs"), ({"learning_rate": True}, "learning_rate"),
+    ({"epochs": True}, "epochs"), ({"epochs": "2"}, "epochs"),
+    ({"stop_at_full_accuracy": 1}, "stop_at_full_accuracy"), ({"pooling": 3}, "pooling"),
+    ({"d_word": None}, "d_word"),
+], ids=["int-given-float", "float-given-bool", "int-given-bool", "int-given-string",
+        "bool-given-int", "str-given-int", "required-given-null"])
+def test_json_config_value_must_have_its_field_type(tmp_path, micro_file, capsys,
+                                                    entries, key):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(entries))
+    with pytest.raises(ConfigError, match=key):
+        load_config(p)
+    assert dispatch(["train", "--data", str(micro_file), "--out", str(tmp_path / "run"),
+                     "--config", str(p)]) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_json_config_takes_an_integer_for_a_float_and_null_for_an_optional(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"learning_rate": 1, "grad_clip": None, "epochs": 3}))
+    cfg = load_config(p)
+    assert (cfg.learning_rate, cfg.grad_clip, cfg.epochs) == (1.0, None, 3)
+    assert isinstance(cfg.learning_rate, float)
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_infer_rejects_max_len_below_one(tmp_path, micro_file, capsys, value):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(MICRO_CFG)
+    run = tmp_path / "run"
+    assert dispatch(["train", "--data", str(micro_file), "--out", str(run),
+                     "--config", str(cfg_file), "--epochs", "0"]) == 0
+    capsys.readouterr()
+    pred = tmp_path / "pred.jsonl"
+    assert dispatch(["infer", "--checkpoint", str(run / "model.ckpt"), "--data",
+                     str(micro_file), "--out", str(pred), "--max-len", value]) == 1
+    assert "--max-len" in capsys.readouterr().err
+    assert not pred.exists()
+
+
+@pytest.mark.parametrize("value", ["5", "0"])
+def test_prepare_rejects_positions_outside_2_and_3(tmp_path, micro_file, capsys, value):
+    out = tmp_path / "prep"
+    assert dispatch(["prepare", "--data", str(micro_file), "--out", str(out),
+                     "--positions", value]) == 1
+    assert "--positions" in capsys.readouterr().err
+    assert not out.exists()

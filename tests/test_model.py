@@ -1,5 +1,7 @@
 """Encoder/decoder behavior: closed forms, shapes, variants, gradient flow."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from tpn2f.model import (
     encode_sequence,
     encoder_step,
     lstm_cell,
+    named_tensors,
     reasoning_map,
     unbinding_module,
     _encoder_step_scores,
@@ -75,7 +78,7 @@ def test_encoder_step_output_shape_at_published_dims():
 def test_encoder_step_zero_weights_uniform_softmax_closed_form():
     rng = np.random.default_rng(0)
     params = EncoderParams.random(rng, MICRO, n_tokens=5)
-    for name, t in params.named_tensors():
+    for name, t in named_tensors(params, "encoder"):
         if "fillers" not in name and "roles" not in name:
             t.data[...] = 0.0
     binding, _ = encoder_step(2, zeros((5, 4)), (zeros(20), zeros(20)), params)
@@ -153,7 +156,7 @@ def test_reasoning_dims_at_published_config():
 
 def test_reasoning_zero_input_zero_bias():
     model = micro_model()
-    for _, t in model.reasoning.named_tensors():
+    for _, t in named_tensors(model.reasoning, "reasoning"):
         t.data[...] = t.data * 0.0
     out = reasoning_map(zeros((5, 4)), model.reasoning)
     assert np.array_equal(out.data, np.zeros(out.shape))
@@ -276,6 +279,31 @@ def test_unbinding_round_trip_with_rigged_dual_map():
         assert np.abs(got.data - want).max() < 1e-9
 
 
+def test_unbinding_round_trip_three_positions_at_algolisp_dims():
+    """positions=3 at the algolisp preset's head sizes: H = sum_k a_k (x) r (x) p_k,
+    built here with einsum, unbinds to the unit relation vector r and each a_k."""
+    dims = ALGOLISP
+    rng = np.random.default_rng(9)
+    q, _ = np.linalg.qr(rng.standard_normal((dims.d_pos, 3)))
+    a = rng.standard_normal((3, dims.d_arg))
+    r = rng.standard_normal(dims.d_rel)
+    r /= np.linalg.norm(r)
+    hidden = Tensor(np.einsum("ki,j,pk->ijp", a, r, q).reshape(-1))
+    s = a.sum(axis=0)
+    head = types.SimpleNamespace(  # unbinding_module reads only these fields
+        pos_unbind=[Tensor(q[:, k]) for k in range(3)],
+        w_dual=Tensor(np.kron(s / (s @ s), np.eye(dims.d_rel))),  # [k, j*d_rel + k] = u_j
+        rel_classifier=Tensor(rng.standard_normal((7, dims.d_rel))),
+        arg_classifier=Tensor(rng.standard_normal((9, dims.d_arg))))
+
+    rel_logits, arg_logits, r_unbind = unbinding_module(hidden, head, dims)
+    assert np.abs(r_unbind.data - r).max() < 1e-9
+    assert np.abs(rel_logits.data - head.rel_classifier.data @ r).max() < 1e-9
+    assert len(arg_logits) == 3
+    for got, a_k in zip(arg_logits, a):
+        assert np.abs(got.data - head.arg_classifier.data @ a_k).max() < 1e-9
+
+
 def test_unbinding_zero_hidden_gives_zero_logits():
     model = micro_model()
     rel_logits, arg_logits, r_unbind = unbinding_module(zeros(MICRO.d_h), model.decoder, MICRO)
@@ -303,6 +331,40 @@ def test_build_full_model_has_binding_parts():
     model = micro_model(variant=ModelVariant("tpr", "tpr"))
     names = [n for n, _ in model.parameters()]
     assert "encoder.fillers" in names and "decoder.pos_unbind.0" in names
+
+
+_ENCODER_NAMES = {
+    "tpr": ["encoder.embed", "encoder.filler_lstm.w", "encoder.filler_lstm.b",
+            "encoder.role_lstm.w", "encoder.role_lstm.b", "encoder.w_filler_attn",
+            "encoder.w_role_attn", "encoder.fillers", "encoder.roles"],
+    "lstm": ["encoder.embed", "encoder.lstm.w", "encoder.lstm.b"],
+}
+_DECODER_NAMES = {
+    "tpr": ["decoder.rel_embed", "decoder.arg_embed", "decoder.lstm.w", "decoder.lstm.b",
+            "decoder.w_context", "decoder.attn_combine", "decoder.pos_unbind.0",
+            "decoder.pos_unbind.1", "decoder.w_dual", "decoder.rel_classifier",
+            "decoder.arg_classifier"],
+    "lstm": ["decoder.rel_embed", "decoder.arg_embed", "decoder.lstm.w", "decoder.lstm.b",
+             "decoder.w_context", "decoder.attn_combine", "decoder.rel_head",
+             "decoder.arg_heads.0", "decoder.arg_heads.1"],
+}
+
+
+@pytest.mark.parametrize("encoder", ["tpr", "lstm"])
+@pytest.mark.parametrize("decoder", ["tpr", "lstm"])
+def test_parameter_names_and_order_are_pinned(encoder, decoder):
+    """The checkpoint's tensor table is keyed by these names, in this order."""
+    model = micro_model(variant=ModelVariant(encoder, decoder))
+    assert [n for n, _ in model.parameters()] == (
+        _ENCODER_NAMES[encoder] + ["reasoning.weights.0", "reasoning.biases.0"]
+        + _DECODER_NAMES[decoder])
+    deep = micro_model(variant=ModelVariant(encoder, decoder, reasoning_layers=2))
+    assert [n for n, _ in deep.parameters()] == (
+        _ENCODER_NAMES[encoder] + ["reasoning.weights.0", "reasoning.weights.1",
+                                   "reasoning.biases.0", "reasoning.biases.1"]
+        + _DECODER_NAMES[decoder])
+    assert [t for _, t in deep.parameters()][len(_ENCODER_NAMES[encoder]):][:4] == \
+        deep.reasoning.weights + deep.reasoning.biases
 
 
 def test_build_baseline_uses_hidden_100():
@@ -472,7 +534,7 @@ def test_fused_cell_draws_the_former_initial_weights():
 def test_fused_cell_layout_and_read_only_views():
     cell = LstmParams.random(np.random.default_rng(0), 3, 4)
     assert cell.w.shape == (16, 7) and cell.b.shape == (16,)
-    assert [n for n, _ in cell.named_tensors("x")] == ["x.w", "x.b"]
+    assert [n for n, _ in named_tensors(cell, "x")] == ["x.w", "x.b"]
     assert cell.u_g.shape == (4, 3) and cell.v_o.shape == (4, 4) and cell.b_i.shape == (4,)
     with pytest.raises(ValueError):
         cell.v_f[0, 0] = 1.0

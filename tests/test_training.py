@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import types
 import zlib
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from tpn2f import training as training_mod
 from tpn2f.cli import dispatch
 from tpn2f.data import build_vocabularies, preprocess_samples, save_dataset
 from tpn2f.formal_lang import RelationalTuple
-from tpn2f.model import ModelDims, build_model
+from tpn2f.model import ModelDims, ModelVariant, build_model
 from tpn2f.synthetic import make_micro_dataset, micro_config
 from tpn2f.tensor import AdamState, Tensor
 from tpn2f.training import (
@@ -83,6 +86,19 @@ def test_config_rejects_unknown_key():
 def test_config_rejects_bad_value(key, value):
     with pytest.raises(ConfigError, match=key):
         TrainConfig.from_dict({key: value})
+
+
+def test_variant_fields_are_declared_once():
+    names = [f.name for f in fields(ModelVariant)]
+    assert names == ["encoder", "decoder", "pooling", "reasoning_layers"]
+    assert set(TrainConfig.__annotations__).isdisjoint(names)
+    cfg = replace(micro_config(), encoder="lstm", pooling="last_state", reasoning_layers=2)
+    assert cfg.variant() == ModelVariant("lstm", "tpr", "last_state", 2)
+    assert type(cfg.variant()) is ModelVariant
+    with pytest.raises(ValueError, match="d_word"):  # validate() checks both bases
+        replace(cfg, d_word=0).validate()
+    with pytest.raises(ValueError, match="decoder"):
+        replace(cfg, decoder="gru").validate()
 
 
 def test_config_accepts_unset_or_positive_clip_and_patience():
@@ -521,6 +537,25 @@ def test_version2_checkpoint_is_rejected_naming_its_version(tmp_path, capsys):
     assert "version 2" in capsys.readouterr().err
 
 
+def test_version3_checkpoint_is_rejected_naming_its_version(tmp_path, capsys):
+    cfg, samples, _, model, _ = micro_setup(n=8)
+    # Version-3 files named the reasoning tensors reasoning.w<k> and reasoning.b<k>.
+    old_names = {"reasoning.weights.0": "reasoning.w0", "reasoning.biases.0": "reasoning.b0"}
+    named = [(old_names.get(n, n), t) for n, t in model.parameters()]
+    old = types.SimpleNamespace(parameters=lambda: named, vocab=model.vocab)
+    optimizer = AdamState.for_params([t for _, t in named], cfg.learning_rate)
+    raw = _joined_checkpoint_bytes(old, optimizer, cfg, version=3)
+    assert b'"reasoning.w0"' in raw and b'"reasoning.weights.0"' not in raw
+    (tmp_path / "v3.ckpt").write_bytes(raw)
+    with pytest.raises(CheckpointError, match="version 3"):
+        load_checkpoint(tmp_path / "v3.ckpt")
+    save_dataset(tmp_path / "data.jsonl", samples)
+    assert dispatch(["infer", "--checkpoint", str(tmp_path / "v3.ckpt"),
+                     "--data", str(tmp_path / "data.jsonl"),
+                     "--out", str(tmp_path / "pred.jsonl")]) == 1
+    assert "version 3" in capsys.readouterr().err
+
+
 def test_build_draws_no_random_weights(tmp_path, monkeypatch):
     _trained_bundle(tmp_path)
     ckpt = load_checkpoint(tmp_path / "m.ckpt")
@@ -631,3 +666,17 @@ def test_checkpoint_io_allocates_no_copy_on_save_and_one_on_load(tmp_path):
         tracemalloc.stop()
     assert save_peak <= 0.02 * tensor_bytes
     assert load_peak <= 1.1 * path.stat().st_size
+
+
+def test_micro_overfit_script_fails_on_too_few_epochs():
+    """The script trains through ``train`` and exits 1 short of 100% accuracy."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, str(root / "scripts" / "run_micro_overfit.py"),
+                           "--epochs", "2"], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert done.returncode == 1, done.stderr
+    records = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [r["epoch"] for r in records] == [0, 1]
+    assert "did not reach 100% operation accuracy" in done.stderr
