@@ -9,6 +9,7 @@ error.  TPN2F_LOG in {debug, info, warn} controls verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -22,7 +23,7 @@ from . import analysis as analysis_mod
 from . import data as data_mod
 from . import formal_lang as fl
 from . import training as training_mod
-from .model import build_model
+from .model import build_model, field_type
 from .training import PRESETS, ConfigError, TrainConfig
 
 log = logging.getLogger("tpn2f")
@@ -43,65 +44,28 @@ def _setup_logging() -> None:
 
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
-_JSON_TYPES = {**_TYPES, "float": (int, float)}
 _FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 
 
-def _coerce(field: dataclasses.Field, value) -> object:
-    """A config-file or flag value as ``field``'s type; empty or ``none`` unsets it."""
-    if value in (None, "", "none", "None"):
-        return None
-    target_type = _TYPES[field.type.split(" | ")[0]]  # annotations are strings
-    if target_type is bool:
-        if isinstance(value, bool):
-            return value
-        v = str(value).lower()
-        if v not in _BOOL_STRINGS:
-            raise ConfigError(f"key {field.name!r} expects a boolean, got {value!r}")
-        return _BOOL_STRINGS[v]
-    try:
-        return target_type(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"key {field.name!r} expects {target_type.__name__}, got {value!r}") from exc
-
-
-def _check_json_value(field: dataclasses.Field, value) -> None:
-    """A JSON config value must already have ``field``'s type: no bool for a number,
-    no fraction for an int, no text for either; null only unsets an optional field."""
-    kind, *optional = field.type.split(" | ")
-    typed = isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
-    if not (optional if value is None else typed):
-        raise ConfigError(f"key {field.name!r} expects {kind}, got JSON {json.dumps(value)}")
-
-
-def apply_config_entries(cfg: TrainConfig, entries: dict) -> TrainConfig:
-    updates = {}
-    for key, value in entries.items():
-        if key == "preset":
-            continue
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        updates[key] = _coerce(_FIELDS[key], value)
-    return TrainConfig.from_dict({**cfg.to_dict(), **updates})
+def _from_text(key: str, text: str) -> object:
+    """A key=value or flag value as config field ``key``'s type; empty or ``none`` unsets
+    it.  Other text is kept, for ``TrainConfig.from_dict`` to reject naming the key."""
+    with contextlib.suppress(KeyError, ValueError):  # a key or a word not known
+        kind, _ = field_type(_FIELDS[key])
+        if text in ("", "none", "None"):
+            return None
+        return _BOOL_STRINGS[text.lower()] if kind is bool else kind(text)
+    return text
 
 
 def load_config(path) -> TrainConfig:
     """Read key=value lines or a JSON object; a ``preset`` key expands first."""
-    path = Path(path)
-    if not path.exists():
-        raise UserError(f"config file not found: {path}")
-    raw = path.read_text(encoding="utf-8")
-    stripped = raw.lstrip()
-    if stripped.startswith("{"):
+    raw = _require_file(path, "config file").read_text(encoding="utf-8")
+    if raw.lstrip().startswith("{"):
         try:
             entries = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON config: {exc}") from exc
-        for key, value in entries.items():
-            if key in _FIELDS:
-                _check_json_value(_FIELDS[key], value)
     else:
         entries = {}
         for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -111,15 +75,12 @@ def load_config(path) -> TrainConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
-    preset = entries.get("preset")
-    if preset is not None:
-        if not isinstance(preset, str) or preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r} (have: {', '.join(sorted(PRESETS))})")
-        cfg = PRESETS[preset]()
-    else:
-        cfg = TrainConfig()
-    return apply_config_entries(cfg, entries)
+            entries[key.strip()] = _from_text(key.strip(), value.strip())
+    preset = entries.pop("preset", None)
+    if preset is not None and not (isinstance(preset, str) and preset in PRESETS):
+        raise ConfigError(f"unknown preset {preset!r} (have: {', '.join(sorted(PRESETS))})")
+    cfg = TrainConfig() if preset is None else PRESETS[preset]()
+    return TrainConfig.from_dict({**cfg.to_dict(), **entries})
 
 
 def _config_text(cfg: TrainConfig) -> str:
@@ -133,7 +94,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=sorted(PRESETS), help="named hyperparameter preset")
     p.add_argument("--config", help="key=value or JSON config file")
     for name, field in _FIELDS.items():
-        bare = {"nargs": "?", "const": "true"} if field.type == "bool" else {}
+        bare = {"nargs": "?", "const": "true"} if field_type(field)[0] is bool else {}
         p.add_argument("--" + name.replace("_", "-"), dest=f"cfg_{name}", **bare)
 
 
@@ -147,7 +108,8 @@ def _effective_config(args) -> TrainConfig:
     else:
         cfg = TrainConfig()
     flags = {name: getattr(args, f"cfg_{name}") for name in _FIELDS}
-    return apply_config_entries(cfg, {k: v for k, v in flags.items() if v is not None})
+    typed = {name: _from_text(name, v) for name, v in flags.items() if v is not None}
+    return TrainConfig.from_dict({**cfg.to_dict(), **typed})
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +173,13 @@ def _read_predictions(path) -> dict[str, list[fl.RelationalTuple]]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise UserError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if "id" not in record or "program" not in record:
-            raise UserError(f"{path}:{lineno}: prediction records need 'id' and 'program'")
-        preds[str(record["id"])] = [
-            fl.RelationalTuple(str(t[0]), tuple(str(a) for a in t[1:]))
-            for t in record["program"]]
+        program = record.get("program") if isinstance(record, dict) else None
+        if not (isinstance(program, list) and "id" in record and all(
+                isinstance(t, list) and 2 <= len(t) <= 4 and t[0]
+                and all(isinstance(s, str) for s in t) for t in program)):
+            raise UserError(f"{path}:{lineno}: a prediction is an object with an 'id' and a "
+                            f"'program' of [relation, arg, ...] lists of 2-4 strings")
+        preds[str(record["id"])] = [fl.RelationalTuple(t[0], tuple(t[1:])) for t in program]
     return preds
 
 
@@ -241,11 +205,8 @@ def cmd_eval(args) -> int:
 
 
 def _load_model(path):
-    try:
-        ckpt = training_mod.load_checkpoint(_require_file(path, "checkpoint"))
-        model, _ = ckpt.build()
-    except training_mod.CheckpointError as exc:
-        raise UserError(str(exc)) from exc
+    ckpt = training_mod.load_checkpoint(_require_file(path, "checkpoint"))
+    model, _ = ckpt.build()
     return model, ckpt
 
 
@@ -388,11 +349,9 @@ def dispatch(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return args.fn(args)
-    except UserError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, data_mod.DatasetError, data_mod.PreprocessError,
-            fl.ParseError, fl.ExecutionError, FileNotFoundError) as exc:
+    except (UserError, ConfigError, training_mod.CheckpointError, data_mod.DatasetError,
+            data_mod.PreprocessError, fl.ParseError, fl.ExecutionError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help

@@ -9,6 +9,7 @@ every tuple is padded with PAD up to the configured argument count.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -79,8 +80,8 @@ def _normalize_const(symbol: str) -> str:
 
 
 def _tuple_from_record(entry) -> RelationalTuple:
-    if not isinstance(entry, (list, tuple)) or len(entry) < 2:
-        raise SchemaError(f"program entries need [relation, arg, ...], got {entry!r}")
+    if not (isinstance(entry, list) and 2 <= len(entry) <= 4 and str(entry[0])):
+        raise SchemaError(f"field 'program' entries are [relation, 1-3 args], got {entry!r:.60}")
     rel, *args = (str(x) for x in entry)
     return RelationalTuple(rel, tuple(_normalize_const(a) for a in args))
 
@@ -92,41 +93,55 @@ def _parse_program(value) -> list[RelationalTuple]:
                 for t in parsed]
     if isinstance(value, list):
         return [_tuple_from_record(e) for e in value]
-    raise SchemaError(f"program must be a string or list, got {type(value).__name__}")
+    raise SchemaError(f"field 'program' must be a string or list, got {type(value).__name__}")
 
 
 def _parse_tests(value) -> list[tuple[dict, Any]]:
+    if not isinstance(value, list):
+        raise SchemaError(f"field 'tests' must be a list, got {type(value).__name__}")
     tests = []
     for entry in value:
-        if isinstance(entry, dict):
-            if "input" not in entry or "output" not in entry:
-                raise SchemaError("each test needs 'input' and 'output'")
-            tests.append((dict(entry["input"]), entry["output"]))
-        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-            tests.append((dict(entry[0]), entry[1]))
-        else:
-            raise SchemaError(f"malformed test entry {entry!r}")
+        if isinstance(entry, dict) and {"input", "output"} <= entry.keys():
+            entry = [entry["input"], entry["output"]]
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], dict)):
+            raise SchemaError(f"field 'tests' entries need an input object and an output, "
+                              f"got {entry!r:.60}")
+        tests.append((dict(entry[0]), entry[1]))
     return tests
+
+
+def _numbers(value, name: str) -> list[float]:
+    if isinstance(value, list) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            return [float(x) for x in value]
+    raise SchemaError(f"field {name!r} must be a list of numbers, got {value!r:.60}")
 
 
 def _sample_from_record(record: dict, index: int, fmt: str) -> Sample:
     if not isinstance(record, dict):
-        raise SchemaError(f"record {index} is not an object")
+        raise SchemaError("not an object")
     if "text" not in record:
-        raise SchemaError(f"record {index} is missing field 'text'")
-    raw_text = record["text"]
-    tokens = raw_text.split() if isinstance(raw_text, str) else [str(t) for t in raw_text]
+        raise SchemaError("missing field 'text'")
+    tokens = record["text"]
+    if isinstance(tokens, str):
+        tokens = tokens.split()
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise SchemaError(f"field 'text' must be a string or a list of strings, "
+                          f"got {record['text']!r:.60}")
 
     if "program" in record:
         program = _parse_program(record["program"])
     elif "program_tree" in record and fmt == "algolisp-style":
+        if not isinstance(record["program_tree"], str):
+            raise SchemaError("field 'program_tree' must be a string")
         program = flatten_program_tree(record["program_tree"])
     else:
         missing = "program_tree" if fmt == "algolisp-style" else "program"
-        raise SchemaError(f"record {index} is missing field '{missing}' (or 'program')")
+        raise SchemaError(f"missing field '{missing}' (or 'program')")
 
     if "numbers" in record:
-        numbers = [float(x) for x in record["numbers"]]
+        numbers = _numbers(record["numbers"], "numbers")
         text = tokens
     elif fmt == "mathqa-style":
         numbers, text = link_numbers(tokens)
@@ -139,7 +154,7 @@ def _sample_from_record(record: dict, index: int, fmt: str) -> Sample:
         program=program,
         numbers=numbers,
         tests=_parse_tests(record["tests"]) if record.get("tests") is not None else None,
-        options=[float(x) for x in record["options"]] if record.get("options") else None,
+        options=_numbers(record.get("options") or [], "options") or None,
     )
 
 
@@ -172,7 +187,7 @@ def load_dataset(path, fmt: str = "mathqa-style") -> list[Sample]:
         try:
             samples.append(_sample_from_record(record, index, fmt))
         except SchemaError as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
+            raise SchemaError(f"{path}: record {index}: {exc}") from exc
     return samples
 
 
@@ -291,10 +306,16 @@ def preprocess_samples(samples: Sequence[Sample], positions: int = 2,
 
 
 def load_rewrite_table(path) -> dict[str, list[list[str]]]:
-    table = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        table = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise PreprocessError(f"{path}: invalid JSON rewrite table: {exc}") from exc
+    if not isinstance(table, dict):
+        raise PreprocessError(f"{path}: a rewrite table must be a JSON object of rules")
     for op, templates in table.items():
-        if len(templates) != 2 or any(not isinstance(t, list) for t in templates):
-            raise PreprocessError(f"rewrite rule for {op!r} must be two template tuples")
+        if not (isinstance(templates, list) and len(templates) == 2
+                and all(isinstance(t, list) for t in templates)):
+            raise PreprocessError(f"{path}: rewrite rule for {op!r} must be two template tuples")
     return table
 
 
@@ -344,9 +365,18 @@ class Vocabularies:
                 "arguments": self.arguments}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Vocabularies":
-        return cls(tokens=list(d["tokens"]), relations=list(d["relations"]),
-                   arguments=list(d["arguments"]))
+    def from_dict(cls, d: dict, error: type[Exception] = SchemaError) -> "Vocabularies":
+        """The inverse of ``to_dict``; ``error`` unless ``d`` holds three lists of strings
+        with UNK among the tokens and every special symbol among relations and arguments."""
+        required = {"tokens": [UNK_SYMBOL], "relations": SPECIAL_SYMBOLS,
+                    "arguments": SPECIAL_SYMBOLS}
+        for key, symbols in required.items():
+            value = d.get(key) if isinstance(d, dict) else None
+            if not (isinstance(value, list) and all(isinstance(s, str) for s in value)
+                    and set(symbols) <= set(value)):
+                raise error(f"vocabulary {key!r} must be a list of strings holding "
+                            f"{', '.join(symbols)}, got {value!r:.60}")
+        return cls(**{key: list(d[key]) for key in required})
 
 
 def _ordered_by_frequency(counts: dict[str, int]) -> list[str]:

@@ -22,7 +22,7 @@ checkpoint name is its field path (``named_tensors``), e.g. ``encoder.lstm.w``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +54,45 @@ class VocabError(ValueError):
     """Token/relation/argument id outside its vocabulary."""
 
 
+def checked(default, *, at_least=None, above=None, one_of=None):
+    """A dataclass field whose values must also be ``>= at_least``, ``> above``
+    or in ``one_of``, as ``check_fields`` checks."""
+    if one_of is not None:
+        rule = (lambda v: v in one_of), " or ".join(map(repr, one_of))
+    elif above is not None:
+        rule = (lambda v: v > above), f"> {above}"
+    else:
+        rule = (lambda v: v >= at_least), f">= {at_least}"
+    return field(default=default, metadata={"rule": rule})
+
+
+def field_type(f) -> tuple[type, bool]:
+    """The type a field's annotation names and whether it also allows ``None``;
+    annotations are strings here, such as ``"int"`` or ``"float | None"``."""
+    name, _, rest = f.type.partition(" | ")
+    return {"int": int, "float": float, "bool": bool, "str": str}[name], rest == "None"
+
+
+def check_fields(obj, cls, error: type[Exception]) -> None:
+    """Raise ``error`` naming the first field of dataclass ``cls`` whose value on ``obj``
+    lacks its annotated type (an int is never a bool; a float field takes an int, never
+    a bool, and stores a float; ``| None`` allows ``None``) or fails its ``checked`` rule."""
+    for f in fields(cls):
+        value = getattr(obj, f.name)
+        kind, optional = field_type(f)
+        if value is None and optional:
+            continue
+        numeric = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, numeric):
+            raise error(f"{f.name} must be {f.type}, got {value!r}")
+        if kind is float:
+            value = float(value)
+            setattr(obj, f.name, value)
+        ok, wanted = f.metadata.get("rule", (None, None))
+        if ok is not None and not ok(value):
+            raise error(f"{f.name} must be {wanted}, got {value!r}")
+
+
 @dataclass
 class ModelDims:
     """Dimension hyperparameters; derived sizes are properties.
@@ -61,16 +100,16 @@ class ModelDims:
     ``training.TrainConfig`` inherits these fields.
     """
 
-    d_word: int = 100
-    d_filler: int = 30
-    n_fillers: int = 150
-    d_role: int = 20
-    n_roles: int = 50
-    d_rel: int = 20
-    d_arg: int = 10
-    d_pos: int = 5
-    positions: int = 2
-    lstm_hidden: int = 100
+    d_word: int = checked(100, at_least=1)
+    d_filler: int = checked(30, at_least=1)
+    n_fillers: int = checked(150, at_least=1)
+    d_role: int = checked(20, at_least=1)
+    n_roles: int = checked(50, at_least=1)
+    d_rel: int = checked(20, at_least=1)
+    d_arg: int = checked(10, at_least=1)
+    d_pos: int = checked(5, at_least=1)
+    positions: int = checked(2, one_of=(2, 3))
+    lstm_hidden: int = checked(100, at_least=1)
 
     @property
     def d_t(self) -> int:
@@ -85,32 +124,20 @@ class ModelDims:
         return self.d_rel + self.positions * self.d_arg
 
     def validate(self) -> None:
-        for f in fields(ModelDims):  # not vars(self): a TrainConfig has more fields
-            v = getattr(self, f.name)
-            if not (isinstance(v, int) and v >= 1):
-                raise ShapeError(f"dimension {f.name} must be an integer >= 1, got {v!r}")
-        if self.positions not in (2, 3):
-            raise ShapeError(f"positions must be 2 or 3, got {self.positions}")
+        check_fields(self, ModelDims, ShapeError)
 
 
 @dataclass
 class ModelVariant:
     """Encoder/decoder kinds, pooling, reasoning depth; ``TrainConfig`` inherits these."""
 
-    encoder: str = "tpr"            # tpr | lstm
-    decoder: str = "tpr"            # tpr | lstm
-    pooling: str = "sum_tprs"       # sum_tprs | last_state
-    reasoning_layers: int = 1
+    encoder: str = checked("tpr", one_of=("tpr", "lstm"))
+    decoder: str = checked("tpr", one_of=("tpr", "lstm"))
+    pooling: str = checked("sum_tprs", one_of=("sum_tprs", "last_state"))
+    reasoning_layers: int = checked(1, at_least=1)
 
     def validate(self) -> None:
-        if self.encoder not in ("tpr", "lstm"):
-            raise ValueError(f"unknown encoder kind {self.encoder!r}")
-        if self.decoder not in ("tpr", "lstm"):
-            raise ValueError(f"unknown decoder kind {self.decoder!r}")
-        if self.pooling not in ("sum_tprs", "last_state"):
-            raise ValueError(f"unknown pooling {self.pooling!r}")
-        if self.reasoning_layers < 1:
-            raise ValueError("reasoning_layers must be >= 1")
+        check_fields(self, ModelVariant, ValueError)
 
 
 def named_tensors(params, prefix: str):

@@ -26,6 +26,8 @@ from .model import (
     ModelVariant,
     Tpn2fModel,
     build_model,
+    check_fields,
+    checked,
 )
 from .tensor import (
     AdamState,
@@ -52,13 +54,13 @@ class CheckpointError(RuntimeError):
 class TrainConfig(ModelVariant, ModelDims):
     """Training hyperparameters; the model's fields come from ``ModelDims`` and ``ModelVariant``."""
 
-    epochs: int = 60
-    learning_rate: float = 0.00115
-    batch_size: int = 64
+    epochs: int = checked(60, at_least=0)
+    learning_rate: float = checked(0.00115, above=0.0)
+    batch_size: int = checked(64, at_least=1)
     seed: int = 0
-    max_decode_len: int = 30
-    grad_clip: float | None = None
-    patience: int | None = None
+    max_decode_len: int = checked(30, at_least=1)
+    grad_clip: float | None = checked(None, above=0.0)
+    patience: int | None = checked(None, at_least=0)
     stop_at_full_accuracy: bool = False
 
     def dims(self) -> ModelDims:
@@ -67,43 +69,24 @@ class TrainConfig(ModelVariant, ModelDims):
     def variant(self) -> ModelVariant:
         return ModelVariant(**{f.name: getattr(self, f.name) for f in fields(ModelVariant)})
 
-    def validate(self) -> None:  # both bases define one; a config must pass both
-        self.dims().validate()
-        self.variant().validate()
+    def validate(self) -> None:
+        check_fields(self, TrainConfig, ConfigError)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        """The config of a key-to-value object, such as a checkpoint header's,
+        after ``validate``; a bad or unknown key is a ``ConfigError`` naming it."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be an object of keys, got {d!r:.60}")
+        unknown = d.keys() - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         cfg = cls(**d)
-        for key, ok, wanted in _VALUE_CHECKS:
-            value = getattr(cfg, key)
-            try:
-                good = ok(value)
-            except TypeError:  # e.g. None or a string where a number belongs
-                good = False
-            if not good:
-                raise ConfigError(f"{key} must be {wanted}, got {value!r}")
-        try:
-            cfg.validate()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        cfg.validate()
         return cfg
-
-
-_VALUE_CHECKS = (
-    ("batch_size", lambda v: v >= 1, ">= 1"),
-    ("learning_rate", lambda v: v > 0.0, "> 0"),
-    ("epochs", lambda v: v >= 0, ">= 0"),
-    ("max_decode_len", lambda v: v >= 1, ">= 1"),
-    ("grad_clip", lambda v: v is None or v > 0.0, "> 0 or unset"),
-    ("patience", lambda v: v is None or v >= 0, ">= 0 or unset"),
-)
 
 
 def mathqa_preset() -> TrainConfig:
@@ -510,11 +493,10 @@ def load_checkpoint(path) -> Checkpoint:
         name, shape, start = _tensor_entry(entry, len(body) - 16 - head_len)
         arr = np.frombuffer(buf, dtype="<f8", count=math.prod(shape), offset=data_start + start)
         tensors[name] = arr.reshape(shape).astype(np.float64, copy=False)
-    config = TrainConfig.from_dict(header["config"])
     return Checkpoint(
         version=header["version"],
-        config=config,
-        vocab=Vocabularies.from_dict(header["vocab"]),
+        config=TrainConfig.from_dict(header["config"]),
+        vocab=Vocabularies.from_dict(header["vocab"], CheckpointError),
         tensors=tensors,
         adam=header["adam"],
         rng_state=header.get("rng_state", {}),

@@ -317,3 +317,38 @@ def test_prepare_rejects_positions_outside_2_and_3(tmp_path, micro_file, capsys,
                      "--positions", value]) == 1
     assert "--positions" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["stop_at_full_accuracy=", "stop_at_full_accuracy=maybe",
+                                  "epochs=none", "learning_rate=yes"])
+def test_key_value_line_of_wrong_type_names_the_key(tmp_path, line):
+    p = tmp_path / "c.cfg"
+    p.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=line.partition("=")[0]):
+        load_config(p)
+
+
+@pytest.mark.parametrize("text", ["{nope", "[1, 2]", '{"if": 3}'])
+def test_prepare_rejects_a_rewrite_table_that_is_not_an_object_of_rules(tmp_path, micro_file,
+                                                                        capsys, text):
+    table = tmp_path / "rules.json"
+    table.write_text(text)
+    assert dispatch(["prepare", "--data", str(micro_file), "--out", str(tmp_path / "prep"),
+                     "--rewrite-table", str(table)]) == 1
+    assert "rules.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "5", '["a", [["add", "n0", "n1"]]]', '{"program": [["add", "n0", "n1"]]}',
+    '{"id": "micro-0", "program": "(add,n0,n1)"}',
+    '{"id": "micro-0", "program": [["add"]]}',
+    '{"id": "micro-0", "program": [["add", "n0", "n1", "n2", "n3"]]}',
+    '{"id": "micro-0", "program": [["add", 0, 1]]}',
+    '{"id": "micro-0", "program": [["", "n0", "n1"]]}',
+], ids=["number", "list", "no-id", "program-string", "entry-1-item", "entry-5-items",
+        "entry-numbers", "entry-empty-relation"])
+def test_eval_rejects_a_malformed_prediction_line(tmp_path, micro_file, capsys, line):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text('{"id": "micro-1", "program": [["add", "n0", "n1"]]}\n' + line + "\n")
+    assert dispatch(["eval", "--pred", str(pred), "--gold", str(micro_file)]) == 1
+    assert f"{pred}:2" in capsys.readouterr().err

@@ -1,9 +1,13 @@
 """Dataset loading, number linking, arity normalization, vocabularies."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpn2f.data import (
     DEFAULT_REWRITE_TABLE,
@@ -22,6 +26,8 @@ from tpn2f.data import (
     save_dataset,
 )
 from tpn2f.formal_lang import (
+    ExecutionError,
+    ParseError,
     ProgramEnv,
     RelationalTuple,
     exec_algolisp,
@@ -82,6 +88,62 @@ def test_load_algolisp_tree_and_tests(tmp_path):
     assert s.program == [T("partial1", "b", "--"), T("map", "a", "#0")]
     inputs, expected = s.tests[0]
     assert exec_algolisp(s.program, inputs) == expected
+
+
+@pytest.mark.parametrize("fields, field", [
+    ({"numbers": "abc"}, "numbers"), ({"numbers": "123"}, "numbers"),
+    ({"numbers": [1, True]}, "numbers"), ({"numbers": None}, "numbers"),
+    ({"options": ["x"]}, "options"), ({"options": 5}, "options"),
+    ({"text": 5}, "text"), ({"text": ["a", 1]}, "text"),
+    ({"program": [["add", "n0", "n1", "n2", "n3"]]}, "program"),
+    ({"program": [["", "n0"]]}, "program"), ({"program": [[]]}, "program"),
+    ({"tests": 5}, "tests"), ({"tests": [{"input": 3, "output": 1}]}, "tests"),
+], ids=["numbers-text", "numbers-digits", "numbers-bool", "numbers-null", "options-text",
+        "options-number", "text-number", "text-mixed", "program-5-items",
+        "program-empty-relation", "program-empty-entry", "tests-number", "tests-input-number"])
+def test_load_bad_field_names_record_and_field(tmp_path, fields, field):
+    path = tmp_path / "d.jsonl"
+    good = {"text": "a 3", "program": [["add", "n0", "n0"]]}
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **fields}) + "\n")
+    with pytest.raises(SchemaError, match=f"record 2: field '{field}'"):
+        load_dataset(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+_FIELD_VALUES = {
+    "id": _JSON, "text": _JSON | st.lists(st.sampled_from(["a", "3", "n0"]), max_size=4),
+    "program": _JSON | st.sampled_from(["(add,n0,n1)", "(if,a,b,c) (f,#0)", "(add n0"])
+    | st.lists(st.lists(st.sampled_from(["add", "n0", "#0", "#3", "", 2]), max_size=5),
+               max_size=3),
+    "program_tree": _JSON | st.sampled_from(["(map a (partial1 b --))", "(f", "(f a b c d)"]),
+    "numbers": _JSON | st.lists(st.integers() | st.floats(), max_size=3),
+    "options": _JSON | st.lists(st.floats(), max_size=3),
+    "tests": _JSON | st.lists(st.fixed_dictionaries({"input": _JSON, "output": _JSON}),
+                              max_size=2),
+}
+_RECORD = st.fixed_dictionaries({}, optional=_FIELD_VALUES) | _JSON
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RECORD, min_size=1, max_size=3),
+       st.sampled_from(["mathqa-style", "algolisp-style"]), st.booleans())
+def test_any_json_records_load_or_raise_a_data_error(records, fmt, as_array):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        path.write_text(json.dumps(records) if as_array
+                        else "".join(json.dumps(r) + "\n" for r in records))
+        try:
+            samples = load_dataset(path, fmt)
+        except (DatasetError, PreprocessError, ParseError, ExecutionError):
+            return
+    for s in samples:
+        assert all(isinstance(t, str) for t in s.text) and isinstance(s.id, str)
+        assert all(type(x) is float for x in s.numbers + (s.options or []))
+        assert all(isinstance(t, RelationalTuple) for t in s.program)
 
 
 def test_load_json_array(tmp_path):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import types
 import zlib
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tpn2f import training as training_mod
 from tpn2f.cli import dispatch
@@ -82,10 +85,38 @@ def test_config_rejects_unknown_key():
     ("pooling", "bogus"), ("encoder", "gru"), ("decoder", "gru"),
     ("grad_clip", -1.0), ("grad_clip", 0.0), ("patience", -1), ("max_decode_len", 0),
     ("d_word", "wide"), *((f.name, 0) for f in fields(ModelDims)),
+    ("epochs", 2.7), ("seed", "x"), ("learning_rate", True), ("reasoning_layers", 1.5),
+    ("stop_at_full_accuracy", None),
 ])
 def test_config_rejects_bad_value(key, value):
     with pytest.raises(ConfigError, match=key):
         TrainConfig.from_dict({key: value})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def _has_annotated_type(cfg: TrainConfig) -> bool:
+    for f in fields(TrainConfig):
+        value, (kind, *optional) = getattr(cfg, f.name), f.type.split(" | ")
+        if not ((value is None and optional) or (type(value) is _TYPES[kind])):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from([f.name for f in fields(TrainConfig)]), _JSON))
+def test_config_from_any_json_values_is_typed_or_config_error(entries):
+    try:
+        cfg = TrainConfig.from_dict(json.loads(json.dumps(entries)))
+    except ConfigError:
+        return
+    assert _has_annotated_type(cfg)
 
 
 def test_variant_fields_are_declared_once():
@@ -554,6 +585,81 @@ def test_version3_checkpoint_is_rejected_naming_its_version(tmp_path, capsys):
                      "--data", str(tmp_path / "data.jsonl"),
                      "--out", str(tmp_path / "pred.jsonl")]) == 1
     assert "version 3" in capsys.readouterr().err
+
+
+def _header_with(model, cfg, config=None, vocab=None) -> bytes:
+    """A checkpoint whose header holds ``config`` and ``vocab`` in place of the model's."""
+    optimizer = AdamState.for_params([t for _, t in model.parameters()], cfg.learning_rate)
+    vocab = model.vocab.to_dict() if vocab is None else vocab
+    fake = types.SimpleNamespace(parameters=model.parameters,
+                                 vocab=types.SimpleNamespace(to_dict=lambda: vocab))
+    config = cfg.to_dict() if config is None else config
+    return _joined_checkpoint_bytes(fake, optimizer, types.SimpleNamespace(to_dict=lambda: config))
+
+
+@pytest.mark.parametrize("key, value", [("reasoning_layers", 1.5), ("max_decode_len", 2.5)])
+def test_header_config_value_of_wrong_type_names_the_key(tmp_path, capsys, key, value):
+    cfg, samples, _, model, _ = micro_setup(n=8)
+    (tmp_path / "bad.ckpt").write_bytes(_header_with(model, cfg, {**cfg.to_dict(), key: value}))
+    with pytest.raises(ConfigError, match=key):
+        load_checkpoint(tmp_path / "bad.ckpt")
+    save_dataset(tmp_path / "data.jsonl", samples)
+    assert dispatch(["infer", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                     "--data", str(tmp_path / "data.jsonl"),
+                     "--out", str(tmp_path / "pred.jsonl")]) == 1
+    assert key in capsys.readouterr().err
+
+
+def _renamed_eos(vocab):
+    return {**vocab, "relations": ["STOP" if r == "EOS" else r for r in vocab["relations"]]}
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda v: {}, "tokens"),
+    (lambda v: {**v, "tokens": list(range(len(v["tokens"])))}, "tokens"),
+    (_renamed_eos, "relations"),
+    (lambda v: {**v, "arguments": [a for a in v["arguments"] if a != "PAD"]}, "arguments"),
+    (lambda v: {**v, "arguments": " ".join(v["arguments"])}, "arguments"),
+    (lambda v: [v["tokens"], v["relations"], v["arguments"]], "tokens"),
+], ids=["empty", "integer-tokens", "eos-renamed", "no-pad-argument", "arguments-string",
+        "not-an-object"])
+def test_header_vocab_must_hold_strings_and_special_symbols(tmp_path, capsys, edit, key):
+    cfg, samples, _, model, _ = micro_setup(n=8)
+    raw = _header_with(model, cfg, vocab=edit(model.vocab.to_dict()))
+    (tmp_path / "bad.ckpt").write_bytes(raw)
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(tmp_path / "bad.ckpt")
+    save_dataset(tmp_path / "data.jsonl", samples)
+    assert dispatch(["infer", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                     "--data", str(tmp_path / "data.jsonl"),
+                     "--out", str(tmp_path / "pred.jsonl")]) == 1
+    assert key in capsys.readouterr().err
+
+
+_MICRO = micro_setup(n=4)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.one_of(st.none(), _JSON, st.dictionaries(
+           st.sampled_from([f.name for f in fields(TrainConfig)] + ["preset"]), _JSON)),
+       st.one_of(st.none(), _JSON, st.dictionaries(
+           st.sampled_from(["tokens", "relations", "arguments"]),
+           st.lists(st.sampled_from(["UNK", "PAD", "GO", "EOS", "x", 3]), max_size=6))))
+def test_any_header_config_or_vocab_loads_or_names_the_fault(config, vocab):
+    cfg, _, _, model, _ = _MICRO
+    if isinstance(config, dict):  # mostly valid values, so that some loads succeed
+        config = {**cfg.to_dict(), **config}
+    raw = _header_with(model, cfg, config, vocab)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ckpt"
+        path.write_bytes(raw)
+        try:
+            ckpt = load_checkpoint(path)
+        except (CheckpointError, ConfigError):
+            return
+    assert _has_annotated_type(ckpt.config)
+    assert {"EOS", "PAD", "UNK", "GO"} <= set(ckpt.vocab.relations)
 
 
 def test_build_draws_no_random_weights(tmp_path, monkeypatch):
