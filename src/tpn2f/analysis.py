@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Tpn2fModel, _encoder_step_scores
+from .model import Tpn2fModel, encoder_step
 from .tensor import zeros
 from .training import greedy_decode_with_vectors
 
@@ -58,13 +58,11 @@ def extract_assignments(model: Tpn2fModel, tokens: Sequence[str]) -> list[Assign
         raise ValueError("assignment extraction needs the binding encoder")
     params = model.encoder
     token_ids = model.vocab.encode_text(tokens)
-    d_f, d_r = params.fillers.shape[0], params.roles.shape[0]
-    binding = zeros((d_f, d_r))
-    cells = (zeros(d_f * d_r), zeros(d_f * d_r))
+    d_t = params.filler_lstm.hidden
+    binding, cells = zeros(d_t), (zeros(d_t), zeros(d_t))
     records = []
     for pos, (tok, tid) in enumerate(zip(tokens, token_ids)):
-        binding, c_f, c_r, a_f, a_r = _encoder_step_scores(tid, binding, cells, params)
-        cells = (c_f, c_r)
+        binding, cells, (a_f, a_r) = encoder_step(tid, binding, cells, params)
         records.append(AssignmentRecord(
             token=tok, position=pos,
             kept_fillers=threshold_scores(a_f.data),
@@ -72,15 +70,15 @@ def extract_assignments(model: Tpn2fModel, tokens: Sequence[str]) -> list[Assign
     return records
 
 
-def collect_relation_vectors(model: Tpn2fModel, samples) -> list[RelationVectorStats]:
-    """Greedy-decode each sample and average unbinding vectors per relation."""
+def collect_relation_vectors(model: Tpn2fModel, samples, max_len: int) -> list[RelationVectorStats]:
+    """Average unbinding vectors per relation over greedy decodes of <= ``max_len`` steps."""
     if not samples:
         raise ValueError("empty dataset")
     sums: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
     for sample in samples:
         token_ids = model.vocab.encode_text(sample.text)
-        tuples, vectors = greedy_decode_with_vectors(model, token_ids, 30)
+        tuples, vectors = greedy_decode_with_vectors(model, token_ids, max_len)
         for tup, vec in zip(tuples, vectors):
             if vec.size == 0:
                 continue

@@ -259,13 +259,17 @@ def cmd_exec(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.clusters < 1:
+        raise UserError(f"--clusters must be >= 1, got {args.clusters}")
+    if args.max_assignment_samples < 0:
+        raise UserError(f"--max-assignment-samples must be >= 0, got {args.max_assignment_samples}")
     model, ckpt = _load_model(args.checkpoint)
     samples = _load_samples(args.data, args.format)
     samples = data_mod.preprocess_samples(samples, ckpt.config.positions)
     assignments = []
     for s in samples[:args.max_assignment_samples]:
         assignments.extend(analysis_mod.extract_assignments(model, s.text))
-    stats = analysis_mod.collect_relation_vectors(model, samples)
+    stats = analysis_mod.collect_relation_vectors(model, samples, ckpt.config.max_decode_len)
     clusters = (analysis_mod.cluster_relation_vectors(stats, k=args.clusters, seed=args.seed)
                 if len(stats) >= 2 else None)
     files = analysis_mod.emit_report(assignments, clusters, args.out)

@@ -314,8 +314,10 @@ def load_rewrite_table(path) -> dict[str, list[list[str]]]:
         raise PreprocessError(f"{path}: a rewrite table must be a JSON object of rules")
     for op, templates in table.items():
         if not (isinstance(templates, list) and len(templates) == 2
-                and all(isinstance(t, list) for t in templates)):
-            raise PreprocessError(f"{path}: rewrite rule for {op!r} must be two template tuples")
+                and all(isinstance(t, list) and 2 <= len(t) <= 4
+                        and all(isinstance(s, str) and s for s in t) for t in templates)):
+            raise PreprocessError(f"{path}: rewrite rule for {op!r} must be two template "
+                                  "tuples, each a relation and 1-3 arguments as non-empty strings")
     return table
 
 

@@ -1,12 +1,13 @@
 """Encoder-decoder over tensor-product representations.
 
 The encoder runs two LSTMs (filler and role) whose shared recurrent input is
-the previous token's flattened binding; each step soft-selects a filler and a
-role column under a sharp softmax (temperature 0.1) and binds them with an
-outer product.  A reasoning MLP maps the pooled binding to the decoder's
-initial hidden state.  The decoder is an attentional tuple-LSTM whose hidden
-state is treated as an order-3 binding and unbound into relation and argument
-vectors, which feed separate classifier heads.
+the previous token's binding; each step soft-selects a filler and a role
+column under a sharp softmax (temperature 0.1) and binds them with an outer
+product, flattened: every encoder position, of either encoder, is one vector.
+A reasoning MLP maps the pooled encoding to the decoder's initial state.  The
+decoder is an attentional tuple-LSTM whose hidden state is treated as an
+order-3 binding and unbound into relation and argument vectors, which feed
+separate classifier heads.
 
 Ablation variants swap either side for a plain LSTM (hidden size 100).
 
@@ -272,25 +273,21 @@ def _check_token(token_id: int, params: EncoderParams | "LstmEncoderParams") -> 
         raise VocabError(f"token id {token_id} outside vocabulary of {params.embed.shape[0]}")
 
 
-def _encoder_step_scores(token_id: int, prev_binding: Tensor,
-                         prev_cells: tuple[Tensor, Tensor], params: EncoderParams):
+def encoder_step(token_id: int, prev_binding: Tensor, prev_cells: tuple[Tensor, Tensor],
+                 params: EncoderParams
+                 ) -> tuple[Tensor, tuple[Tensor, Tensor], tuple[Tensor, Tensor]]:
+    """One binding-encoder step from the previous ``(d_t,)`` binding, both LSTMs'
+    recurrent input; returns the token's binding ``flatten(f (x) r)``, the two
+    cell states and the filler and role selection scores."""
     _check_token(token_id, params)
     w = embedding_row(params.embed, token_id)
-    recurrent = flatten(prev_binding)
-    h_f, c_f = lstm_cell(params.filler_lstm, w, recurrent, prev_cells[0])
-    h_r, c_r = lstm_cell(params.role_lstm, w, recurrent, prev_cells[1])
+    h_f, c_f = lstm_cell(params.filler_lstm, w, prev_binding, prev_cells[0])
+    h_r, c_r = lstm_cell(params.role_lstm, w, prev_binding, prev_cells[1])
     a_f = softmax_with_temperature(matmul(params.w_filler_attn, h_f), params.temperature)
     a_r = softmax_with_temperature(matmul(params.w_role_attn, h_r), params.temperature)
     f = matmul(params.fillers, a_f)
     r = matmul(params.roles, a_r)
-    return outer_product(f, r), c_f, c_r, a_f, a_r
-
-
-def encoder_step(token_id: int, prev_binding: Tensor, prev_cells: tuple[Tensor, Tensor],
-                 params: EncoderParams) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-    """One step of the binding encoder: returns the token binding and cell states."""
-    binding, c_f, c_r, _, _ = _encoder_step_scores(token_id, prev_binding, prev_cells, params)
-    return binding, (c_f, c_r)
+    return flatten(outer_product(f, r)), (c_f, c_r), (a_f, a_r)
 
 
 def _pool(contexts: list[Tensor], pooling: str) -> Tensor:
@@ -308,12 +305,11 @@ def encode_sequence(token_ids: Sequence[int], params: EncoderParams,
     """Run the encoder over a sequence; returns (pooled binding, per-token bindings)."""
     if not token_ids:
         raise ValueError("cannot encode an empty token sequence")
-    d_f, d_r = params.fillers.shape[0], params.roles.shape[0]
-    binding = zeros((d_f, d_r))
-    cells = (zeros(d_f * d_r), zeros(d_f * d_r))
+    d_t = params.filler_lstm.hidden
+    binding, cells = zeros(d_t), (zeros(d_t), zeros(d_t))
     contexts: list[Tensor] = []
     for tok in token_ids:
-        binding, cells = encoder_step(tok, binding, cells, params)
+        binding, cells, _ = encoder_step(tok, binding, cells, params)
         contexts.append(binding)
     return _pool(contexts, pooling), contexts
 
@@ -380,7 +376,7 @@ class ReasoningParams:
 
 
 def reasoning_map(pooled: Tensor, params: ReasoningParams) -> Tensor:
-    x = flatten(pooled) if pooled.ndim > 1 else pooled
+    x = pooled
     for w, b in zip(params.weights, params.biases):
         x = tanh(add(matmul(w, x), b))
     return x
@@ -452,33 +448,20 @@ class LstmDecoderParams:
 
 def project_contexts(contexts: Sequence[Tensor],
                      params: DecoderParams | LstmDecoderParams) -> Tensor:
-    """Attention memory: one projected row per encoder position."""
+    """Attention memory: row t is ``w_context @ contexts[t]``, all rows from one product."""
     if not contexts:
         raise ValueError("attention needs a non-empty context")
-    rows = [matmul(params.w_context, flatten(t) if t.ndim > 1 else t) for t in contexts]
-    return stack_rows(rows)
+    return matmul(stack_rows(contexts), transpose(params.w_context))
 
 
 def _attend(h_input: Tensor, projected: Tensor,
             params: DecoderParams | LstmDecoderParams) -> tuple[Tensor, Tensor]:
+    """Dot-product attention over the memory's rows, then a tanh combining layer."""
     scores = matmul(projected, h_input)
     weights = softmax_with_temperature(scores, 1.0)
     summary = matmul(transpose(projected), weights)
     combined = matmul(params.attn_combine, concat([h_input, summary]))
     return tanh(combined), weights
-
-
-def attention(h_input: Tensor, contexts: Sequence[Tensor],
-              params: DecoderParams | LstmDecoderParams) -> Tensor:
-    """Dot-product attention over encoder positions, then a tanh combining layer."""
-    out, _ = _attend(h_input, project_contexts(contexts, params), params)
-    return out
-
-
-def attention_weights(h_input: Tensor, contexts: Sequence[Tensor],
-                      params: DecoderParams | LstmDecoderParams) -> np.ndarray:
-    _, weights = _attend(h_input, project_contexts(contexts, params), params)
-    return weights.data
 
 
 def _embed_tuple(prev_ids: Sequence[int], params: DecoderParams | LstmDecoderParams) -> Tensor:

@@ -349,9 +349,14 @@ class Checkpoint:
         Every tensor is copied into the new model's and optimizer's own arrays,
         so two builds share no memory with each other or with the checkpoint.
         The model's layout is built from zeros, not random draws, since every
-        weight is overwritten.
+        weight is overwritten.  A layout too large to allocate is a ``CheckpointError``.
         """
-        model = build_model(self.config.variant(), self.config.dims(), self.vocab, _LayoutOnly())
+        try:
+            model = build_model(self.config.variant(), self.config.dims(), self.vocab,
+                                _LayoutOnly())
+        except (MemoryError, ValueError) as exc:  # ValueError: past numpy's size limit
+            raise CheckpointError(f"cannot allocate the model of the checkpoint's config "
+                                  f"{self.config.dims()}: {exc}") from exc
         names = []
         for name, tensor in model.parameters():
             for key in (name, f"adam.m.{name}", f"adam.v.{name}"):

@@ -98,7 +98,7 @@ def _vocab():
 def test_collect_vectors_groups_and_averages():
     vocab, samples = _vocab()
     model = _ScriptedModel(vocab, [("add", [1.0, 0.0]), ("add", [0.0, 1.0])])
-    stats = collect_relation_vectors(model, samples[:1])
+    stats = collect_relation_vectors(model, samples[:1], 30)
     assert len(stats) == 1
     assert stats[0].relation == "add"
     assert stats[0].count == 2
@@ -108,22 +108,29 @@ def test_collect_vectors_groups_and_averages():
 def test_collect_vectors_absent_symbols_not_reported():
     vocab, samples = _vocab()
     model = _ScriptedModel(vocab, [("mul", [2.0, 2.0])])
-    stats = collect_relation_vectors(model, samples[:1])
+    stats = collect_relation_vectors(model, samples[:1], 30)
     assert [s.relation for s in stats] == ["mul"]
+
+
+def test_collect_vectors_decodes_at_most_max_len_steps():
+    vocab, samples = _vocab()
+    model = _ScriptedModel(vocab, [("add", [1.0, 0.0])] * 5)
+    stats = collect_relation_vectors(model, samples[:1], 2)
+    assert [(s.relation, s.count) for s in stats] == [("add", 2)]
 
 
 def test_collect_vectors_mean_of_identical_is_identity():
     vocab, samples = _vocab()
     vec = [3.0, -1.0]
     model = _ScriptedModel(vocab, [("add", vec)] * 3)
-    stats = collect_relation_vectors(model, samples[:1])
+    stats = collect_relation_vectors(model, samples[:1], 30)
     assert np.array_equal(stats[0].mean_vector, vec)
 
 
 def test_collect_vectors_empty_dataset():
     vocab, _ = _vocab()
     with pytest.raises(ValueError):
-        collect_relation_vectors(_ScriptedModel(vocab, []), [])
+        collect_relation_vectors(_ScriptedModel(vocab, []), [], 30)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import zlib
 
 import pytest
 
+from tpn2f import analysis
 from tpn2f.cli import _config_text, _effective_config, build_parser, dispatch, load_config
 from tpn2f.data import save_dataset
 from tpn2f.synthetic import make_micro_dataset
@@ -328,7 +329,8 @@ def test_key_value_line_of_wrong_type_names_the_key(tmp_path, line):
         load_config(p)
 
 
-@pytest.mark.parametrize("text", ["{nope", "[1, 2]", '{"if": 3}'])
+@pytest.mark.parametrize("text", ["{nope", "[1, 2]", '{"if": 3}', '{"if": [[], []]}',
+                                  '{"if": [["if1", "$1", 5], ["if2", "$prev", "$3"]]}'])
 def test_prepare_rejects_a_rewrite_table_that_is_not_an_object_of_rules(tmp_path, micro_file,
                                                                         capsys, text):
     table = tmp_path / "rules.json"
@@ -352,3 +354,40 @@ def test_eval_rejects_a_malformed_prediction_line(tmp_path, micro_file, capsys, 
     pred.write_text('{"id": "micro-1", "program": [["add", "n0", "n1"]]}\n' + line + "\n")
     assert dispatch(["eval", "--pred", str(pred), "--gold", str(micro_file)]) == 1
     assert f"{pred}:2" in capsys.readouterr().err
+
+
+def _untrained_checkpoint(tmp_path, micro_file, *flags):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(MICRO_CFG)
+    run = tmp_path / "run"
+    assert dispatch(["train", "--data", str(micro_file), "--out", str(run),
+                     "--config", str(cfg_file), "--epochs", "0", *flags]) == 0
+    return run / "model.ckpt"
+
+
+@pytest.mark.parametrize("flag, value", [("--clusters", "0"), ("--clusters", "-1"),
+                                         ("--max-assignment-samples", "-1")])
+def test_analyze_rejects_clusters_below_one_and_a_negative_sample_count(
+        tmp_path, micro_file, capsys, flag, value):
+    ckpt = _untrained_checkpoint(tmp_path, micro_file)
+    capsys.readouterr()
+    out = tmp_path / "analysis"
+    assert dispatch(["analyze", "--checkpoint", str(ckpt), "--data", str(micro_file),
+                     "--out", str(out), flag, value]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_decodes_to_the_checkpoints_max_decode_len(tmp_path, micro_file, monkeypatch):
+    ckpt = _untrained_checkpoint(tmp_path, micro_file, "--max-decode-len", "2")
+    lengths = []
+    decode = analysis.greedy_decode_with_vectors
+
+    def recording_decode(model, token_ids, max_len):
+        lengths.append(max_len)
+        return decode(model, token_ids, max_len)
+
+    monkeypatch.setattr(analysis, "greedy_decode_with_vectors", recording_decode)
+    assert dispatch(["analyze", "--checkpoint", str(ckpt), "--data", str(micro_file),
+                     "--out", str(tmp_path / "analysis")]) == 0
+    assert lengths == [2] * 12

@@ -19,6 +19,7 @@ from tpn2f.data import (
     build_vocabularies,
     link_numbers,
     load_dataset,
+    load_rewrite_table,
     pad_arguments,
     preprocess_program,
     preprocess_samples,
@@ -246,6 +247,40 @@ def test_rewrite_custom_mathqa_ternary():
     ops = {"add3": (3, lambda a, b, c: a + b + c)}
     assert exec_mathqa(native, env_native, operators=ops) == \
         exec_mathqa(rewritten, env_rewritten) == 18.0
+
+
+@pytest.mark.parametrize("rule", [
+    [[], []], [["if1", "$1", 5], ["if2", "$prev", "$3"]], [["if1"], ["if2", "$prev", "$3"]],
+    [["if1", "$1", "$2", "$3", "x"], ["if2", "$prev", "$3"]], [["", "$1", "$2"], ["if2", "$3"]],
+    [["if1", "$1", "$2"], "if2"],
+], ids=["empty", "number", "no-argument", "four-arguments", "empty-relation", "string"])
+def test_rewrite_table_template_is_a_relation_and_one_to_three_arguments(tmp_path, rule):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"if": rule}))
+    with pytest.raises(PreprocessError, match="'if'"):
+        load_rewrite_table(path)
+
+
+_TEMPLATE = st.lists(st.sampled_from(["f", "$1", "$2", "$3", "$prev", ""]) | _JSON, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON | st.dictionaries(st.sampled_from(["if", "t"]),
+                               _JSON | st.lists(_TEMPLATE, max_size=3), max_size=2))
+def test_any_json_rewrite_table_loads_or_raises_a_preprocess_error(table):
+    """A loaded table then rewrites a program or raises ``PreprocessError``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rules.json"
+        path.write_text(json.dumps(table))
+        try:
+            loaded = load_rewrite_table(path)
+        except PreprocessError:
+            return
+    try:
+        out = preprocess_program([T("if", "a", "b", "c"), T("t", "#0", "d", "e")], 2, loaded)
+    except PreprocessError:
+        return
+    assert all(isinstance(t, RelationalTuple) and len(t.args) == 2 for t in out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,16 @@ from tpn2f.model import (
     ModelDims,
     ModelVariant,
     VocabError,
-    attention,
-    attention_weights,
     bag_of_embeddings,
     build_model,
     encode_sequence,
     encoder_step,
     lstm_cell,
     named_tensors,
+    project_contexts,
     reasoning_map,
     unbinding_module,
-    _encoder_step_scores,
+    _attend,
 )
 from tpn2f.tensor import (
     GradientTape,
@@ -35,6 +34,7 @@ from tpn2f.tensor import (
     matmul,
     mul,
     sigmoid,
+    stack_rows,
     sum_all,
     tanh,
     zeros,
@@ -69,9 +69,9 @@ def micro_model(seed=0, dims=MICRO, variant=None, vocab=None):
 
 def test_encoder_step_output_shape_at_published_dims():
     model = micro_model(dims=MATHQA)
-    binding, (c_f, c_r) = encoder_step(1, zeros((30, 20)), (zeros(600), zeros(600)),
-                                       model.encoder)
-    assert binding.shape == (30, 20)
+    binding, (c_f, c_r), _ = encoder_step(1, zeros(600), (zeros(600), zeros(600)),
+                                          model.encoder)
+    assert binding.shape == (600,)
     assert c_f.shape == (600,) and c_r.shape == (600,)
 
 
@@ -81,29 +81,28 @@ def test_encoder_step_zero_weights_uniform_softmax_closed_form():
     for name, t in named_tensors(params, "encoder"):
         if "fillers" not in name and "roles" not in name:
             t.data[...] = 0.0
-    binding, _ = encoder_step(2, zeros((5, 4)), (zeros(20), zeros(20)), params)
+    binding, _, _ = encoder_step(2, zeros(20), (zeros(20), zeros(20)), params)
     f_mean = params.fillers.data.mean(axis=1)
     r_mean = params.roles.data.mean(axis=1)
-    assert np.allclose(binding.data, np.outer(f_mean, r_mean), atol=1e-12)
+    assert np.allclose(binding.data, np.outer(f_mean, r_mean).reshape(-1), atol=1e-12)
 
 
 def test_encoder_selections_are_convex_combinations():
     model = micro_model(seed=3)
-    binding, c_f, c_r, a_f, a_r = _encoder_step_scores(
-        1, zeros((5, 4)), (zeros(20), zeros(20)), model.encoder)
+    binding, _, (a_f, a_r) = encoder_step(1, zeros(20), (zeros(20), zeros(20)), model.encoder)
     for scores in (a_f.data, a_r.data):
         assert (scores >= 0).all()
         assert abs(scores.sum() - 1.0) <= 1e-12
     # The binding is the outer product of the dictionary mixtures.
     f = model.encoder.fillers.data @ a_f.data
     r = model.encoder.roles.data @ a_r.data
-    assert np.allclose(binding.data, np.outer(f, r), atol=1e-15)
+    assert np.allclose(binding.data, np.outer(f, r).reshape(-1), atol=1e-15)
 
 
 def test_encoder_rejects_unknown_token_id():
     model = micro_model()
     with pytest.raises(VocabError):
-        encoder_step(99, zeros((5, 4)), (zeros(20), zeros(20)), model.encoder)
+        encoder_step(99, zeros(20), (zeros(20), zeros(20)), model.encoder)
 
 
 def test_encode_sequence_singleton_equals_context():
@@ -149,7 +148,7 @@ def test_bow_sensitivity_vs_bag_of_embeddings():
 
 def test_reasoning_dims_at_published_config():
     model = micro_model(dims=MATHQA)
-    pooled = Tensor(np.random.default_rng(0).standard_normal((30, 20)))
+    pooled = Tensor(np.random.default_rng(0).standard_normal(600))
     out = reasoning_map(pooled, model.reasoning)
     assert out.shape == (1000,)  # 30*20 -> 10*20*5
 
@@ -158,21 +157,20 @@ def test_reasoning_zero_input_zero_bias():
     model = micro_model()
     for _, t in named_tensors(model.reasoning, "reasoning"):
         t.data[...] = t.data * 0.0
-    out = reasoning_map(zeros((5, 4)), model.reasoning)
+    out = reasoning_map(zeros(20), model.reasoning)
     assert np.array_equal(out.data, np.zeros(out.shape))
 
 
 def test_reasoning_outputs_bounded_by_tanh():
     model = micro_model()
-    out = reasoning_map(Tensor(np.random.default_rng(0).standard_normal((5, 4))),
-                        model.reasoning)
+    out = reasoning_map(Tensor(np.random.default_rng(0).standard_normal(20)), model.reasoning)
     assert (np.abs(out.data) < 1.0).all()
 
 
 def test_reasoning_layer_count():
     model = micro_model(variant=ModelVariant(reasoning_layers=3))
     assert len(model.reasoning.weights) == 3
-    out = reasoning_map(zeros((5, 4)), model.reasoning)
+    out = reasoning_map(zeros(20), model.reasoning)
     assert out.shape == (MICRO.d_h,)
 
 
@@ -184,11 +182,10 @@ def test_attention_single_context_weight_one():
     model = micro_model()
     rng = np.random.default_rng(1)
     h = Tensor(rng.standard_normal(MICRO.d_h))
-    ctx = [Tensor(rng.standard_normal((5, 4)))]
-    weights = attention_weights(h, ctx, model.decoder)
-    assert np.array_equal(weights, [1.0])
-    out = attention(h, ctx, model.decoder)
-    proj = model.decoder.w_context.data @ ctx[0].data.reshape(-1)
+    ctx = [Tensor(rng.standard_normal(20))]
+    out, weights = _attend(h, project_contexts(ctx, model.decoder), model.decoder)
+    assert np.array_equal(weights.data, [1.0])
+    proj = model.decoder.w_context.data @ ctx[0].data
     manual = np.tanh(model.decoder.attn_combine.data @ np.concatenate([h.data, proj]))
     assert np.allclose(out.data, manual, atol=1e-15)
 
@@ -197,24 +194,53 @@ def test_attention_identical_contexts_split_evenly():
     model = micro_model()
     rng = np.random.default_rng(2)
     h = Tensor(rng.standard_normal(MICRO.d_h))
-    c = Tensor(rng.standard_normal((5, 4)))
-    weights = attention_weights(h, [c, c], model.decoder)
-    assert np.allclose(weights, [0.5, 0.5], atol=1e-15)
+    c = Tensor(rng.standard_normal(20))
+    _, weights = _attend(h, project_contexts([c, c], model.decoder), model.decoder)
+    assert np.allclose(weights.data, [0.5, 0.5], atol=1e-15)
 
 
 def test_attention_weights_sum_to_one():
     model = micro_model()
     rng = np.random.default_rng(3)
     h = Tensor(rng.standard_normal(MICRO.d_h))
-    ctx = [Tensor(rng.standard_normal((5, 4))) for _ in range(6)]
-    weights = attention_weights(h, ctx, model.decoder)
-    assert abs(weights.sum() - 1.0) <= 1e-12
+    ctx = [Tensor(rng.standard_normal(20)) for _ in range(6)]
+    _, weights = _attend(h, project_contexts(ctx, model.decoder), model.decoder)
+    assert abs(weights.data.sum() - 1.0) <= 1e-12
 
 
 def test_attention_rejects_empty_context():
     model = micro_model()
     with pytest.raises(ValueError):
-        attention(Tensor(np.zeros(MICRO.d_h)), [], model.decoder)
+        _attend(Tensor(np.zeros(MICRO.d_h)), project_contexts([], model.decoder), model.decoder)
+
+
+def _per_row_memory(contexts, params):
+    """The former attention memory: one matrix-vector product per position."""
+    return stack_rows([matmul(params.w_context, t) for t in contexts])
+
+
+@pytest.mark.parametrize("d_h, d_t, steps", [(MICRO.d_h, MICRO.d_t, 3), (1000, 600, 40)],
+                         ids=["micro", "mathqa"])
+def test_project_contexts_matches_per_row_products(d_h, d_t, steps):
+    """The one-product memory, the grad of ``w_context`` and the grad of every
+    context agree with per-row products within 1e-12 relative (to the largest
+    entry of the reference)."""
+    rng = np.random.default_rng(31)
+    w = rng.uniform(-0.1, 0.1, (d_h, d_t))
+    rows = rng.standard_normal((steps, d_t))
+    weights = Tensor(rng.uniform(-1, 1, (steps, d_h)))
+
+    def run(project):
+        params = types.SimpleNamespace(w_context=Tensor(w.copy(), requires_grad=True))
+        contexts = [Tensor(row, requires_grad=True) for row in rows]
+        with GradientTape():
+            memory = project(contexts, params)
+            backward(sum_all(mul(memory, weights)))
+        return [memory.data, params.w_context.grad] + [c.grad for c in contexts]
+
+    for got, want in zip(run(project_contexts), run(_per_row_memory), strict=True):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +251,7 @@ def test_decoder_step_shapes_at_published_dims():
     model = micro_model(dims=MATHQA)
     assert MATHQA.d_h == 1000
     assert MATHQA.d_dec == 40  # 20 + 2*10
-    ctx = [Tensor(np.random.default_rng(0).standard_normal((30, 20)))]
+    ctx = [Tensor(np.random.default_rng(0).standard_normal(600))]
     projected = model.project_contexts(ctx)
     h, c = model.decode_step((2, 0, 0), zeros(1000), zeros(1000), projected)
     assert h.shape == (1000,) and c.shape == (1000,)
@@ -233,7 +259,7 @@ def test_decoder_step_shapes_at_published_dims():
 
 def test_decoder_step_deterministic():
     model = micro_model()
-    ctx = [Tensor(np.random.default_rng(0).standard_normal((5, 4)))]
+    ctx = [Tensor(np.random.default_rng(0).standard_normal(20))]
     projected = model.project_contexts(ctx)
     runs = [model.decode_step((2, 0, 0), zeros(MICRO.d_h), zeros(MICRO.d_h), projected)
             for _ in range(2)]
@@ -243,7 +269,7 @@ def test_decoder_step_deterministic():
 
 def test_decoder_rejects_bad_ids():
     model = micro_model()
-    projected = model.project_contexts([Tensor(np.zeros((5, 4)))])
+    projected = model.project_contexts([Tensor(np.zeros(20))])
     with pytest.raises(VocabError):
         model.decode_step((99, 0, 0), zeros(MICRO.d_h), zeros(MICRO.d_h), projected)
 

@@ -610,6 +610,20 @@ def test_header_config_value_of_wrong_type_names_the_key(tmp_path, capsys, key, 
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d_word", [10**15, 10**19])
+def test_header_dimension_too_large_to_allocate_is_checkpoint_error(tmp_path, capsys, d_word):
+    cfg, samples, _, model, _ = micro_setup(n=8)
+    raw = _header_with(model, cfg, {**cfg.to_dict(), "d_word": d_word})
+    (tmp_path / "huge.ckpt").write_bytes(raw)
+    with pytest.raises(CheckpointError, match=f"config ModelDims\\(d_word={d_word},"):
+        load_checkpoint(tmp_path / "huge.ckpt").build()
+    save_dataset(tmp_path / "data.jsonl", samples)
+    assert dispatch(["infer", "--checkpoint", str(tmp_path / "huge.ckpt"),
+                     "--data", str(tmp_path / "data.jsonl"),
+                     "--out", str(tmp_path / "pred.jsonl")]) == 1
+    assert f"d_word={d_word}" in capsys.readouterr().err
+
+
 def _renamed_eos(vocab):
     return {**vocab, "relations": ["STOP" if r == "EOS" else r for r in vocab["relations"]]}
 
