@@ -17,6 +17,11 @@ and one bias ``b`` of shape ``(4H,)``: row blocks f, g, i, o, columns
 per-gate names ``u_*``, ``v_*`` and ``b_*`` remain as read-only views of those
 blocks.
 
+Every function here takes one sample's activations, ``(d,)``, or a minibatch's
+run in lockstep, ``(B, d)``: the encoders take a list of id sequences, which
+they right-pad to the longest; pooling reads only each row's valid positions,
+and the decoder's attention gives padded positions weight 0 through a mask.
+
 The parameters are the tensor fields of the ``*Params`` dataclasses; each one's
 checkpoint name is its field path (``named_tensors``), e.g. ``encoder.lstm.w``.
 """
@@ -29,7 +34,10 @@ from typing import Sequence
 import numpy as np
 
 from .data import Vocabularies
-from .tensor import (
+# ``mul`` and ``sigmoid`` are no longer called here (``lstm_gates`` fuses the
+# cell's gates), but stay importable from this module: ``perfbench/tracer.py``
+# counts the model's op calls through these names.
+from .tensor import (  # noqa: F401
     ShapeError,
     Tensor,
     add,
@@ -37,6 +45,7 @@ from .tensor import (
     contract_last,
     embedding_row,
     flatten,
+    lstm_gates,
     matmul,
     mul,
     outer_product,
@@ -227,14 +236,9 @@ class LstmParams:
 
 
 def lstm_cell(p: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """One step: all four gate pre-activations from one matrix-vector product."""
-    z_f, z_g, z_i, z_o = split(add(matmul(p.w, concat([x, h_prev])), p.b), 4)
-    f = sigmoid(z_f)
-    g = tanh(z_g)
-    i = sigmoid(z_i)
-    o = sigmoid(z_o)
-    c = add(mul(f, c_prev), mul(i, g))
-    h = mul(o, tanh(c))
+    """One step: all four gate pre-activations from one matrix-vector product,
+    and the gates' update of ``(h, c)`` as one op."""
+    h, c = split(lstm_gates(add(matmul(p.w, concat([x, h_prev])), p.b), c_prev), 2)
     return h, c
 
 
@@ -268,50 +272,80 @@ class EncoderParams:
         )
 
 
-def _check_token(token_id: int, params: EncoderParams | "LstmEncoderParams") -> None:
-    if not 0 <= token_id < params.embed.shape[0]:
-        raise VocabError(f"token id {token_id} outside vocabulary of {params.embed.shape[0]}")
+def _embed(table: Tensor, ids, kind: str) -> Tensor:
+    """``embedding_row``, with an id outside the table a ``VocabError``."""
+    try:
+        return embedding_row(table, ids)
+    except IndexError as exc:
+        raise VocabError(f"{kind} {exc}") from None
 
 
-def encoder_step(token_id: int, prev_binding: Tensor, prev_cells: tuple[Tensor, Tensor],
+def pad_rows(rows: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad sequences of ids, or of equal id tuples, with id 0 into one
+    ``(B, longest, ...)`` array; returns it and each row's length."""
+    lengths = np.array([len(row) for row in rows])
+    padded = np.zeros((len(rows), lengths.max()) + np.shape(rows[0])[1:], dtype=np.intp)
+    for b, row in enumerate(rows):
+        padded[b, :len(row)] = row
+    return padded, lengths
+
+
+def _id_rows(token_ids) -> tuple[np.ndarray, np.ndarray | None]:
+    """One sample's token ids as a ``(T,)`` array and no lengths, or a list of
+    samples' id sequences as ``pad_rows`` gives them."""
+    if len(token_ids) and np.ndim(token_ids[0]) == 0:
+        return np.asarray(token_ids, dtype=np.intp), None
+    if not len(token_ids) or not all(map(len, token_ids)):
+        raise ValueError("cannot encode an empty token sequence")
+    return pad_rows(token_ids)
+
+
+def encoder_step(token_id, prev_binding: Tensor, prev_cells: tuple[Tensor, Tensor],
                  params: EncoderParams
                  ) -> tuple[Tensor, tuple[Tensor, Tensor], tuple[Tensor, Tensor]]:
     """One binding-encoder step from the previous ``(d_t,)`` binding, both LSTMs'
     recurrent input; returns the token's binding ``flatten(f (x) r)``, the two
-    cell states and the filler and role selection scores."""
-    _check_token(token_id, params)
-    w = embedding_row(params.embed, token_id)
+    cell states and the filler and role selection scores.  An array of token
+    ids with ``(B, d_t)`` states steps B rows at once."""
+    w = _embed(params.embed, token_id, "token")
     h_f, c_f = lstm_cell(params.filler_lstm, w, prev_binding, prev_cells[0])
     h_r, c_r = lstm_cell(params.role_lstm, w, prev_binding, prev_cells[1])
     a_f = softmax_with_temperature(matmul(params.w_filler_attn, h_f), params.temperature)
     a_r = softmax_with_temperature(matmul(params.w_role_attn, h_r), params.temperature)
     f = matmul(params.fillers, a_f)
     r = matmul(params.roles, a_r)
-    return flatten(outer_product(f, r)), (c_f, c_r), (a_f, a_r)
+    return flatten(outer_product(f, r), f.ndim - 1), (c_f, c_r), (a_f, a_r)
 
 
-def _pool(contexts: list[Tensor], pooling: str) -> Tensor:
-    """The last context (``last_state``) or the sum of all of them."""
-    if pooling == "last_state":
-        return contexts[-1]
-    pooled = contexts[0]
-    for t in contexts[1:]:
-        pooled = add(pooled, t)
-    return pooled
+def _pool(contexts: list[Tensor], pooling: str, lengths: np.ndarray | None) -> Tensor:
+    """The sum of each row's valid contexts (``sum_tprs``) or its last valid one
+    (``last_state``); for a minibatch, one product of the stacked contexts with
+    0/1 weights."""
+    if lengths is None:
+        if pooling == "last_state":
+            return contexts[-1]
+        pooled = contexts[0]
+        for t in contexts[1:]:
+            pooled = add(pooled, t)
+        return pooled
+    positions = np.arange(len(contexts))
+    ends = lengths[:, None]
+    keep = positions == ends - 1 if pooling == "last_state" else positions < ends
+    return contract_last(transpose(stack_rows(contexts)), Tensor(keep.astype(np.float64)))
 
 
-def encode_sequence(token_ids: Sequence[int], params: EncoderParams,
+def encode_sequence(token_ids, params: EncoderParams,
                     pooling: str = "sum_tprs") -> tuple[Tensor, list[Tensor]]:
-    """Run the encoder over a sequence; returns (pooled binding, per-token bindings)."""
-    if not token_ids:
-        raise ValueError("cannot encode an empty token sequence")
-    d_t = params.filler_lstm.hidden
-    binding, cells = zeros(d_t), (zeros(d_t), zeros(d_t))
+    """Run the encoder over one sample's token ids, or over a list of samples'
+    in lockstep; returns (pooled binding, per-position bindings)."""
+    ids, lengths = _id_rows(token_ids)
+    state = ids.shape[:-1] + (params.filler_lstm.hidden,)
+    binding, cells = zeros(state), (zeros(state), zeros(state))
     contexts: list[Tensor] = []
-    for tok in token_ids:
-        binding, cells, _ = encoder_step(tok, binding, cells, params)
+    for step_ids in ids.T:   # one id, or one per row
+        binding, cells, _ = encoder_step(step_ids, binding, cells, params)
         contexts.append(binding)
-    return _pool(contexts, pooling), contexts
+    return _pool(contexts, pooling, lengths), contexts
 
 
 def bag_of_embeddings(token_ids: Sequence[int], embed: Tensor) -> Tensor:
@@ -340,17 +374,16 @@ class LstmEncoderParams:
                    lstm=LstmParams.random(rng, dims.d_word, dims.lstm_hidden))
 
 
-def lstm_encode_sequence(token_ids: Sequence[int], params: LstmEncoderParams,
+def lstm_encode_sequence(token_ids, params: LstmEncoderParams,
                          pooling: str = "sum_tprs") -> tuple[Tensor, list[Tensor]]:
-    if not token_ids:
-        raise ValueError("cannot encode an empty token sequence")
-    h, c = zeros(params.lstm.hidden), zeros(params.lstm.hidden)
+    ids, lengths = _id_rows(token_ids)
+    state = ids.shape[:-1] + (params.lstm.hidden,)
+    h, c = zeros(state), zeros(state)
     contexts: list[Tensor] = []
-    for tok in token_ids:
-        _check_token(tok, params)
-        h, c = lstm_cell(params.lstm, embedding_row(params.embed, tok), h, c)
+    for step_ids in ids.T:   # one id, or one per row
+        h, c = lstm_cell(params.lstm, _embed(params.embed, step_ids, "token"), h, c)
         contexts.append(h)
-    return _pool(contexts, pooling), contexts
+    return _pool(contexts, pooling, lengths), contexts
 
 
 # ---------------------------------------------------------------------------
@@ -448,32 +481,29 @@ class LstmDecoderParams:
 
 def project_contexts(contexts: Sequence[Tensor],
                      params: DecoderParams | LstmDecoderParams) -> Tensor:
-    """Attention memory: row t is ``w_context @ contexts[t]``, all rows from one product."""
+    """Attention memory: row t is ``w_context @ contexts[t]``, all rows from one
+    product; ``(B, d)`` contexts give a ``(B, T, d_h)`` memory."""
     if not contexts:
         raise ValueError("attention needs a non-empty context")
-    return matmul(stack_rows(contexts), transpose(params.w_context))
+    return matmul(params.w_context, stack_rows(contexts))
 
 
-def _attend(h_input: Tensor, projected: Tensor,
-            params: DecoderParams | LstmDecoderParams) -> tuple[Tensor, Tensor]:
-    """Dot-product attention over the memory's rows, then a tanh combining layer."""
-    scores = matmul(projected, h_input)
-    weights = softmax_with_temperature(scores, 1.0)
-    summary = matmul(transpose(projected), weights)
+def _attend(h_input: Tensor, projected: Tensor, params: DecoderParams | LstmDecoderParams,
+            mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Dot-product attention over the memory's rows, then a tanh combining layer;
+    memory rows where ``mask`` is False get weight 0."""
+    scores = contract_last(projected, h_input)
+    weights = softmax_with_temperature(scores, 1.0, mask)
+    summary = contract_last(transpose(projected), weights)
     combined = matmul(params.attn_combine, concat([h_input, summary]))
     return tanh(combined), weights
 
 
-def _embed_tuple(prev_ids: Sequence[int], params: DecoderParams | LstmDecoderParams) -> Tensor:
-    rel_id, arg_ids = prev_ids[0], prev_ids[1:]
-    if not 0 <= rel_id < params.rel_embed.shape[0]:
-        raise VocabError(f"relation id {rel_id} outside vocabulary")
-    parts = [embedding_row(params.rel_embed, rel_id)]
-    for a in arg_ids:
-        if not 0 <= a < params.arg_embed.shape[0]:
-            raise VocabError(f"argument id {a} outside vocabulary")
-        parts.append(embedding_row(params.arg_embed, a))
-    return concat(parts)
+def _embed_tuple(prev_ids, params: DecoderParams | LstmDecoderParams) -> Tensor:
+    """The embedded ``(relation, *arguments)`` ids of one tuple; for a minibatch,
+    each slot holds one id per row."""
+    return concat([_embed(params.rel_embed, prev_ids[0], "relation")]
+                  + [_embed(params.arg_embed, ids, "argument") for ids in prev_ids[1:]])
 
 
 def unbinding_module(hidden: Tensor, params: DecoderParams, dims: ModelDims
@@ -483,16 +513,17 @@ def unbinding_module(hidden: Tensor, params: DecoderParams, dims: ModelDims
     Returns (relation logits, per-position argument logits, relation
     unbinding vector).
     """
-    if hidden.size != dims.d_h:
-        raise ShapeError(f"hidden size {hidden.size} != d_arg*d_rel*d_pos = {dims.d_h}")
-    cube = reshape(hidden, (dims.d_arg, dims.d_rel, dims.d_pos))
+    if hidden.shape[-1] != dims.d_h:
+        raise ShapeError(f"hidden size {hidden.shape[-1]} != d_arg*d_rel*d_pos = {dims.d_h}")
+    lead = hidden.shape[:-1]
+    cube = reshape(hidden, lead + (dims.d_arg, dims.d_rel, dims.d_pos))
     slabs = [contract_last(cube, p) for p in params.pos_unbind]
     total = slabs[0]
     for s in slabs[1:]:
         total = add(total, s)
-    r_unbind = matmul(params.w_dual, flatten(total))
+    r_unbind = matmul(params.w_dual, flatten(total, len(lead)))
     rel_logits = matmul(params.rel_classifier, r_unbind)
-    arg_logits = [matmul(params.arg_classifier, matmul(slab, r_unbind)) for slab in slabs]
+    arg_logits = [matmul(params.arg_classifier, contract_last(slab, r_unbind)) for slab in slabs]
     return rel_logits, arg_logits, r_unbind
 
 
@@ -520,24 +551,26 @@ class Tpn2fModel:
         return [named for part in ("encoder", "reasoning", "decoder")
                 for named in named_tensors(getattr(self, part), part)]
 
-    def encode(self, token_ids: Sequence[int]) -> tuple[Tensor, list[Tensor]]:
+    def encode(self, token_ids) -> tuple[Tensor, list[Tensor]]:
+        """Encode one sample's token ids, or a list of samples' in lockstep."""
         if self.variant.encoder == "tpr":
             return encode_sequence(token_ids, self.encoder, self.variant.pooling)
         return lstm_encode_sequence(token_ids, self.encoder, self.variant.pooling)
 
     def initial_decoder_state(self, pooled: Tensor) -> tuple[Tensor, Tensor]:
         hidden = reasoning_map(pooled, self.reasoning)
-        return hidden, zeros(hidden.size)
+        return hidden, zeros(hidden.shape)
 
     def project_contexts(self, contexts: Sequence[Tensor]) -> Tensor:
         return project_contexts(contexts, self.decoder)
 
-    def decode_step(self, prev_ids: Sequence[int], hidden: Tensor, cell: Tensor,
-                    projected: Tensor) -> tuple[Tensor, Tensor]:
-        """One tuple-LSTM step: embed the previous tuple, recur, attend."""
+    def decode_step(self, prev_ids, hidden: Tensor, cell: Tensor, projected: Tensor,
+                    mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+        """One tuple-LSTM step: embed the previous tuple, recur, attend over the
+        memory rows ``mask`` keeps (all of them when it is None)."""
         x = _embed_tuple(prev_ids, self.decoder)
         h_in, cell = lstm_cell(self.decoder.lstm, x, hidden, cell)
-        hidden, _ = _attend(h_in, projected, self.decoder)
+        hidden, _ = _attend(h_in, projected, self.decoder, mask)
         return hidden, cell
 
     def head_logits(self, hidden: Tensor) -> tuple[Tensor, list[Tensor], Tensor | None]:

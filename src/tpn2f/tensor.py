@@ -4,16 +4,22 @@ Everything downstream (the encoder-decoder, the training loop, the gradient
 checks) is built on the small op set in this module.  Arrays are row-major
 float64 throughout; reshape/transpose are metadata-only views.
 
-One gradient is formed late: ``matmul(W, x)`` with a vector ``x`` and a leaf
-``W`` (a tensor no node on the tape produced, i.e. a parameter) hands
-``backward`` the factors of its outer product instead of the product.
-``backward`` collects them per leaf and forms each leaf's grad with one GEMM
-after the reverse sweep, instead of one ``np.outer`` and one full-size add per
-step of a recurrence.
+Activations keep their features on the last axis under optional leading row
+axes: one sample's vector is ``(d,)`` and a minibatch run in lockstep holds
+one row per sample, ``(B, d)``.  Every op treats each row alike, so one model
+code path serves a sample and a minibatch.
+
+One gradient is formed late: ``matmul(W, X)`` with a leaf ``W`` (a tensor no
+node on the tape produced, i.e. a parameter) hands ``backward`` the factors
+``G`` and ``X`` of its grad ``G^T X`` instead of the product.  ``backward``
+stacks each leaf's factor rows, B x T of them over B rows and T steps of a
+recurrence, and forms its grad with one GEMM after the reverse sweep, instead
+of one product and one full-size add per step.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -43,8 +49,9 @@ class StateError(RuntimeError):
 class Tensor:
     """A dense float64 array that can participate in gradient taping.
 
-    ``grad`` is allocated lazily by ``backward`` and accumulates additively;
-    it is cleared by ``adam_step``, never implicitly.
+    A leaf's ``grad`` is allocated lazily by ``backward`` and accumulates
+    additively; it is cleared by ``adam_step``, never implicitly.  A produced
+    tensor's grad lives only while ``backward`` passes it on.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -84,18 +91,17 @@ class GradientTape:
     """Append-only record of executed ops, replayed in reverse by ``backward``.
 
     A tape and the tensors recorded on it form a single-threaded unit.
-    Record one loss per tape: replay leaves intermediate grads in place, so a
-    second loss recorded on the same tape would re-count the first one's
-    subgraph.  For batch accumulation, open a fresh tape per sample; leaf
+    Record one loss per tape: a minibatch run in lockstep is one loss.  Leaf
     parameter grads persist and add up across tapes.
 
-    A leaf's matrix-times-vector grads are deferred to the end of
-    ``backward`` (see the module docstring).  This is safe because a node's
-    output grad is final once that node is replayed: every consumer of a
-    tensor was recorded after the node that produced it, so it is replayed
-    before.  A leaf's grad is never read during the sweep, so it may be
+    A leaf's matmul grads are deferred to the end of ``backward`` (see the
+    module docstring).  This is safe because a node's output grad is final
+    once that node is replayed: every consumer of a tensor was recorded after
+    the node that produced it, so it is replayed before.  For the same reason
+    ``backward`` drops each produced tensor's grad as soon as its node is
+    replayed.  A leaf's grad is never read during the sweep, so it may be
     completed after it; a produced matrix's grad is read when its node is
-    replayed, so it takes the outer product at once.
+    replayed, so it takes its product at once.
     """
 
     def __init__(self):
@@ -121,9 +127,12 @@ _ACTIVE_TAPE: GradientTape | None = None
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     tape = _ACTIVE_TAPE
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape._nodes.append((out, inputs, backward_fn))
+    if tape is not None:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                tape._nodes.append((out, inputs, backward_fn))
+                break
     return out
 
 
@@ -138,7 +147,8 @@ def _accumulate(t: Tensor, g: np.ndarray | None) -> None:
 
 
 class _OuterFactors:
-    """The grad ``np.outer(g, x)`` of a matmul weight, not yet formed."""
+    """The grad ``g.T @ x`` of a matmul weight, not yet formed: ``g`` holds
+    one output-grad row and ``x`` one input row per row of the product."""
 
     __slots__ = ("g", "x")
 
@@ -153,15 +163,16 @@ GRAD_BLOCK_ROWS = 1000
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
-    Gradients accumulate additively across uses and across calls; clearing
-    is the optimizer's job.  The outer-product grads that ``matmul(W, x)``
-    sends to a leaf ``W`` are kept as factor pairs during the reverse sweep
-    and added to ``W.grad`` after it as one ``G^T X`` product over the
-    stacked steps (taken in blocks of ``GRAD_BLOCK_ROWS`` rows when
-    ``W.grad`` already exists); all other grads, including those of
-    produced matrices, are added at once.
+    Leaf grads accumulate additively across uses and across calls; clearing
+    is the optimizer's job.  A produced tensor's grad is dropped once its node
+    has been replayed, so the sweep holds only grads still to be passed on.
+    The factors ``matmul(W, X)`` sends to a leaf ``W`` are kept during the
+    reverse sweep and added to ``W.grad`` after it as one ``G^T X`` product
+    over the stacked rows of every step (taken in blocks of
+    ``GRAD_BLOCK_ROWS`` rows of ``W`` when ``W.grad`` already exists); all
+    other grads, including those of produced matrices, are added at once.
     """
     tape = _ACTIVE_TAPE
     if tape is None:
@@ -169,105 +180,121 @@ def backward(loss: Tensor) -> None:
     if loss.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
     produced = {out for out, _, _ in tape._nodes}
-    deferred: dict[Tensor, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+    deferred: dict[Tensor, list[_OuterFactors]] = {}
     _accumulate(loss, np.ones_like(loss.data))
     for out, inputs, backward_fn in reversed(tape._nodes):
         g = out.grad
         if g is None:
             continue
+        out.grad = None
         for t, gt in zip(inputs, backward_fn(g)):
             if type(gt) is _OuterFactors:
                 if not t.requires_grad:
                     continue
                 if t not in produced:
-                    gs, xs = deferred.setdefault(t, ([], []))
-                    gs.append(gt.g)
-                    xs.append(gt.x)
+                    deferred.setdefault(t, []).append(gt)
                     continue
-                gt = np.outer(gt.g, gt.x)
+                gt = gt.g.T @ gt.x
             _accumulate(t, gt)
-    for t, (gs, xs) in deferred.items():
-        g_steps, x_steps = np.stack(gs, 1), np.stack(xs)
+    for t, factors in deferred.items():
+        g_rows = np.concatenate([f.g for f in factors]).T
+        x_rows = np.concatenate([f.x for f in factors])
         if t.grad is None:
-            t.grad = g_steps @ x_steps
+            t.grad = g_rows @ x_rows
             continue
         # Row blocks, so no full-size product is held beside an existing grad.
-        for lo in range(0, len(g_steps), GRAD_BLOCK_ROWS):
-            t.grad[lo:lo + GRAD_BLOCK_ROWS] += g_steps[lo:lo + GRAD_BLOCK_ROWS] @ x_steps
+        for lo in range(0, len(g_rows), GRAD_BLOCK_ROWS):
+            t.grad[lo:lo + GRAD_BLOCK_ROWS] += g_rows[lo:lo + GRAD_BLOCK_ROWS] @ x_rows
 
 
 # ---------------------------------------------------------------------------
 # ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(m,k) @ (k,n) -> (m,n), or (m,k) @ (k,) -> (m,)."""
-    if a.ndim != 2 or b.ndim not in (1, 2):
-        raise RankError(f"matmul expects a matrix and a matrix/vector, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-    ad, bd = a.data, b.data
+def matmul(w: Tensor, x: Tensor) -> Tensor:
+    """``w @ x`` for a vector ``x``; for rows ``x`` of shape ``(..., k)``,
+    ``x @ w.T``: ``w`` times each row."""
+    if w.ndim != 2 or x.ndim < 1:
+        raise RankError(f"matmul expects a matrix and a vector or rows, got {w.shape} @ {x.shape}")
+    if w.shape[1] != x.shape[-1]:
+        raise ShapeError(f"matmul inner extents differ: {w.shape} @ {x.shape}")
+    wd, xd = w.data, x.data
+    out = Tensor(xd @ wd.T)   # for a vector, bit-identical to wd @ xd
 
     def bw(g):
-        if bd.ndim == 1:
-            return _OuterFactors(g, bd), ad.T @ g
-        return g @ bd.T, ad.T @ g
+        return _OuterFactors(g.reshape(-1, wd.shape[0]), xd.reshape(-1, wd.shape[1])), g @ wd
 
-    return _record(out, (a, b), bw)
+    return _record(out, (w, x), bw)
 
 
 def outer_product(a: Tensor, b: Tensor) -> Tensor:
-    """Tensor (outer) product of two vectors: out[i, j] = a[i] * b[j]."""
-    if a.ndim != 1 or b.ndim != 1:
-        raise RankError(f"outer_product expects vectors, got {a.shape} and {b.shape}")
-    out = Tensor(np.outer(a.data, b.data))
+    """Tensor (outer) product of two vectors, or of each pair of rows:
+    out[..., i, j] = a[..., i] * b[..., j]."""
+    if a.ndim < 1 or b.ndim < 1 or a.shape[:-1] != b.shape[:-1]:
+        raise RankError(f"outer_product expects vectors or equal rows, got {a.shape}, {b.shape}")
     ad, bd = a.data, b.data
+    out = Tensor(ad[..., :, None] * bd[..., None, :])
 
     def bw(g):
-        return g @ bd, g.T @ ad
+        return (g @ bd[..., :, None])[..., 0], (ad[..., None, :] @ g)[..., 0, :]
 
     return _record(out, (a, b), bw)
 
 
 def contract_last(t: Tensor, v: Tensor) -> Tensor:
-    """Inner product over the last axis: out[j..] = sum_l t[j.., l] * v[l]."""
-    if v.ndim != 1:
-        raise RankError(f"contract_last expects a vector, got {v.shape}")
-    if t.ndim < 1 or t.shape[-1] != v.shape[0]:
+    """Inner product over the last axis: out[j..] = sum_l t[j.., l] * v[l]; rows
+    ``v`` (B, L) against ``t`` (B, M, L) give one matrix-vector product per row."""
+    if not (v.ndim == 1 and t.ndim >= 1 or v.ndim == 2 and t.ndim == 3 and
+            t.shape[0] == v.shape[0]) or t.shape[-1] != v.shape[-1]:
         raise ShapeError(f"contract_last extents differ: {t.shape} with {v.shape}")
-    out = Tensor(t.data @ v.data)
     td, vd = t.data, v.data
-    lead = tuple(range(td.ndim - 1))
+    if vd.ndim == 1:
+        out = Tensor(td @ vd)
 
-    def bw(g):
-        gt = g[..., None] * vd
-        gv = np.tensordot(td, g, axes=(lead, lead)) if lead else td * g
-        return gt, gv
+        def bw(g):
+            return g[..., None] * vd, g.reshape(-1) @ td.reshape(-1, td.shape[-1])
+    else:
+        out = Tensor((td @ vd[:, :, None])[:, :, 0])
+
+        def bw(g):
+            return g[:, :, None] * vd[:, None, :], (g[:, None, :] @ td)[:, 0, :]
 
     return _record(out, (t, v), bw)
 
 
-def softmax_with_temperature(logits: Tensor, temperature: float) -> Tensor:
-    """softmax(logits / temperature), stabilized by max subtraction."""
+def softmax_with_temperature(logits: Tensor, temperature: float, mask=None) -> Tensor:
+    """softmax(logits / temperature) over the last axis, stabilized by max
+    subtraction; entries where the boolean ``mask`` is False get weight 0."""
     if temperature <= 0.0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    if logits.ndim != 1:
-        raise RankError(f"softmax expects a vector, got {logits.shape}")
+    if logits.ndim < 1:
+        raise RankError(f"softmax expects a vector or rows, got {logits.shape}")
     z = logits.data / temperature
-    e = np.exp(z - z.max())
-    y = e / e.sum()
+    if mask is not None:
+        if np.shape(mask) != logits.shape:
+            raise ShapeError(f"softmax mask {np.shape(mask)} differs from logits {logits.shape}")
+        z = np.where(mask, z, -np.inf)
+    rows = z.ndim > 1   # a vector's scalar max and sum broadcast faster
+    e = np.exp(z - z.max(axis=-1, keepdims=rows))
+    y = e / e.sum(axis=-1, keepdims=rows)
     out = Tensor(y)
 
     def bw(g):
-        return ((g - g @ y) * y / temperature,)
+        return ((g - (g * y).sum(axis=-1, keepdims=rows)) * y / temperature,)
 
     return _record(out, (logits,), bw)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # tanh form is stable for large |x|: 0.5 * (tanh(0.5 * x) + 1).
+    y = np.tanh(0.5 * x)
+    y += 1.0
+    y *= 0.5
+    return y
+
+
 def sigmoid(t: Tensor) -> Tensor:
-    # tanh form is stable for large |x|.
-    y = 0.5 * (np.tanh(0.5 * t.data) + 1.0)
+    y = _sigmoid(t.data)
     out = Tensor(y)
 
     def bw(g):
@@ -286,13 +313,46 @@ def tanh(t: Tensor) -> Tensor:
     return _record(out, (t,), bw)
 
 
+def lstm_gates(z: Tensor, c_prev: Tensor) -> Tensor:
+    """An LSTM cell's update as one op: from the gate pre-activations
+    ``z = [f | g | i | o]`` and the cell state ``c_prev``, ``[h | c]`` with
+    c = sigmoid(f) c_prev + sigmoid(i) tanh(g) and h = sigmoid(o) tanh(c)."""
+    n = c_prev.shape[-1]
+    if z.shape != c_prev.shape[:-1] + (4 * n,):
+        raise ShapeError(f"lstm_gates needs 4H gates for state {c_prev.shape}, got {z.shape}")
+    zd, cd = z.data, c_prev.data
+    s = _sigmoid(zd)   # f, i and o; the g block is taken through tanh instead
+    f, i, o = s[..., :n], s[..., 2 * n:3 * n], s[..., 3 * n:]
+    g = np.tanh(zd[..., n:2 * n])
+    hc = np.empty(cd.shape[:-1] + (2 * n,))
+    c = np.multiply(f, cd, out=hc[..., n:])
+    c += i * g
+    tc = np.tanh(c)
+    np.multiply(o, tc, out=hc[..., :n])
+    out = Tensor(hc)
+
+    def bw(grad):
+        gh = grad[..., :n]
+        gc = grad[..., n:] + gh * o * (1.0 - tc * tc)
+        gz = s * (1.0 - s)   # sigmoid' on every block; the g block is overwritten
+        gz[..., :n] *= gc * cd
+        gz[..., n:2 * n] = gc * i * (1.0 - g * g)
+        gz[..., 2 * n:3 * n] *= gc * g
+        gz[..., 3 * n:] *= gh * tc
+        return gz, gc * f
+
+    return _record(out, (z, c_prev), bw)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
+    """a + b, of equal shapes, or rows ``a`` plus one vector ``b`` (a bias)."""
+    per_row = a.shape != b.shape
+    if per_row and (b.ndim != 1 or a.shape[-1:] != b.shape):
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
     out = Tensor(a.data + b.data)
 
     def bw(g):
-        return g, g
+        return g, (g.reshape(-1, b.size).sum(axis=0) if per_row else g)
 
     return _record(out, (a, b), bw)
 
@@ -328,31 +388,35 @@ def reshape(t: Tensor, shape) -> Tensor:
     return _record(out, (t,), bw)
 
 
-def flatten(t: Tensor) -> Tensor:
-    return reshape(t, (-1,))
+def flatten(t: Tensor, start: int = 0) -> Tensor:
+    """Merge the axes from ``start`` on into one; 1 keeps a leading row axis."""
+    return reshape(t, t.shape[:start] + (-1,))
 
 
 def transpose(t: Tensor) -> Tensor:
-    if t.ndim != 2:
+    """Swap the last two axes: a matrix's transpose, per row for ``(B, M, N)``."""
+    if t.ndim < 2:
         raise RankError(f"transpose expects a matrix, got {t.shape}")
-    out = Tensor(t.data.T)
+    out = Tensor(t.data.swapaxes(-1, -2))
 
     def bw(g):
-        return (g.T,)
+        return (g.swapaxes(-1, -2),)
 
     return _record(out, (t,), bw)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
-    if not parts or any(p.ndim != 1 for p in parts):
-        raise RankError("concat expects a non-empty sequence of vectors")
-    out = Tensor(np.concatenate([p.data for p in parts]))
-    sizes = [p.size for p in parts]
+    """Join vectors, or rows of equal count, along the last axis."""
+    try:
+        out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+    except ValueError as exc:   # no parts, a 0-d part or unequal leading axes
+        raise RankError(f"concat expects vectors or equal rows: {exc}") from None
+    sizes = [p.shape[-1] for p in parts]
 
     def bw(g):
         grads, off = [], 0
         for n in sizes:
-            grads.append(g[off:off + n])
+            grads.append(g[..., off:off + n])
             off += n
         return grads
 
@@ -360,51 +424,59 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 def split(t: Tensor, n: int) -> list[Tensor]:
-    """The ``n`` equal consecutive pieces of a vector, each a view of it.
+    """The ``n`` equal consecutive pieces of the last axis, each a view of ``t``.
 
     Each piece is its own tape node, whose backward scatters the piece's grad
-    into a zero vector the size of ``t``.
+    into a zero array the shape of ``t``.
     """
-    if t.ndim != 1:
-        raise RankError(f"split expects a vector, got {t.shape}")
-    if n < 1 or t.size % n:
-        raise ShapeError(f"cannot split {t.size} entries into {n} equal pieces")
-    total = t.size
+    if t.ndim < 1:
+        raise RankError(f"split expects a vector or rows, got {t.shape}")
+    total = t.shape[-1]
+    if n < 1 or total % n:
+        raise ShapeError(f"cannot split {total} entries into {n} equal pieces")
+    shape = t.shape
     size = total // n
     pieces = []
     for lo in range(0, total, size):
         def bw(g, lo=lo):
-            gt = np.zeros(total)
-            gt[lo:lo + size] = g
+            gt = np.zeros(shape)
+            gt[..., lo:lo + size] = g
             return (gt,)
 
-        pieces.append(_record(Tensor(t.data[lo:lo + size]), (t,), bw))
+        pieces.append(_record(Tensor(t.data[..., lo:lo + size]), (t,), bw))
     return pieces
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    if not rows or any(r.ndim != 1 for r in rows):
-        raise RankError("stack_rows expects a non-empty sequence of vectors")
-    out = Tensor(np.stack([r.data for r in rows]))
+    """Stack equal vectors as the rows of a matrix; ``(B, d)`` rows give ``(B, n, d)``."""
+    if not rows or any(r.ndim < 1 or r.shape != rows[0].shape for r in rows):
+        raise RankError("stack_rows expects a non-empty sequence of equal vectors or rows")
+    out = Tensor(np.stack([r.data for r in rows], axis=-2))
 
     def bw(g):
-        return [g[k] for k in range(len(rows))]
+        return [g[..., k, :] for k in range(len(rows))]
 
     return _record(out, tuple(rows), bw)
 
 
-def embedding_row(table: Tensor, index: int) -> Tensor:
-    """Row lookup with gradient accumulation into that row."""
+def embedding_row(table: Tensor, index) -> Tensor:
+    """Row ``index`` of ``table``, or one row per id of an integer array; the
+    backward adds each row's grad into its table row (repeated ids add up)."""
     if table.ndim != 2:
         raise RankError(f"embedding_row expects a matrix, got {table.shape}")
-    if not 0 <= index < table.shape[0]:
-        raise IndexError(f"row {index} out of range for table {table.shape}")
-    out = Tensor(table.data[index].copy())
+    try:
+        ids, one = operator.index(index), True   # one id, as a Python int
+    except TypeError:
+        ids, one = np.asarray(index), False
+    if (not 0 <= ids < table.shape[0]) if one else (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise IndexError(f"id {index} out of range for table {table.shape}")
+    rows = table.data[ids]
+    out = Tensor(rows.copy() if one else rows)   # an array of ids already copies
     shape = table.shape
 
     def bw(g):
         gt = np.zeros(shape)
-        gt[index] = g
+        np.add.at(gt, ids, g)
         return (gt,)
 
     return _record(out, (table,), bw)
@@ -420,21 +492,29 @@ def sum_all(t: Tensor) -> Tensor:
     return _record(out, (t,), bw)
 
 
-def cross_entropy(logits: Tensor, true_index: int) -> Tensor:
-    """-log softmax(logits)[true_index]; always non-negative."""
-    if logits.ndim != 1:
-        raise RankError(f"cross_entropy expects a logit vector, got {logits.shape}")
-    n = logits.shape[0]
-    if not 0 <= true_index < n:
+def cross_entropy(logits: Tensor, true_index, weights=None) -> Tensor:
+    """-log softmax(logits)[true_index]; always non-negative.  For rows of
+    logits, the sum of each row's term for its class in ``true_index``, times
+    its weight in ``weights`` (1 when None)."""
+    if logits.ndim < 1:
+        raise RankError(f"cross_entropy expects a logit vector or rows, got {logits.shape}")
+    n = logits.shape[-1]
+    target = np.asarray(true_index)
+    w = np.ones(target.shape) if weights is None else np.asarray(weights, dtype=np.float64)
+    if not target.shape == w.shape == logits.shape[:-1]:
+        raise ShapeError(f"cross_entropy needs a class and weight per row of {logits.shape}")
+    if target.size and (target.min() < 0 or target.max() >= n):
         raise IndexError(f"true_index {true_index} out of range for {n} classes")
-    z = logits.data - logits.data.max()
-    lse = np.log(np.exp(z).sum())
-    out = Tensor(lse - z[true_index])
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    losses = lse[..., 0] - np.take_along_axis(z, target[..., None], axis=-1)[..., 0]
+    out = Tensor((losses * w).sum())
     probs = np.exp(z - lse)
 
     def bw(g):
-        gl = probs * g
-        gl[true_index] -= g
+        gw = g * w
+        gl = probs * gw[..., None]
+        gl.reshape(-1, n)[np.arange(target.size), target.reshape(-1)] -= gw.reshape(-1)
         return (gl,)
 
     return _record(out, (logits,), bw)

@@ -1,5 +1,6 @@
 """Encoder/decoder behavior: closed forms, shapes, variants, gradient flow."""
 
+import tracemalloc
 import types
 
 import numpy as np
@@ -241,6 +242,31 @@ def test_project_contexts_matches_per_row_products(d_h, d_t, steps):
     for got, want in zip(run(project_contexts), run(_per_row_memory), strict=True):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_project_contexts_backward_holds_only_leaf_grads_and_activations():
+    """At the mathqa preset's (1000, 600) ``w_context``, a 40-position memory's
+    forward+backward leaves held the leaf grads plus the activations the tape
+    keeps (stacked contexts, memory, product), and no produced tensor's grad."""
+    rng = np.random.default_rng(31)
+    params = types.SimpleNamespace(
+        w_context=Tensor(rng.uniform(-0.1, 0.1, (1000, 600)), requires_grad=True))
+    contexts = [Tensor(rng.standard_normal(600), requires_grad=True) for _ in range(40)]
+    weights = Tensor(rng.uniform(-1, 1, (40, 1000)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with GradientTape():
+            memory = project_contexts(contexts, params)
+            product = mul(memory, weights)
+            backward(sum_all(product))
+            held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    leaf_grads = params.w_context.grad.nbytes + sum(c.grad.nbytes for c in contexts)
+    activations = 40 * 600 * 8 + memory.data.nbytes + product.data.nbytes
+    assert memory.grad is None and product.grad is None
+    assert held <= leaf_grads + activations + 64 * 1024, held
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,17 @@ def test_matmul_hand_value():
 
 
 def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"2, 3.*2, 3"):
-        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 2\)"):
+        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+
+
+def test_matmul_of_rows_is_the_product_with_each_row():
+    w = np.arange(6.0).reshape(2, 3)
+    rows = np.array([[1.0, 0.0, 2.0], [0.5, -1.0, 3.0]])
+    out = matmul(Tensor(w), Tensor(rows))
+    assert np.array_equal(out.data, np.stack([w @ r for r in rows]))
+    cube = np.arange(12.0).reshape(2, 2, 3)
+    assert matmul(Tensor(w), Tensor(cube)).shape == (2, 2, 2)
 
 
 def test_outer_basis():
@@ -205,6 +214,46 @@ def test_cross_entropy_index_check():
         cross_entropy(Tensor([1.0, 2.0]), 2)
 
 
+def test_cross_entropy_rows_are_a_weighted_sum():
+    logits = np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 2.0], [4.0, 0.0, 0.0]])
+    targets, weights = np.array([1, 2, 0]), np.array([1.0, 0.0, 2.5])
+    want = sum(w * cross_entropy(Tensor(row), t).item()
+               for row, t, w in zip(logits, targets, weights))
+    x = Tensor(logits, requires_grad=True)
+    with GradientTape():
+        loss = cross_entropy(x, targets, weights)
+        backward(loss)
+    assert loss.item() == pytest.approx(want, rel=1e-14)
+    assert np.array_equal(x.grad[1], np.zeros(3))   # a row of weight 0 gets no grad
+    with pytest.raises(ShapeError):
+        cross_entropy(x, np.array([0, 1]))
+
+
+def test_softmax_mask_gives_weight_exactly_zero():
+    logits = Tensor(np.array([[3.0, 1.0, 2.0], [0.5, 0.5, 9.0]]), requires_grad=True)
+    mask = np.array([[True, False, True], [True, True, False]])
+    with GradientTape():
+        y = softmax_with_temperature(logits, 1.0, mask)
+        backward(sum_all(mul(y, Tensor(np.arange(6.0).reshape(2, 3)))))
+    assert y.data[0, 1] == 0.0 and y.data[1, 2] == 0.0
+    assert np.allclose(y.data.sum(axis=1), 1.0, atol=1e-15)
+    assert np.allclose(y.data[0, [0, 2]], softmax_with_temperature(Tensor([3.0, 2.0]), 1.0).data)
+    assert logits.grad[0, 1] == 0.0 and logits.grad[1, 2] == 0.0
+
+
+def test_embedding_rows_scatter_add_repeated_ids():
+    table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    with GradientTape():
+        rows = embedding_row(table, np.array([2, 0, 2]))
+        backward(sum_all(mul(rows, Tensor(np.ones((3, 3))))))
+    assert np.array_equal(rows.data, table.data[[2, 0, 2]])
+    assert np.array_equal(table.grad[:, 0], [1.0, 0.0, 2.0, 0.0])
+    with pytest.raises(IndexError):
+        embedding_row(table, np.array([1, 4]))
+    with pytest.raises(IndexError):
+        embedding_row(table, -1)
+
+
 # ---------------------------------------------------------------------------
 # backward
 
@@ -289,12 +338,15 @@ def test_tape_determinism():
     "tanh", "add", "mul", "cross_entropy", "reshape", "transpose", "concat",
     "stack", "embed", "scale", "matmul_recurrent", "matmul_produced", "matmul_mixed",
     "split", "split_partial",
+    "matmul_rows_recurrent", "matmul_rows3", "bias_rows", "outer_rows", "contract_rows",
+    "softmax_masked", "cross_entropy_rows", "embed_ids", "concat_split_rows", "stack_rows3",
+    "transpose_rows",
 ])
 def test_gradient_check_all_ops(name):
     """Central differences (h=1e-5) vs backward(): relative error < 1e-4."""
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     xs = [Tensor(rng.uniform(-1, 1, s), requires_grad=True) for s in {
-        "matmul_mat": [(3, 4), (4, 2)],
+        "matmul_mat": [(3, 4), (2, 4)],
         "matmul_vec": [(3, 4), (4,)],
         "outer": [(3,), (4,)],
         "contract3": [(2, 3, 4), (4,)],
@@ -315,7 +367,20 @@ def test_gradient_check_all_ops(name):
         "matmul_mixed": [(4, 3), (3,), (4,)],
         "split": [(8,), (2,)],
         "split_partial": [(9,)],
+        "matmul_rows_recurrent": [(4, 4), (3, 4), (3, 4), (3, 4)],
+        "matmul_rows3": [(3, 4), (2, 5, 4)],
+        "bias_rows": [(3, 4), (4,)],
+        "outer_rows": [(2, 3), (2, 4)],
+        "contract_rows": [(2, 3, 4), (2, 4)],
+        "softmax_masked": [(3, 5)],
+        "cross_entropy_rows": [(4, 5)],
+        "embed_ids": [(4, 3)],
+        "concat_split_rows": [(2, 3), (2, 5)],
+        "stack_rows3": [(2, 3), (2, 3)],
+        "transpose_rows": [(2, 3, 4)],
     }[name]]
+    weights = Tensor(rng.uniform(-1, 1, (3, 5)))
+    mask = np.array([[True, False, True, True, False], [True] * 5, [False, False, True, False, False]])
 
     def forward():
         if name == "matmul_mat" or name == "matmul_vec":
@@ -367,6 +432,32 @@ def test_gradient_check_all_ops(name):
         if name == "split_partial":  # an unused piece gets a zero grad
             a, _, c = split(tanh(xs[0]), 3)
             return sum_all(mul(a, c))
+        if name == "matmul_rows_recurrent":  # B x T factor rows stacked for one leaf
+            h = tanh(matmul(xs[0], xs[1]))
+            for x in xs[2:]:
+                h = tanh(add(matmul(xs[0], h), x))
+            return sum_all(h)
+        if name == "matmul_rows3":
+            return sum_all(tanh(matmul(xs[0], xs[1])))
+        if name == "bias_rows":
+            return sum_all(tanh(add(xs[0], xs[1])))
+        if name == "outer_rows":
+            return sum_all(tanh(outer_product(xs[0], xs[1])))
+        if name == "contract_rows":
+            return sum_all(tanh(contract_last(xs[0], xs[1])))
+        if name == "softmax_masked":  # one row fully kept, one with a single entry
+            return sum_all(mul(softmax_with_temperature(xs[0], 0.4, mask), weights))
+        if name == "cross_entropy_rows":  # the second row has weight 0
+            return cross_entropy(xs[0], np.array([2, 0, 4, 1]), np.array([1.0, 0.0, 0.5, 2.0]))
+        if name == "embed_ids":  # id 1 repeats
+            return sum_all(tanh(embedding_row(xs[0], np.array([1, 3, 1]))))
+        if name == "concat_split_rows":
+            a, b = split(concat([xs[0], xs[1]]), 2)
+            return sum_all(tanh(mul(a, b)))
+        if name == "stack_rows3":
+            return sum_all(tanh(mul(stack_rows([xs[0], xs[1]]), Tensor(np.arange(12.0).reshape(2, 2, 3)))))
+        if name == "transpose_rows":
+            return sum_all(tanh(mul(transpose(xs[0]), Tensor(np.arange(24.0).reshape(2, 4, 3)))))
         raise AssertionError(name)
 
     with GradientTape():
@@ -382,7 +473,9 @@ def test_split_pieces_are_consecutive_and_checked():
     with pytest.raises(ShapeError):
         split(t, 4)
     with pytest.raises(RankError):
-        split(Tensor(np.zeros((2, 2))), 2)
+        split(Tensor(np.zeros(())), 2)
+    rows = split(Tensor(np.arange(8.0).reshape(2, 4)), 2)
+    assert [p.data.tolist() for p in rows] == [[[0, 1], [4, 5]], [[2, 3], [6, 7]]]
 
 
 def test_matmul_weight_grad_accumulates_across_tapes():
@@ -419,14 +512,15 @@ def test_weight_grad_added_in_row_blocks_equals_whole_product(monkeypatch):
 
 
 def _outer_per_step_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Reference matmul: forms and adds the weight's outer product every step."""
-    out = Tensor(a.data @ b.data)
+    """Reference matmul: forms and adds the weight's outer product every step
+    (``a`` times the vector ``b``, or times each of the rows ``b``)."""
     ad, bd = a.data, b.data
+    out = Tensor(ad @ bd if bd.ndim == 1 else bd @ ad.T)
 
     def bw(g):
         if bd.ndim == 1:
             return np.outer(g, bd), ad.T @ g
-        return g @ bd.T, ad.T @ g
+        return g.T @ bd, g @ ad
 
     return tensor_mod._record(out, (a, b), bw)
 

@@ -23,9 +23,10 @@ from tpn2f.data import build_vocabularies, preprocess_samples, save_dataset
 from tpn2f.formal_lang import RelationalTuple
 from tpn2f.model import ModelDims, ModelVariant, build_model
 from tpn2f.synthetic import make_micro_dataset, micro_config
-from tpn2f.tensor import AdamState, Tensor
+from tpn2f.tensor import AdamState, GradientTape, Tensor, backward
 from tpn2f.training import (
     CHECKPOINT_VERSION,
+    LOCKSTEP_MIN_ROWS,
     CheckpointError,
     ConfigError,
     EpochStats,
@@ -35,7 +36,9 @@ from tpn2f.training import (
     encode_samples,
     greedy_decode,
     load_checkpoint,
+    lockstep_targets,
     mathqa_preset,
+    minibatch_loss,
     save_checkpoint,
     sequence_loss,
     teacher_forced_logits,
@@ -244,6 +247,116 @@ def test_same_seed_identical_trajectory():
         return [s.mean_loss for s in train(model, samples, cfg)]
 
     assert run() == run()  # bit-identical floats
+
+
+# ---------------------------------------------------------------------------
+# lockstep minibatches
+
+
+def _lockstep_setup(cfg, n=20):
+    cfg.d_word = 16
+    samples = preprocess_samples(make_micro_dataset(n, seed=0), positions=cfg.positions)
+    vocab = build_vocabularies(samples)
+    model = build_model(cfg.variant(), cfg.dims(), vocab, np.random.default_rng(3))
+    encoded = encode_samples(samples, vocab, cfg.positions)
+    short = [e for e in encoded if len(e.token_ids) < 6]
+    long = next(e for e in encoded if len(e.token_ids) == 6 and len(e.target_ids) == 3)
+    return model, short, long
+
+
+def _loss_and_grads(model, groups):
+    """Summed loss and every parameter grad of ``groups``, one tape each."""
+    total = 0.0
+    for group in groups:
+        with GradientTape():
+            loss = minibatch_loss(model, group)
+            backward(loss)
+        total += loss.item()
+    grads = [t.grad for _, t in model.parameters()]
+    for _, t in model.parameters():
+        t.grad = None
+    return total, grads
+
+
+@pytest.mark.parametrize("setting", ["tpr-tpr", "tpr-lstm", "lstm-tpr", "lstm-lstm",
+                                     "last_state", "mathqa", "algolisp"])
+def test_lockstep_loss_and_grads_equal_the_sum_of_single_samples(setting):
+    """One lockstep tape over samples of 2, 3 and 6 tokens and 2 and 3 steps gives
+    the summed loss and every parameter grad of one tape per sample, within 1e-10
+    relative: the four variants and last-state pooling at micro dims, and the
+    published dims at 2 (mathqa) and 3 (algolisp) argument positions."""
+    if setting in ("mathqa", "algolisp"):
+        cfg = mathqa_preset() if setting == "mathqa" else algolisp_preset()
+    else:
+        cfg = micro_config()
+        if setting == "last_state":
+            cfg.pooling = "last_state"
+        else:
+            cfg.encoder, cfg.decoder = setting.split("-")
+    model, short, long = _lockstep_setup(cfg)
+    batch = short[:3] + [long]
+    assert len({len(e.token_ids) for e in batch}) == 3
+    assert len({len(e.target_ids) for e in batch}) == 2
+    got_loss, got = _loss_and_grads(model, [batch])
+    want_loss, want = _loss_and_grads(model, [[e] for e in batch])
+    assert abs(got_loss - want_loss) <= 1e-10 * want_loss
+    for (name, _), g, w in zip(model.parameters(), got, want, strict=True):
+        assert (g is None) == (w is None), name
+        if w is not None:
+            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max(), name
+
+
+def test_padding_a_minibatch_leaves_every_rows_loss_unchanged():
+    """Adding a 6-token, 3-step sample pads the other rows from 3 tokens and 2
+    steps; each of their losses moves by at most 1e-12 relative."""
+    model, short, long = _lockstep_setup(micro_config())
+    batch = short[:5]
+    assert max(len(e.token_ids) for e in batch) <= 3
+    assert max(len(e.target_ids) for e in batch) == 2
+
+    def row_losses(rows):
+        targets, weights = lockstep_targets(rows)
+        logits = teacher_forced_logits(model, [e.token_ids for e in rows], targets)
+        one_row = np.eye(len(rows))
+        return [sequence_loss(logits, targets, weights * one_row[b]).item()
+                for b in range(len(rows))]
+
+    alone = row_losses(batch)
+    padded = row_losses(batch + [long])
+    for a, p in zip(alone, padded[:-1], strict=False):
+        assert abs(a - p) <= 1e-12 * a
+
+
+def test_padded_positions_and_steps_get_exactly_zero_grad():
+    """Padded token positions read token id 0 and a row's first padded step
+    reads its EOS tuple; no sample uses either, so their embedding rows get
+    exactly zero grad from a padded minibatch."""
+    model, short, long = _lockstep_setup(micro_config())
+    batch = short[:5] + [long]
+    eos = model.vocab.relation_id("EOS")
+    assert all(0 not in e.token_ids for e in batch)
+    assert all(t[0] != eos for e in batch for t in e.target_ids[:-1])
+    with GradientTape():
+        backward(minibatch_loss(model, batch))
+    assert np.array_equal(model.encoder.embed.grad[0], np.zeros(model.dims.d_word))
+    assert np.array_equal(model.decoder.rel_embed.grad[eos], np.zeros(model.dims.d_rel))
+
+
+def test_small_minibatches_run_sample_by_sample(monkeypatch):
+    cfg, samples, vocab, model, rng = micro_setup(n=12)
+    assert cfg.batch_size == 10 and LOCKSTEP_MIN_ROWS > 2
+    sizes = []
+    real = training_mod.minibatch_loss
+
+    def spy(model, group):
+        sizes.append(len(group))
+        return real(model, group)
+
+    monkeypatch.setattr(training_mod, "minibatch_loss", spy)
+    encoded = encode_samples(samples, vocab, cfg.positions)
+    optimizer = AdamState.for_params([t for _, t in model.parameters()], cfg.learning_rate)
+    train_epoch(model, encoded, optimizer, cfg, rng)
+    assert sizes == [10, 1, 1]
 
 
 def test_loss_finite_over_random_initializations_at_published_dims():
@@ -475,6 +588,42 @@ def test_bad_header_with_valid_crc_is_checkpoint_error(tmp_path, edit, message):
     (tmp_path / "bad.ckpt").write_bytes(_reseal((tmp_path / "m.ckpt").read_bytes(), edit))
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(tmp_path / "bad.ckpt").build()
+
+
+def _set_header(key, value):
+    def edit(header):
+        owner, _, field = key.rpartition(".")
+        (header[owner] if owner else header)[field] = value
+    return edit
+
+
+@pytest.mark.parametrize("key, value", [
+    ("adam.step_count", "x"), ("adam.step_count", -1), ("adam.step_count", 2.0),
+    ("adam.step_count", True), ("adam.learning_rate", None), ("adam.learning_rate", True),
+    ("adam.beta1", "0.9"), ("adam.beta2", float("inf")), ("adam.epsilon", float("nan")),
+    ("rng_state", [1]), ("rng_state", None), ("epoch", -3), ("epoch", 1.5), ("epoch", "2"),
+])
+def test_header_optimizer_rng_and_epoch_values_are_type_checked(tmp_path, key, value):
+    _trained_bundle(tmp_path)
+    (tmp_path / "bad.ckpt").write_bytes(
+        _reseal((tmp_path / "m.ckpt").read_bytes(), _set_header(key, value)))
+    with pytest.raises(CheckpointError, match=f"checkpoint {key} must be"):
+        load_checkpoint(tmp_path / "bad.ckpt")
+
+
+def test_header_with_all_four_bad_values_makes_infer_exit_1(tmp_path, capsys):
+    cfg, samples, vocab, model = _trained_bundle(tmp_path)
+
+    def edit(header):
+        header["adam"].update(step_count="x", learning_rate=None)
+        header.update(epoch=-3, rng_state=[1])
+
+    (tmp_path / "bad.ckpt").write_bytes(_reseal((tmp_path / "m.ckpt").read_bytes(), edit))
+    save_dataset(tmp_path / "data.jsonl", samples)
+    assert dispatch(["infer", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                     "--data", str(tmp_path / "data.jsonl"),
+                     "--out", str(tmp_path / "pred.jsonl")]) == 1
+    assert "adam.step_count must be a count" in capsys.readouterr().err
 
 
 def test_not_a_checkpoint(tmp_path):
