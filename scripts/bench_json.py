@@ -118,7 +118,7 @@ def main(argv=None) -> int:
         "checkouts": {},
     }
     base_name = next(iter(checkouts))
-    for name, root in checkouts.items():
+    for name in checkouts:
         envs = [r["env"] for w in workloads for r in runs[name][w]]
         per_workload = {}
         for w in workloads:
@@ -137,7 +137,6 @@ def main(argv=None) -> int:
                 per_workload[w]["versus_" + base_name] = compare(runs[base_name][w], results,
                                                                  better)
         report["checkouts"][name] = {
-            "path": str(root),
             "commit": envs[0]["git_commit"],
             "src_lines": envs[0]["src_lines"],
             "environment": {k: v for k, v in envs[0].items()

@@ -319,17 +319,10 @@ def encoder_step(token_id, prev_binding: Tensor, prev_cells: tuple[Tensor, Tenso
 
 def _pool(contexts: list[Tensor], pooling: str, lengths: np.ndarray | None) -> Tensor:
     """The sum of each row's valid contexts (``sum_tprs``) or its last valid one
-    (``last_state``); for a minibatch, one product of the stacked contexts with
-    0/1 weights."""
-    if lengths is None:
-        if pooling == "last_state":
-            return contexts[-1]
-        pooled = contexts[0]
-        for t in contexts[1:]:
-            pooled = add(pooled, t)
-        return pooled
+    (``last_state``), as one product of the stacked contexts with 0/1 weights;
+    with no ``lengths``, every context is valid."""
     positions = np.arange(len(contexts))
-    ends = lengths[:, None]
+    ends = np.asarray(len(contexts) if lengths is None else lengths)[..., None]
     keep = positions == ends - 1 if pooling == "last_state" else positions < ends
     return contract_last(transpose(stack_rows(contexts)), Tensor(keep.astype(np.float64)))
 
