@@ -16,11 +16,17 @@ The file holds, per checkout and workload, every run's result line and the
 median and quartiles of each end-to-end metric, with the environment the
 runs reported (commit, ``src/`` line count, BLAS and thread count); with two
 or more checkouts, it also compares each one with the first, pair by pair.
+
+A run that exits non-zero, or prints no result, is listed under
+``failed_runs`` with its seed, workload, checkout, exit code and the tail of
+its stderr.  It is left out of its checkout's summaries and out of the pairs;
+the sweep goes on, and the script exits 1 once the file is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import statistics
@@ -30,25 +36,30 @@ from pathlib import Path
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``"0-9"``, ``"3,5,8"`` or a mix such as ``"0-4,100"``."""
+    """``"0-9"``, ``"3,5,8"`` or a mix such as ``"0-4,100"``; a ``ValueError``
+    for an empty part or a descending range."""
     seeds: list[int] = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        first, last = int(lo), int(hi or lo)
+        if last < first:
+            raise ValueError(f"descending seed range {part!r}")
+        seeds += range(first, last + 1)
     return seeds
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run: its ``env`` line and its closing result object."""
+    """One perfbench run: its ``env`` line and its closing result object; for a
+    run that exits non-zero or prints no result, its exit code and stderr tail."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {done.returncode}: "
-                           f"{done.stderr[-2000:]}")
-    env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
-    return {"seed": seed, "env": env, **json.loads(lines[-1])}
+    if done.returncode == 0 and lines:
+        with contextlib.suppress(StopIteration, ValueError):
+            env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+            return {"seed": seed, "env": env, **json.loads(lines[-1])}
+    return {"seed": seed, "exit_code": done.returncode, "stderr_tail": done.stderr[-2000:]}
 
 
 def summary(values: list[float]) -> dict:
@@ -58,11 +69,14 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(base: list[dict], other: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: the pairs' ratios other/base, and how many pairs ``other`` wins."""
+    """Per metric: the pairs' ratios other/base, and how many pairs ``other`` wins.
+    A pair is the two checkouts' runs of one seed; a seed either lacks is left out."""
+    base_runs = {r["seed"]: r for r in base}
+    matched = [(base_runs[o["seed"]], o) for o in other if o["seed"] in base_runs]
     out = {}
     for name, direction in better.items():
         pairs = [(b["metrics"][name]["value"], o["metrics"][name]["value"])
-                 for b, o in zip(base, other) if name in b["metrics"] and name in o["metrics"]]
+                 for b, o in matched if name in b["metrics"] and name in o["metrics"]]
         if not pairs:
             continue
         wins = sum((o > b) if direction == "higher" else (o < b) for b, o in pairs)
@@ -96,14 +110,23 @@ def main(argv=None) -> int:
     bench = json.loads((next(iter(checkouts.values())) / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     workloads = args.workloads.split(",")
-    seeds = parse_seeds(args.seeds)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        ap.error(f"--seeds {args.seeds!r}: {exc}")
 
     runs: dict[str, dict[str, list[dict]]] = {n: {w: [] for w in workloads} for n in checkouts}
+    failed_runs: list[dict] = []
     for k, seed in enumerate(seeds):
         for workload in workloads:
             order = list(checkouts.items())
             for name, root in order if k % 2 == 0 else order[::-1]:
                 result = run_perfbench(root, workload, seed, args.seconds)
+                if "exit_code" in result:
+                    failed_runs.append({"workload": workload, "checkout": name, **result})
+                    print(f"seed {seed} {workload:<13} {name:<10} FAILED "
+                          f"exit={result['exit_code']}", flush=True)
+                    continue
                 runs[name][workload].append(result)
                 rate = result["metrics"].get("train_samples_per_s", {}).get("value")
                 print(f"seed {seed} {workload:<13} {name:<10} correct={result['correct']} "
@@ -116,6 +139,7 @@ def main(argv=None) -> int:
                    f"--trace 0",
         "seeds": seeds,
         "checkouts": {},
+        "failed_runs": failed_runs,
     }
     base_name = next(iter(checkouts))
     for name in checkouts:
@@ -125,9 +149,9 @@ def main(argv=None) -> int:
             results = runs[name][w]
             metrics = {m: {"unit": results[0]["metrics"][m]["unit"],
                            **summary([r["metrics"][m]["value"] for r in results])}
-                       for m in results[0]["metrics"]}
+                       for m in (results[0]["metrics"] if results else ())}
             per_workload[w] = {
-                "all_correct": all(r["correct"] for r in results),
+                "all_correct": bool(results) and all(r["correct"] for r in results),
                 "failed": sum(r["failed"] for r in results),
                 "attempted": sum(r["attempted"] for r in results),
                 "metrics": metrics,
@@ -136,16 +160,20 @@ def main(argv=None) -> int:
             if name != base_name:
                 per_workload[w]["versus_" + base_name] = compare(runs[base_name][w], results,
                                                                  better)
+        env = envs[0] if envs else {}
         report["checkouts"][name] = {
-            "commit": envs[0]["git_commit"],
-            "src_lines": envs[0]["src_lines"],
-            "environment": {k: v for k, v in envs[0].items()
+            "commit": env.get("git_commit"),
+            "src_lines": env.get("src_lines"),
+            "environment": {k: v for k, v in env.items()
                             if k not in ("git_commit", "src_lines")},
             "workloads": per_workload,
         }
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
+    if failed_runs:
+        print(f"{len(failed_runs)} run(s) failed; see failed_runs in {out}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -120,6 +120,8 @@ def _require_file(path, what: str) -> Path:
     p = Path(path)
     if not p.exists():
         raise UserError(f"{what} not found: {p}")
+    if not p.is_file():
+        raise UserError(f"{what} must be a file, not a directory or device: {p}")
     return p
 
 
@@ -129,7 +131,8 @@ def _load_samples(path, fmt: str) -> list[data_mod.Sample]:
 
 def cmd_prepare(args) -> int:
     samples = _load_samples(args.data, args.format)
-    table = data_mod.load_rewrite_table(args.rewrite_table) if args.rewrite_table else None
+    table = (data_mod.load_rewrite_table(_require_file(args.rewrite_table, "rewrite table"))
+             if args.rewrite_table else None)
     positions = args.positions or (3 if args.format == "algolisp-style" else 2)
     prepared = data_mod.preprocess_samples(samples, positions, table)
     vocab = data_mod.build_vocabularies(prepared)

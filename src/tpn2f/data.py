@@ -129,6 +129,8 @@ def _sample_from_record(record: dict, index: int, fmt: str) -> Sample:
     if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
         raise SchemaError(f"field 'text' must be a string or a list of strings, "
                           f"got {record['text']!r:.60}")
+    if not tokens:
+        raise SchemaError("field 'text' holds no tokens")
 
     if "program" in record:
         program = _parse_program(record["program"])

@@ -157,11 +157,6 @@ class _OuterFactors:
         self.x = x
 
 
-# Rows per block when ``backward`` adds a deferred weight grad to an existing
-# one: 1000 rows of a fused decoder cell's 1040 columns take 8 MB.
-GRAD_BLOCK_ROWS = 1000
-
-
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
@@ -170,9 +165,11 @@ def backward(loss: Tensor) -> None:
     has been replayed, so the sweep holds only grads still to be passed on.
     The factors ``matmul(W, X)`` sends to a leaf ``W`` are kept during the
     reverse sweep and added to ``W.grad`` after it as one ``G^T X`` product
-    over the stacked rows of every step (taken in blocks of
-    ``GRAD_BLOCK_ROWS`` rows of ``W`` when ``W.grad`` already exists); all
-    other grads, including those of produced matrices, are added at once.
+    over the stacked rows of every step; all other grads, including those of
+    produced matrices, are added at once.  Training runs one tape per
+    optimizer step, so that product is ``W``'s first grad and is stored as it
+    is; a caller that runs several tapes before one step adds it to the grad
+    already there.
     """
     tape = _ACTIVE_TAPE
     if tape is None:
@@ -201,10 +198,8 @@ def backward(loss: Tensor) -> None:
         x_rows = np.concatenate([f.x for f in factors])
         if t.grad is None:
             t.grad = g_rows @ x_rows
-            continue
-        # Row blocks, so no full-size product is held beside an existing grad.
-        for lo in range(0, len(g_rows), GRAD_BLOCK_ROWS):
-            t.grad[lo:lo + GRAD_BLOCK_ROWS] += g_rows[lo:lo + GRAD_BLOCK_ROWS] @ x_rows
+        else:
+            t.grad += g_rows @ x_rows
 
 
 # ---------------------------------------------------------------------------

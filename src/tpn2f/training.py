@@ -1,12 +1,10 @@
 """Teacher-forced training, greedy decoding, and bit-exact checkpoints.
 
-A minibatch of at least ``LOCKSTEP_MIN_ROWS`` samples runs in lockstep on one
-gradient tape: its samples are right-padded to the longest and stepped
-together as the rows of ``(B, d)`` activations.  A smaller one runs sample by
-sample, one tape each.  Either way grads accumulate additively before a single
-Adam step (equivalent to averaging the per-sample losses).  All randomness
-flows through one seeded generator, so a fixed seed gives a bit-identical loss
-trajectory.
+Every minibatch, one sample included, runs in lockstep on one gradient tape:
+its samples are right-padded to the longest and stepped together as the rows
+of ``(B, d)`` activations.  The tape's grads, scaled by ``1 / B`` (the mean of
+the per-sample losses), feed one Adam step.  All randomness flows through one
+seeded generator, so a fixed seed gives a bit-identical loss trajectory.
 """
 
 from __future__ import annotations
@@ -200,16 +198,12 @@ def teacher_forced_logits(model: Tpn2fModel, token_ids, target_ids
 def minibatch_loss(model: Tpn2fModel, batch: Sequence[EncodedSample]) -> Tensor:
     """The summed loss of ``batch``'s samples, recorded on the active tape.
 
-    One sample runs unpadded.  Several run in lockstep, right-padded to the
-    longest token sequence and the longest target: pooling and attention read
-    only each row's own positions, and steps past a row's last target get
-    loss weight 0.  Teacher forcing is causal, so those padded steps come
-    after all of the row's own and change none of them.
+    The samples run in lockstep, one row each (a one-sample batch is one
+    row), right-padded to the longest token sequence and the longest target:
+    pooling and attention read only each row's own positions, and steps past
+    a row's last target get loss weight 0.  Teacher forcing is causal, so
+    those padded steps come after all of the row's own and change none of them.
     """
-    if len(batch) == 1:
-        enc = batch[0]
-        return sequence_loss(teacher_forced_logits(model, enc.token_ids, enc.target_ids),
-                             enc.target_ids)
     targets, weights = lockstep_targets(batch)
     logits = teacher_forced_logits(model, [enc.token_ids for enc in batch], targets)
     return sequence_loss(logits, targets, weights)
@@ -272,13 +266,6 @@ def greedy_decode_with_vectors(model, token_ids: Sequence[int], max_len: int
 # ---------------------------------------------------------------------------
 # training loop
 
-# Smallest minibatch run in lockstep; smaller ones run sample by sample.  On
-# the 2-core test machine (OpenBLAS, 2 threads) the product with the decoder
-# cell's (4000, 1040) weight costs 0.83 ms for one vector, 0.99 ms per row for
-# 2 rows and 0.62 ms per row for 4 (0.30 ms for 10).
-LOCKSTEP_MIN_ROWS = 4
-
-
 @dataclass
 class EpochStats:
     epoch: int
@@ -311,12 +298,10 @@ def train_epoch(model: Tpn2fModel, encoded: Sequence[EncodedSample], optimizer: 
     total_loss = 0.0
     for lo in range(0, len(order), config.batch_size):
         batch = [encoded[i] for i in order[lo:lo + config.batch_size]]
-        groups = [batch] if len(batch) >= LOCKSTEP_MIN_ROWS else [[enc] for enc in batch]
-        for group in groups:
-            with GradientTape():
-                loss = minibatch_loss(model, group)
-                backward(scale(loss, 1.0 / len(batch)))
-            total_loss += loss.item()
+        with GradientTape():
+            loss = minibatch_loss(model, batch)
+            backward(scale(loss, 1.0 / len(batch)))
+        total_loss += loss.item()
         for p in params:
             if p.grad is None:
                 p.grad = np.zeros(p.shape)

@@ -67,6 +67,45 @@ def test_missing_config_file_exits_1(capsys, tmp_path):
     assert "not found" in capsys.readouterr().err
 
 
+def test_train_on_a_record_with_empty_text_exits_1(capsys, tmp_path):
+    data = tmp_path / "d.jsonl"
+    good = {"text": "a 3", "program": [["add", "n0", "n0"]]}
+    data.write_text(json.dumps(good) + "\n" + json.dumps({**good, "text": ""}) + "\n")
+    assert dispatch(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                     "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "record 2: field 'text'" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--config"), ("train", "--data"), ("prepare", "--rewrite-table"),
+    ("infer", "--checkpoint"), ("infer", "--data"), ("analyze", "--checkpoint"),
+    ("eval", "--pred"), ("eval", "--gold"),
+])
+def test_a_directory_given_for_a_file_exits_1_naming_it(capsys, tmp_path, micro_file,
+                                                        command, flag):
+    """Every file-taking flag given a directory is a user error; the other
+    files of the command exist, so the directory is the fault reported."""
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(MICRO_CFG)
+    ckpt = tmp_path / "run" / "model.ckpt"
+    assert dispatch(["train", "--data", str(micro_file), "--out", str(ckpt.parent),
+                     "--config", str(cfg_file), "--epochs", "0"]) == 0
+    args = {"train": {"--config": cfg_file, "--data": micro_file, "--out": tmp_path / "o"},
+            "prepare": {"--data": micro_file, "--rewrite-table": None, "--out": tmp_path / "o"},
+            "infer": {"--checkpoint": ckpt, "--data": micro_file, "--out": tmp_path / "p"},
+            "analyze": {"--checkpoint": ckpt, "--data": micro_file, "--out": tmp_path / "o"},
+            "eval": {"--pred": micro_file, "--gold": micro_file}}[command]
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    args[flag] = folder
+    capsys.readouterr()
+    assert dispatch([command, *(str(x) for kv in args.items() for x in kv)]) == 1
+    err = capsys.readouterr().err
+    assert f"must be a file, not a directory or device: {folder}" in err
+    assert "internal error" not in err
+
+
 def test_unknown_command_exits_1(capsys):
     assert dispatch(["frobnicate"]) == 1
 

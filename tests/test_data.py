@@ -96,11 +96,13 @@ def test_load_algolisp_tree_and_tests(tmp_path):
     ({"numbers": [1, True]}, "numbers"), ({"numbers": None}, "numbers"),
     ({"options": ["x"]}, "options"), ({"options": 5}, "options"),
     ({"text": 5}, "text"), ({"text": ["a", 1]}, "text"),
+    ({"text": ""}, "text"), ({"text": "  "}, "text"), ({"text": []}, "text"),
     ({"program": [["add", "n0", "n1", "n2", "n3"]]}, "program"),
     ({"program": [["", "n0"]]}, "program"), ({"program": [[]]}, "program"),
     ({"tests": 5}, "tests"), ({"tests": [{"input": 3, "output": 1}]}, "tests"),
 ], ids=["numbers-text", "numbers-digits", "numbers-bool", "numbers-null", "options-text",
-        "options-number", "text-number", "text-mixed", "program-5-items",
+        "options-number", "text-number", "text-mixed", "text-empty", "text-blank",
+        "text-empty-list", "program-5-items",
         "program-empty-relation", "program-empty-entry", "tests-number", "tests-input-number"])
 def test_load_bad_field_names_record_and_field(tmp_path, fields, field):
     path = tmp_path / "d.jsonl"

@@ -497,30 +497,16 @@ def test_matmul_weight_grad_accumulates_across_tapes():
     assert np.allclose(w.grad, alone[0] + alone[1], rtol=1e-12, atol=0.0)
 
 
-def test_weight_grad_added_in_row_blocks_equals_whole_product(monkeypatch):
-    """A deferred grad added to an existing one block by block, with a last
-    block shorter than the others, equals the sum of the per-step products."""
-    monkeypatch.setattr(tensor_mod, "GRAD_BLOCK_ROWS", 2)
-    rng = np.random.default_rng(6)
-    w = Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
-    xs = [rng.uniform(-1, 1, 3) for _ in range(3)]
-    for x in xs:  # every tape after the first adds to an existing grad
-        with GradientTape():
-            backward(sum_all(tanh(matmul(w, Tensor(x)))))
-    want = sum(np.outer(1.0 - np.tanh(w.data @ x) ** 2, x) for x in xs)
-    assert np.allclose(w.grad, want, rtol=1e-12, atol=1e-15)
-
-
 def _outer_per_step_matmul(a: Tensor, b: Tensor) -> Tensor:
     """Reference matmul: forms and adds the weight's outer product every step
-    (``a`` times the vector ``b``, or times each of the rows ``b``)."""
+    (``a`` times the vector ``b``, or times each of the rows ``b`` of any rank)."""
     ad, bd = a.data, b.data
     out = Tensor(ad @ bd if bd.ndim == 1 else bd @ ad.T)
 
     def bw(g):
         if bd.ndim == 1:
             return np.outer(g, bd), ad.T @ g
-        return g.T @ bd, g @ ad
+        return g.reshape(-1, g.shape[-1]).T @ bd.reshape(-1, bd.shape[-1]), g @ ad
 
     return tensor_mod._record(out, (a, b), bw)
 

@@ -26,7 +26,6 @@ from tpn2f.synthetic import make_micro_dataset, micro_config
 from tpn2f.tensor import AdamState, GradientTape, Tensor, backward
 from tpn2f.training import (
     CHECKPOINT_VERSION,
-    LOCKSTEP_MIN_ROWS,
     CheckpointError,
     ConfigError,
     EpochStats,
@@ -264,12 +263,19 @@ def _lockstep_setup(cfg, n=20):
     return model, short, long
 
 
-def _loss_and_grads(model, groups):
+def _unpadded_loss(model, group):
+    """One sample's loss on the unpadded vector path greedy decoding runs."""
+    (enc,) = group
+    return sequence_loss(teacher_forced_logits(model, enc.token_ids, enc.target_ids),
+                         enc.target_ids)
+
+
+def _loss_and_grads(model, groups, loss_fn=minibatch_loss):
     """Summed loss and every parameter grad of ``groups``, one tape each."""
     total = 0.0
     for group in groups:
         with GradientTape():
-            loss = minibatch_loss(model, group)
+            loss = loss_fn(model, group)
             backward(loss)
         total += loss.item()
     grads = [t.grad for _, t in model.parameters()]
@@ -281,8 +287,9 @@ def _loss_and_grads(model, groups):
 @pytest.mark.parametrize("setting", ["tpr-tpr", "tpr-lstm", "lstm-tpr", "lstm-lstm",
                                      "last_state", "mathqa", "algolisp"])
 def test_lockstep_loss_and_grads_equal_the_sum_of_single_samples(setting):
-    """One lockstep tape over samples of 2, 3 and 6 tokens and 2 and 3 steps gives
-    the summed loss and every parameter grad of one tape per sample, within 1e-10
+    """One lockstep tape over samples of 2, 3 and 6 tokens and 2 and 3 steps, and
+    one one-row lockstep tape per sample, each give the summed loss and every
+    parameter grad of the unpadded vector path run per sample, within 1e-10
     relative: the four variants and last-state pooling at micro dims, and the
     published dims at 2 (mathqa) and 3 (algolisp) argument positions."""
     if setting in ("mathqa", "algolisp"):
@@ -297,13 +304,15 @@ def test_lockstep_loss_and_grads_equal_the_sum_of_single_samples(setting):
     batch = short[:3] + [long]
     assert len({len(e.token_ids) for e in batch}) == 3
     assert len({len(e.target_ids) for e in batch}) == 2
-    got_loss, got = _loss_and_grads(model, [batch])
-    want_loss, want = _loss_and_grads(model, [[e] for e in batch])
-    assert abs(got_loss - want_loss) <= 1e-10 * want_loss
-    for (name, _), g, w in zip(model.parameters(), got, want, strict=True):
-        assert (g is None) == (w is None), name
-        if w is not None:
-            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max(), name
+    singles = [[e] for e in batch]
+    want_loss, want = _loss_and_grads(model, singles, _unpadded_loss)
+    for groups in ([batch], singles):
+        got_loss, got = _loss_and_grads(model, groups)
+        assert abs(got_loss - want_loss) <= 1e-10 * want_loss, len(groups)
+        for (name, _), g, w in zip(model.parameters(), got, want, strict=True):
+            assert (g is None) == (w is None), name
+            if w is not None:
+                assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max(), (name, len(groups))
 
 
 def test_padding_a_minibatch_leaves_every_rows_loss_unchanged():
@@ -342,9 +351,10 @@ def test_padded_positions_and_steps_get_exactly_zero_grad():
     assert np.array_equal(model.decoder.rel_embed.grad[eos], np.zeros(model.dims.d_rel))
 
 
-def test_small_minibatches_run_sample_by_sample(monkeypatch):
+def test_each_minibatch_is_one_minibatch_loss_call(monkeypatch):
+    """12 samples at batch size 10 make two calls, of 10 rows and of 2."""
     cfg, samples, vocab, model, rng = micro_setup(n=12)
-    assert cfg.batch_size == 10 and LOCKSTEP_MIN_ROWS > 2
+    assert cfg.batch_size == 10
     sizes = []
     real = training_mod.minibatch_loss
 
@@ -356,7 +366,7 @@ def test_small_minibatches_run_sample_by_sample(monkeypatch):
     encoded = encode_samples(samples, vocab, cfg.positions)
     optimizer = AdamState.for_params([t for _, t in model.parameters()], cfg.learning_rate)
     train_epoch(model, encoded, optimizer, cfg, rng)
-    assert sizes == [10, 1, 1]
+    assert sizes == [10, 2]
 
 
 def test_loss_finite_over_random_initializations_at_published_dims():
