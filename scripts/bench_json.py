@@ -20,7 +20,10 @@ or more checkouts, it also compares each one with the first, pair by pair.
 A run that exits non-zero, or prints no result, is listed under
 ``failed_runs`` with its seed, workload, checkout, exit code and the tail of
 its stderr.  It is left out of its checkout's summaries and out of the pairs;
-the sweep goes on, and the script exits 1 once the file is written.
+the sweep goes on, and the script exits 1 once the file is written.  A run
+that finishes but reports ``correct: false`` or failed checks is kept in the
+summaries and also listed under ``failed_checks``; it too makes the script
+exit 1.
 """
 
 from __future__ import annotations
@@ -117,6 +120,7 @@ def main(argv=None) -> int:
 
     runs: dict[str, dict[str, list[dict]]] = {n: {w: [] for w in workloads} for n in checkouts}
     failed_runs: list[dict] = []
+    failed_checks: list[dict] = []
     for k, seed in enumerate(seeds):
         for workload in workloads:
             order = list(checkouts.items())
@@ -128,6 +132,10 @@ def main(argv=None) -> int:
                           f"exit={result['exit_code']}", flush=True)
                     continue
                 runs[name][workload].append(result)
+                if not result["correct"] or result["failed"]:
+                    failed_checks.append({"workload": workload, "checkout": name,
+                                          "seed": seed, "correct": result["correct"],
+                                          "failed": result["failed"]})
                 rate = result["metrics"].get("train_samples_per_s", {}).get("value")
                 print(f"seed {seed} {workload:<13} {name:<10} correct={result['correct']} "
                       f"failed={result['failed']} train_samples_per_s={rate:.6g}", flush=True)
@@ -140,6 +148,7 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "checkouts": {},
         "failed_runs": failed_runs,
+        "failed_checks": failed_checks,
     }
     base_name = next(iter(checkouts))
     for name in checkouts:
@@ -171,10 +180,15 @@ def main(argv=None) -> int:
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
+    for run in failed_checks:
+        print(f"seed {run['seed']} {run['workload']} {run['checkout']}: correct="
+              f"{run['correct']} failed={run['failed']}", file=sys.stderr)
+    if failed_checks:
+        print(f"{len(failed_checks)} run(s) failed their checks; see failed_checks in {out}",
+              file=sys.stderr)
     if failed_runs:
         print(f"{len(failed_runs)} run(s) failed; see failed_runs in {out}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failed_runs or failed_checks else 0
 
 
 if __name__ == "__main__":

@@ -82,12 +82,8 @@ def collect_relation_vectors(model: Tpn2fModel, samples, max_len: int) -> list[R
         for tup, vec in zip(tuples, vectors):
             if vec.size == 0:
                 continue
-            if tup.relation in sums:
-                sums[tup.relation] += vec
-                counts[tup.relation] += 1
-            else:
-                sums[tup.relation] = vec.copy()
-                counts[tup.relation] = 1
+            sums[tup.relation] = sums.get(tup.relation, 0.0) + vec
+            counts[tup.relation] = counts.get(tup.relation, 0) + 1
     return [RelationVectorStats(rel, sums[rel] / counts[rel], counts[rel])
             for rel in sorted(sums)]
 
@@ -149,7 +145,6 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 300,
         centroids[j] = x[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
 
-    labels = np.zeros(n, dtype=int)
     for _ in range(max_iter):
         dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels = dists.argmin(axis=1)

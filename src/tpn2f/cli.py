@@ -270,8 +270,12 @@ def cmd_analyze(args) -> int:
     samples = _load_samples(args.data, args.format)
     samples = data_mod.preprocess_samples(samples, ckpt.config.positions)
     assignments = []
-    for s in samples[:args.max_assignment_samples]:
-        assignments.extend(analysis_mod.extract_assignments(model, s.text))
+    if model.variant.encoder == "tpr":
+        for s in samples[:args.max_assignment_samples]:
+            assignments.extend(analysis_mod.extract_assignments(model, s.text))
+    else:
+        log.info("assignments skipped: the %s encoder makes no filler/role selections",
+                 model.variant.encoder)
     stats = analysis_mod.collect_relation_vectors(model, samples, ckpt.config.max_decode_len)
     clusters = (analysis_mod.cluster_relation_vectors(stats, k=args.clusters, seed=args.seed)
                 if len(stats) >= 2 else None)
@@ -358,7 +362,7 @@ def dispatch(argv=None) -> int:
         return args.fn(args)
     except (UserError, ConfigError, training_mod.CheckpointError, data_mod.DatasetError,
             data_mod.PreprocessError, fl.ParseError, fl.ExecutionError,
-            FileNotFoundError) as exc:
+            FileNotFoundError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help

@@ -74,9 +74,7 @@ def link_numbers(tokens: Sequence[str]) -> tuple[list[float], list[str]]:
 
 def _normalize_const(symbol: str) -> str:
     # "const-100" is a tokenization artifact for "const100".
-    if symbol.startswith("const-"):
-        return "const" + symbol[len("const-"):]
-    return symbol
+    return "const" + symbol[len("const-"):] if symbol.startswith("const-") else symbol
 
 
 def _tuple_from_record(entry) -> RelationalTuple:
@@ -88,9 +86,8 @@ def _tuple_from_record(entry) -> RelationalTuple:
 
 def _parse_program(value) -> list[RelationalTuple]:
     if isinstance(value, str):
-        parsed = parse_tuple_sequence(value)
         return [RelationalTuple(t.relation, tuple(_normalize_const(a) for a in t.args))
-                for t in parsed]
+                for t in parse_tuple_sequence(value)]
     if isinstance(value, list):
         return [_tuple_from_record(e) for e in value]
     raise SchemaError(f"field 'program' must be a string or list, got {type(value).__name__}")
@@ -370,15 +367,15 @@ class Vocabularies:
 
     @classmethod
     def from_dict(cls, d: dict, error: type[Exception] = SchemaError) -> "Vocabularies":
-        """The inverse of ``to_dict``; ``error`` unless ``d`` holds three lists of strings
-        with UNK among the tokens and every special symbol among relations and arguments."""
+        """The inverse of ``to_dict``; ``error`` unless ``d`` holds three lists of distinct
+        strings, with UNK among the tokens and each special symbol among the others."""
         required = {"tokens": [UNK_SYMBOL], "relations": SPECIAL_SYMBOLS,
                     "arguments": SPECIAL_SYMBOLS}
         for key, symbols in required.items():
             value = d.get(key) if isinstance(d, dict) else None
             if not (isinstance(value, list) and all(isinstance(s, str) for s in value)
-                    and set(symbols) <= set(value)):
-                raise error(f"vocabulary {key!r} must be a list of strings holding "
+                    and set(symbols) <= set(value) and len(set(value)) == len(value)):
+                raise error(f"vocabulary {key!r} must be a list of distinct strings holding "
                             f"{', '.join(symbols)}, got {value!r:.60}")
         return cls(**{key: list(d[key]) for key in required})
 
@@ -391,7 +388,8 @@ def build_vocabularies(samples: Sequence[Sample]) -> Vocabularies:
     """Frequency-then-lexicographic vocabularies with the special symbols.
 
     GO/EOS/PAD/UNK are prepended to both the relation and argument spaces;
-    EOS doubles as the decoder's stop relation.
+    EOS doubles as the decoder's stop relation.  A program using GO, EOS or UNK, or PAD
+    as a relation, is a ``DatasetError``; a text token UNK takes the unknown-token id.
     """
     if not samples:
         raise DatasetError("cannot build vocabularies from an empty corpus")
@@ -400,11 +398,16 @@ def build_vocabularies(samples: Sequence[Sample]) -> Vocabularies:
     arg_counts: dict[str, int] = {}
     for s in samples:
         for t in s.text:
-            tok_counts[t] = tok_counts.get(t, 0) + 1
+            if t != UNK_SYMBOL:
+                tok_counts[t] = tok_counts.get(t, 0) + 1
         for tup in s.program:
+            reserved = {tup.relation, *tup.args} & {GO_SYMBOL, EOS_SYMBOL, UNK_SYMBOL}
+            if reserved or tup.relation == PAD_SYMBOL:
+                raise DatasetError(f"sample {s.id}: program tuple {tup} uses the reserved "
+                                   f"symbol {min(reserved or {PAD_SYMBOL})!r}")
             rel_counts[tup.relation] = rel_counts.get(tup.relation, 0) + 1
             for a in tup.args:
-                if a not in SPECIAL_SYMBOLS:
+                if a != PAD_SYMBOL:
                     arg_counts[a] = arg_counts.get(a, 0) + 1
     return Vocabularies(
         tokens=[UNK_SYMBOL] + _ordered_by_frequency(tok_counts),

@@ -85,8 +85,8 @@ def field_type(f) -> tuple[type, bool]:
 
 def check_fields(obj, cls, error: type[Exception]) -> None:
     """Raise ``error`` naming the first field of dataclass ``cls`` whose value on ``obj``
-    lacks its annotated type (an int is never a bool; a float field takes an int, never
-    a bool, and stores a float; ``| None`` allows ``None``) or fails its ``checked`` rule."""
+    lacks its annotated type (an int is never a bool; a float field takes a finite number,
+    never a bool, and stores a float; ``| None`` allows ``None``) or fails its ``checked`` rule."""
     for f in fields(cls):
         value = getattr(obj, f.name)
         kind, optional = field_type(f)
@@ -97,6 +97,8 @@ def check_fields(obj, cls, error: type[Exception]) -> None:
             raise error(f"{f.name} must be {f.type}, got {value!r}")
         if kind is float:
             value = float(value)
+            if not np.isfinite(value):
+                raise error(f"{f.name} must be a finite number, got {value!r}")
             setattr(obj, f.name, value)
         ok, wanted = f.metadata.get("rule", (None, None))
         if ok is not None and not ok(value):

@@ -238,9 +238,10 @@ def outer_product(a: Tensor, b: Tensor) -> Tensor:
 
 def contract_last(t: Tensor, v: Tensor) -> Tensor:
     """Inner product over the last axis: out[j..] = sum_l t[j.., l] * v[l]; rows
-    ``v`` (B, L) against ``t`` (B, M, L) give one matrix-vector product per row."""
-    if not (v.ndim == 1 and t.ndim >= 1 or v.ndim == 2 and t.ndim == 3 and
-            t.shape[0] == v.shape[0]) or t.shape[-1] != v.shape[-1]:
+    ``v`` (..., L) against ``t`` (..., M, L), on equal leading axes, give one
+    matrix-vector product per row."""
+    if not (v.ndim == 1 and t.ndim >= 1 or v.ndim >= 2 and t.shape[:-2] == v.shape[:-1]
+            and t.ndim == v.ndim + 1) or t.shape[-1] != v.shape[-1]:
         raise ShapeError(f"contract_last extents differ: {t.shape} with {v.shape}")
     td, vd = t.data, v.data
     if vd.ndim == 1:
@@ -249,10 +250,10 @@ def contract_last(t: Tensor, v: Tensor) -> Tensor:
         def bw(g):
             return g[..., None] * vd, g.reshape(-1) @ td.reshape(-1, td.shape[-1])
     else:
-        out = Tensor((td @ vd[:, :, None])[:, :, 0])
+        out = Tensor((td @ vd[..., :, None])[..., 0])
 
         def bw(g):
-            return g[:, :, None] * vd[:, None, :], (g[:, None, :] @ td)[:, 0, :]
+            return g[..., :, None] * vd[..., None, :], (g[..., None, :] @ td)[..., 0, :]
 
     return _record(out, (t, v), bw)
 

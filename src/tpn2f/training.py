@@ -2,9 +2,10 @@
 
 Every minibatch, one sample included, runs in lockstep on one gradient tape:
 its samples are right-padded to the longest and stepped together as the rows
-of ``(B, d)`` activations.  The tape's grads, scaled by ``1 / B`` (the mean of
-the per-sample losses), feed one Adam step.  All randomness flows through one
-seeded generator, so a fixed seed gives a bit-identical loss trajectory.
+of ``(B, d)`` activations, and teacher forcing scores all their steps in one
+head pass.  The tape's grads, scaled by ``1 / B`` (the mean of the per-sample
+losses), feed one Adam step.  All randomness flows through one seeded
+generator, so a fixed seed gives a bit-identical loss trajectory.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .tensor import (
     clip_gradients,
     cross_entropy,
     scale,
+    stack_rows,
 )
 
 
@@ -125,10 +127,7 @@ def encode_sample(sample: Sample, vocab: Vocabularies, positions: int) -> Encode
         targets.append((vocab.relation_id(tup.relation),
                         *(vocab.argument_id(a) for a in tup.args)))
     targets.append((vocab.relation_id(EOS_SYMBOL),) + (pad,) * positions)
-    return EncodedSample(sample_id=sample.id,
-                         token_ids=vocab.encode_text(sample.text),
-                         target_ids=targets,
-                         gold=list(sample.program))
+    return EncodedSample(sample.id, vocab.encode_text(sample.text), targets, list(sample.program))
 
 
 def encode_samples(samples: Sequence[Sample], vocab: Vocabularies,
@@ -144,55 +143,45 @@ def go_tuple_ids(vocab: Vocabularies, positions: int) -> tuple[int, ...]:
 # loss
 
 
-def sequence_loss(step_logits: Sequence[tuple[Tensor, Sequence[Tensor]]],
-                  gold_ids: Sequence, step_weights: np.ndarray | None = None) -> Tensor:
-    """Summed cross entropy over relations and every argument slot.
-
-    Relations are scored over the relation vocabulary only, arguments over
-    the argument vocabulary only.  For a minibatch in lockstep each step's
-    logits have a row axis, each ``gold_ids`` entry holds one id per row in
-    each of its ``1 + positions`` slots, and row ``b``'s terms at step ``s``
-    are weighted by ``step_weights[s, b]``.
-    """
-    if len(step_logits) != len(gold_ids):
-        raise ValueError(f"{len(step_logits)} logit steps vs {len(gold_ids)} gold tuples")
-    total: Tensor | None = None
-    for s, ((rel_logits, arg_logits), gold) in enumerate(zip(step_logits, gold_ids)):
-        if len(arg_logits) != len(gold) - 1:
-            raise ValueError(f"{len(arg_logits)} argument heads vs {len(gold) - 1} gold args")
-        weights = None if step_weights is None else step_weights[s]
-        term = cross_entropy(rel_logits, gold[0], weights)
-        for head, target in zip(arg_logits, gold[1:]):
-            term = add(term, cross_entropy(head, target, weights))
-        total = term if total is None else add(total, term)
-    if total is None:
-        raise ValueError("empty target sequence")
+def sequence_loss(heads: Sequence[Tensor], gold_ids, weights: np.ndarray | None = None
+                  ) -> Tensor:
+    """Summed cross entropy of ``teacher_forced_logits``' relation and argument
+    ``heads`` against ``gold_ids``, one id tuple per step, ``(..., steps, 1 +
+    positions)``, each step weighted by ``weights`` ``(..., steps)`` (1 when None):
+    one ``cross_entropy`` per head, relations scored over the relation
+    vocabulary only and arguments over the argument vocabulary only."""
+    gold = np.asarray(gold_ids)
+    if gold.ndim < 2 or len(heads) != gold.shape[-1]:
+        raise ValueError(f"{len(heads)} heads vs gold ids of shape {gold.shape}")
+    total = cross_entropy(heads[0], gold[..., 0], weights)
+    for k, head in enumerate(heads[1:], start=1):
+        total = add(total, cross_entropy(head, gold[..., k], weights))
     return total
 
 
-def teacher_forced_logits(model: Tpn2fModel, token_ids, target_ids
-                          ) -> list[tuple[Tensor, list[Tensor]]]:
-    """Logits for each target step with the gold tuple fed as the next input.
-
-    For a minibatch in lockstep, ``token_ids`` lists each sample's ids and
-    each ``target_ids`` entry holds one step's gold ids, one per row in each
-    slot; the logits then have a row axis, and attention skips each row's
-    padded positions.
-    """
+def teacher_forced_logits(model: Tpn2fModel, token_ids, target_ids) -> list[Tensor]:
+    """``[relation, *argument]`` logits, each ``(steps, n)``, of every target step
+    with the gold tuple fed as the next input: the decoder steps from GO through
+    the targets, and one ``head_logits`` pass scores its stacked states.  For a
+    minibatch in lockstep, ``token_ids`` lists each sample's ids and ``target_ids``
+    is ``pad_rows``' ``(B, steps, 1 + positions)``; the logits are then
+    ``(B, steps, n)``, and attention skips each row's padded positions."""
     pooled, contexts = model.encode(token_ids)
     hidden, cell = model.initial_decoder_state(pooled)
     projected = model.project_contexts(contexts)
-    prev, mask = go_tuple_ids(model.vocab, model.dims.positions), None
-    if hidden.ndim > 1:   # a minibatch: every row starts on GO and skips its padding
+    gold = np.asarray(target_ids)
+    go = np.broadcast_to(go_tuple_ids(model.vocab, model.dims.positions),
+                         gold.shape[:-2] + (1, gold.shape[-1]))
+    inputs = np.concatenate([go, gold[..., :-1, :]], axis=-2)
+    mask = None
+    if hidden.ndim > 1:   # a minibatch: attention skips each row's padding
         mask = np.arange(len(contexts)) < np.array([len(ids) for ids in token_ids])[:, None]
-        prev = np.repeat(np.array(prev)[:, None], len(mask), axis=1)
-    steps = []
-    for gold in target_ids:
-        hidden, cell = model.decode_step(prev, hidden, cell, projected, mask)
-        rel_logits, arg_logits, _ = model.head_logits(hidden)
-        steps.append((rel_logits, arg_logits))
-        prev = gold
-    return steps
+    states = []
+    for step in range(inputs.shape[-2]):   # each slot's ids, one per row
+        hidden, cell = model.decode_step(inputs[..., step, :].T, hidden, cell, projected, mask)
+        states.append(hidden)
+    rel_logits, arg_logits, _ = model.head_logits(stack_rows(states))
+    return [rel_logits, *arg_logits]
 
 
 def minibatch_loss(model: Tpn2fModel, batch: Sequence[EncodedSample]) -> Tensor:
@@ -205,17 +194,17 @@ def minibatch_loss(model: Tpn2fModel, batch: Sequence[EncodedSample]) -> Tensor:
     those padded steps come after all of the row's own and change none of them.
     """
     targets, weights = lockstep_targets(batch)
-    logits = teacher_forced_logits(model, [enc.token_ids for enc in batch], targets)
-    return sequence_loss(logits, targets, weights)
+    heads = teacher_forced_logits(model, [enc.token_ids for enc in batch], targets)
+    return sequence_loss(heads, targets, weights)
 
 
 def lockstep_targets(batch: Sequence[EncodedSample]) -> tuple[np.ndarray, np.ndarray]:
-    """A minibatch's targets right-padded with id 0, per step and slot one id
-    per row, ``(steps, 1 + positions, B)``; and per step each row's loss
-    weight, 1 up to the row's last step and 0 past it, ``(steps, B)``."""
+    """A minibatch's targets right-padded with id 0, ``(B, steps, 1 + positions)``
+    as ``pad_rows`` gives them; and each row's loss weight per step, 1 up to
+    the row's last step and 0 past it, ``(B, steps)``."""
     targets, steps = pad_rows([enc.target_ids for enc in batch])
-    weights = (np.arange(targets.shape[1])[:, None] < steps).astype(np.float64)
-    return targets.transpose(1, 2, 0), weights
+    weights = (np.arange(targets.shape[1]) < steps[:, None]).astype(np.float64)
+    return targets, weights
 
 
 def sample_loss(model: Tpn2fModel, enc: EncodedSample) -> Tensor:
@@ -241,12 +230,11 @@ def greedy_decode_with_vectors(model, token_ids: Sequence[int], max_len: int
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     vocab = model.vocab
-    positions = model.dims.positions
     eos = vocab.relation_id(EOS_SYMBOL)
     pooled, contexts = model.encode(token_ids)
     hidden, cell = model.initial_decoder_state(pooled)
     projected = model.project_contexts(contexts)
-    prev = go_tuple_ids(vocab, positions)
+    prev = go_tuple_ids(vocab, model.dims.positions)
     out: list[RelationalTuple] = []
     vectors: list[np.ndarray] = []
     for _ in range(max_len):
@@ -274,8 +262,7 @@ class EpochStats:
     wallclock: float
 
     def to_json(self) -> str:
-        return json.dumps({"epoch": self.epoch, "mean_loss": self.mean_loss,
-                           "op_acc": self.op_acc, "wallclock": self.wallclock})
+        return json.dumps(asdict(self))
 
 
 def operation_accuracy(model: Tpn2fModel, encoded: Sequence[EncodedSample],
@@ -289,7 +276,8 @@ def operation_accuracy(model: Tpn2fModel, encoded: Sequence[EncodedSample],
 
 def train_epoch(model: Tpn2fModel, encoded: Sequence[EncodedSample], optimizer: AdamState,
                 config: TrainConfig, rng: np.random.Generator, epoch: int = 0) -> EpochStats:
-    """One teacher-forced pass over the data; returns mean loss and train accuracy."""
+    """One teacher-forced pass over the data; returns mean loss and train accuracy.  A
+    non-finite minibatch loss is a ``FloatingPointError`` naming the epoch and samples."""
     if not encoded:
         raise ValueError("empty training set")
     start = time.monotonic()
@@ -300,6 +288,10 @@ def train_epoch(model: Tpn2fModel, encoded: Sequence[EncodedSample], optimizer: 
         batch = [encoded[i] for i in order[lo:lo + config.batch_size]]
         with GradientTape():
             loss = minibatch_loss(model, batch)
+            if not math.isfinite(loss.item()):
+                raise FloatingPointError(
+                    f"epoch {epoch}: loss {loss.item()} on the minibatch of samples "
+                    f"{', '.join(enc.sample_id for enc in batch)}")
             backward(scale(loss, 1.0 / len(batch)))
         total_loss += loss.item()
         for p in params:
@@ -322,8 +314,7 @@ def train(model: Tpn2fModel, samples: Sequence[Sample], config: TrainConfig,
     params = [t for _, t in model.parameters()]
     optimizer = AdamState.for_params(params, config.learning_rate)
     history: list[EpochStats] = []
-    best_loss = float("inf")
-    stale = 0
+    best_loss, stale = float("inf"), 0
     for epoch in range(config.epochs):
         stats = train_epoch(model, encoded, optimizer, config, rng, epoch)
         history.append(stats)

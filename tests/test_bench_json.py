@@ -108,3 +108,34 @@ def test_a_run_with_no_result_line_is_a_failed_run(tmp_path, monkeypatch):
                         subprocess.CompletedProcess(cmd, 0, "", "nothing printed"))
     result = bench_json.run_perfbench(tmp_path, "micro-train", 5, 1.0)
     assert result == {"seed": 5, "exit_code": 0, "stderr_tail": "nothing printed"}
+
+
+def test_a_run_with_failed_checks_is_listed_kept_and_exits_1(tmp_path, monkeypatch, capsys):
+    """Seed 1 prints ``correct: false`` and seed 2 one failed check, both exiting 0:
+    each is listed under failed_checks and printed, stays in the summaries, and
+    the script exits 1."""
+    root = _checkout(tmp_path / "a")
+
+    def fake_run(cmd, cwd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        result = {"correct": seed != 1, "attempted": 4, "failed": int(seed == 2), "metrics": {
+            "train_samples_per_s": {"value": 10.0 + seed, "unit": "1/s"}}}
+        env = {"git_commit": "a", "src_lines": 1}
+        return subprocess.CompletedProcess(
+            cmd, 0, f"env {json.dumps(env)}\n{json.dumps(result)}\n", "")
+
+    monkeypatch.setattr(bench_json.subprocess, "run", fake_run)
+    code = bench_json.main(["--label", "c", "--checkout", f"a={root}", "--workloads",
+                            "micro-train", "--seeds", "0-2", "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "seed 1 micro-train a: correct=False failed=0" in err
+    assert "seed 2 micro-train a: correct=True failed=1" in err
+    report = json.loads((tmp_path / "BENCH_c.json").read_text())
+    assert report["failed_runs"] == []
+    assert report["failed_checks"] == [
+        {"workload": "micro-train", "checkout": "a", "seed": 1, "correct": False, "failed": 0},
+        {"workload": "micro-train", "checkout": "a", "seed": 2, "correct": True, "failed": 1}]
+    summary = report["checkouts"]["a"]["workloads"]["micro-train"]
+    assert summary["metrics"]["train_samples_per_s"]["n"] == 3
+    assert not summary["all_correct"] and summary["failed"] == 1

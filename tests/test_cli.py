@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import logging
+import re
 import zlib
 
+import numpy as np
 import pytest
 
 from tpn2f import analysis
@@ -299,6 +302,24 @@ def test_config_text_round_trips_every_field(tmp_path, changed):
     assert load_config(p) == cfg
 
 
+@pytest.mark.parametrize("value, message", [
+    ("inf", "learning_rate must be a finite number, got inf"),
+    ("1e300", r"epoch 0: loss (nan|inf) on the minibatch of samples micro-\d+"),
+])
+def test_train_at_a_non_finite_rate_or_loss_exits_1_with_no_nan_logged(
+        tmp_path, micro_file, capsys, value, message):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(MICRO_CFG)
+    run = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        assert dispatch(["train", "--data", str(micro_file), "--out", str(run),
+                         "--config", str(cfg_file), "--learning-rate", value]) == 1
+    assert re.search(message, capsys.readouterr().err)
+    log = run / "train_log.jsonl"
+    assert not log.exists() or log.read_text() == ""
+    assert not (run / "model.ckpt").exists()
+
+
 def test_train_zero_epochs_reports_zero_and_exits_0(tmp_path, micro_file, capsys):
     cfg_file = tmp_path / "c.cfg"
     cfg_file.write_text(MICRO_CFG)
@@ -313,9 +334,9 @@ def test_train_zero_epochs_reports_zero_and_exits_0(tmp_path, micro_file, capsys
     ({"epochs": 2.7}, "epochs"), ({"learning_rate": True}, "learning_rate"),
     ({"epochs": True}, "epochs"), ({"epochs": "2"}, "epochs"),
     ({"stop_at_full_accuracy": 1}, "stop_at_full_accuracy"), ({"pooling": 3}, "pooling"),
-    ({"d_word": None}, "d_word"),
+    ({"d_word": None}, "d_word"), ({"learning_rate": float("inf")}, "learning_rate"),
 ], ids=["int-given-float", "float-given-bool", "int-given-bool", "int-given-string",
-        "bool-given-int", "str-given-int", "required-given-null"])
+        "bool-given-int", "str-given-int", "required-given-null", "float-given-inf"])
 def test_json_config_value_must_have_its_field_type(tmp_path, micro_file, capsys,
                                                     entries, key):
     p = tmp_path / "c.json"
@@ -360,7 +381,7 @@ def test_prepare_rejects_positions_outside_2_and_3(tmp_path, micro_file, capsys,
 
 
 @pytest.mark.parametrize("line", ["stop_at_full_accuracy=", "stop_at_full_accuracy=maybe",
-                                  "epochs=none", "learning_rate=yes"])
+                                  "epochs=none", "learning_rate=yes", "learning_rate=inf"])
 def test_key_value_line_of_wrong_type_names_the_key(tmp_path, line):
     p = tmp_path / "c.cfg"
     p.write_text(line + "\n")
@@ -415,6 +436,21 @@ def test_analyze_rejects_clusters_below_one_and_a_negative_sample_count(
                      "--out", str(out), flag, value]) == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("decoder", ["tpr", "lstm"])
+def test_analyze_an_lstm_encoder_checkpoint_skips_assignments(tmp_path, micro_file, caplog,
+                                                              decoder):
+    ckpt = _untrained_checkpoint(tmp_path, micro_file, "--encoder", "lstm",
+                                 "--decoder", decoder)
+    out = tmp_path / "analysis"
+    with caplog.at_level(logging.INFO, logger="tpn2f"):
+        assert dispatch(["analyze", "--checkpoint", str(ckpt), "--data", str(micro_file),
+                         "--out", str(out)]) == 0
+    assert "assignments skipped: the lstm encoder" in caplog.text
+    assert (out / "assignments.csv").read_text() == "token,position,role,filler,score\n"
+    for name in ("clusters.csv", "scatter.svg", "roles.svg"):
+        assert (out / name).exists()
 
 
 def test_analyze_decodes_to_the_checkpoints_max_decode_len(tmp_path, micro_file, monkeypatch):

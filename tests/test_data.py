@@ -364,6 +364,36 @@ def test_vocab_round_trip_dict():
     assert again.tokens == vocab.tokens
 
 
+@pytest.mark.parametrize("program, symbol", [
+    ("(EOS,n0) (add,GO,n1)", "EOS"), ("(add,n0,n1) (add,GO,n1)", "GO"),
+    ("(add,n0,EOS)", "EOS"), ("(UNK,n0,n1)", "UNK"), ("(add,UNK,n1)", "UNK"),
+    ("(GO,n0,n1)", "GO"), ("(PAD,n0,n1)", "PAD"),
+])
+def test_vocab_rejects_reserved_symbols_in_a_program(program, symbol):
+    sample = Sample(id="s7", text=["a"], program=parse_tuple_sequence(program))
+    with pytest.raises(DatasetError, match=f"sample s7: .*'{symbol}'"):
+        build_vocabularies([_intro_sample(), sample])
+
+
+def test_vocab_takes_pad_as_an_argument_and_unk_as_a_text_token():
+    sample = Sample(id="s8", text=["UNK", "a"], program=parse_tuple_sequence("(neg,n0,PAD)"))
+    vocab = build_vocabularies([sample])
+    assert vocab.tokens == ["UNK", "a"]
+    assert vocab.arguments == ["PAD", "UNK", "GO", "EOS", "n0"]
+    assert vocab.relations == ["PAD", "UNK", "GO", "EOS", "neg"]
+    assert Vocabularies.from_dict(vocab.to_dict()) == vocab
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tokens", ["UNK", "a", "a"]), ("relations", ["PAD", "UNK", "GO", "EOS", "EOS", "add"]),
+    ("arguments", ["PAD", "UNK", "GO", "EOS", "n0", "PAD"]),
+])
+def test_vocab_from_dict_rejects_a_repeated_symbol(key, value):
+    d = {**build_vocabularies([_intro_sample()]).to_dict(), key: value}
+    with pytest.raises(SchemaError, match=f"'{key}'.*distinct"):
+        Vocabularies.from_dict(d)
+
+
 def test_preprocess_samples_keeps_metadata():
     s = _intro_sample()
     out = preprocess_samples([s], positions=2)

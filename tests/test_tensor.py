@@ -138,6 +138,9 @@ def test_contract_last_matches_matvec():
 def test_contract_last_extent_mismatch():
     with pytest.raises(ShapeError):
         contract_last(Tensor(np.ones((2, 3))), Tensor(np.ones(2)))
+    for rows in ((3, 2, 5), (2, 5)):   # leading axes differ from (2, 3), or are fewer
+        with pytest.raises(ShapeError):
+            contract_last(Tensor(np.ones((2, 3, 4, 5))), Tensor(np.ones(rows)))
 
 
 def test_softmax_symmetry():
@@ -339,6 +342,7 @@ def test_tape_determinism():
     "stack", "embed", "scale", "matmul_recurrent", "matmul_produced", "matmul_mixed",
     "split", "split_partial",
     "matmul_rows_recurrent", "matmul_rows3", "bias_rows", "outer_rows", "contract_rows",
+    "contract_rows4",
     "softmax_masked", "cross_entropy_rows", "embed_ids", "concat_split_rows", "stack_rows3",
     "transpose_rows",
 ])
@@ -372,6 +376,7 @@ def test_gradient_check_all_ops(name):
         "bias_rows": [(3, 4), (4,)],
         "outer_rows": [(2, 3), (2, 4)],
         "contract_rows": [(2, 3, 4), (2, 4)],
+        "contract_rows4": [(2, 3, 4, 5), (2, 3, 5)],
         "softmax_masked": [(3, 5)],
         "cross_entropy_rows": [(4, 5)],
         "embed_ids": [(4, 3)],
@@ -443,7 +448,7 @@ def test_gradient_check_all_ops(name):
             return sum_all(tanh(add(xs[0], xs[1])))
         if name == "outer_rows":
             return sum_all(tanh(outer_product(xs[0], xs[1])))
-        if name == "contract_rows":
+        if name in ("contract_rows", "contract_rows4"):
             return sum_all(tanh(contract_last(xs[0], xs[1])))
         if name == "softmax_masked":  # one row fully kept, one with a single entry
             return sum_all(mul(softmax_with_temperature(xs[0], 0.4, mask), weights))

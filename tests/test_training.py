@@ -21,9 +21,9 @@ from tpn2f import training as training_mod
 from tpn2f.cli import dispatch
 from tpn2f.data import build_vocabularies, preprocess_samples, save_dataset
 from tpn2f.formal_lang import RelationalTuple
-from tpn2f.model import ModelDims, ModelVariant, build_model
+from tpn2f.model import ModelDims, ModelVariant, Tpn2fModel, build_model
 from tpn2f.synthetic import make_micro_dataset, micro_config
-from tpn2f.tensor import AdamState, GradientTape, Tensor, backward
+from tpn2f.tensor import AdamState, GradientTape, Tensor, backward, cross_entropy
 from tpn2f.training import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -88,7 +88,7 @@ def test_config_rejects_unknown_key():
     ("grad_clip", -1.0), ("grad_clip", 0.0), ("patience", -1), ("max_decode_len", 0),
     ("d_word", "wide"), *((f.name, 0) for f in fields(ModelDims)),
     ("epochs", 2.7), ("seed", "x"), ("learning_rate", True), ("reasoning_layers", 1.5),
-    ("stop_at_full_accuracy", None),
+    ("stop_at_full_accuracy", None), ("learning_rate", float("inf")), ("grad_clip", float("inf")),
 ])
 def test_config_rejects_bad_value(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -154,49 +154,53 @@ def test_dimension_fields_are_declared_once():
 
 
 def _one_hot_logits(n, idx, sharp=100.0):
-    z = np.zeros(n)
-    z[idx] = sharp
+    z = np.zeros((1, n))
+    z[0, idx] = sharp
     return Tensor(z)
 
 
 def test_sequence_loss_perfect_prediction_near_zero():
     gold = [(1, 2, 3)]
-    logits = [(_one_hot_logits(6, 1), [_one_hot_logits(7, 2), _one_hot_logits(7, 3)])]
-    assert sequence_loss(logits, gold).item() == pytest.approx(0.0, abs=1e-12)
+    heads = [_one_hot_logits(6, 1), _one_hot_logits(7, 2), _one_hot_logits(7, 3)]
+    assert sequence_loss(heads, gold).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sequence_loss_uniform_closed_form():
     gold = [(0, 1, 2)]
-    logits = [(Tensor(np.zeros(4)), [Tensor(np.zeros(4)), Tensor(np.zeros(4))])]
-    assert sequence_loss(logits, gold).item() == pytest.approx(3 * math.log(4), abs=1e-12)
+    heads = [Tensor(np.zeros((1, 4))) for _ in range(3)]
+    assert sequence_loss(heads, gold).item() == pytest.approx(3 * math.log(4), abs=1e-12)
 
 
 def test_sequence_loss_additive_over_tuples():
     rng = np.random.default_rng(0)
-    logits = [(Tensor(rng.standard_normal(5)),
-               [Tensor(rng.standard_normal(6)), Tensor(rng.standard_normal(6))])
-              for _ in range(4)]
+    heads = [rng.standard_normal((4, 5)), rng.standard_normal((4, 6)),
+             rng.standard_normal((4, 6))]
     gold = [(1, 2, 3) for _ in range(4)]
-    whole = sequence_loss(logits, gold).item()
-    split = sequence_loss(logits[:2], gold[:2]).item() + \
-        sequence_loss(logits[2:], gold[2:]).item()
-    assert whole == pytest.approx(split, abs=1e-12)
+
+    def loss(steps):
+        return sequence_loss([Tensor(h[steps]) for h in heads], gold[steps]).item()
+
+    whole = loss(slice(None))
+    assert whole == pytest.approx(loss(slice(0, 2)) + loss(slice(2, 4)), abs=1e-12)
 
 
 def test_sequence_loss_length_mismatch():
-    with pytest.raises(ValueError):
-        sequence_loss([], [(0, 0, 0)])
+    heads = [Tensor(np.zeros((2, 4))) for _ in range(3)]
+    with pytest.raises(ValueError):   # 2 steps of logits, 3 gold tuples
+        sequence_loss(heads, [(0, 0, 0)] * 3)
+    with pytest.raises(ValueError, match="3 heads"):   # 3 heads, 4 slots per tuple
+        sequence_loss(heads, [(0, 0, 0, 0)] * 2)
 
 
 def test_head_sizes_match_vocabularies_every_step():
     cfg, samples, vocab, model, _ = micro_setup()
     enc = encode_sample(samples[0], vocab, cfg.positions)
-    steps = teacher_forced_logits(model, enc.token_ids, enc.target_ids)
-    assert len(steps) == len(enc.target_ids)
-    for rel_logits, arg_logits in steps:
-        assert rel_logits.shape == (vocab.n_relations,)
-        for a in arg_logits:
-            assert a.shape == (vocab.n_arguments,)
+    rel_logits, *arg_logits = teacher_forced_logits(model, enc.token_ids, enc.target_ids)
+    steps = len(enc.target_ids)
+    assert rel_logits.shape == (steps, vocab.n_relations)
+    assert len(arg_logits) == cfg.positions
+    for a in arg_logits:
+        assert a.shape == (steps, vocab.n_arguments)
 
 
 def test_teacher_forcing_isolation():
@@ -206,10 +210,70 @@ def test_teacher_forcing_isolation():
     assert len(enc.target_ids) >= 2
     changed = list(enc.target_ids)
     changed[0] = (changed[0][0], (changed[0][1] + 1) % vocab.n_arguments, changed[0][2])
-    base = teacher_forced_logits(model, enc.token_ids, enc.target_ids)
-    moved = teacher_forced_logits(model, enc.token_ids, changed)
-    assert np.array_equal(base[0][0].data, moved[0][0].data)
-    assert not np.array_equal(base[1][0].data, moved[1][0].data)
+    base = teacher_forced_logits(model, enc.token_ids, enc.target_ids)[0].data
+    moved = teacher_forced_logits(model, enc.token_ids, changed)[0].data
+    assert np.array_equal(base[0], moved[0])
+    assert not np.array_equal(base[1], moved[1])
+
+
+def _per_step_loss(model, token_ids, targets, weights=None):
+    """The loss as teacher forcing computed it step by step: one ``head_logits``
+    call per decoder step and one ``cross_entropy`` per step and slot, with
+    ``targets`` either one sample's tuples or ``lockstep_targets``' arrays."""
+    pooled, contexts = model.encode(token_ids)
+    hidden, cell = model.initial_decoder_state(pooled)
+    projected = model.project_contexts(contexts)
+    gold = np.asarray(targets)
+    prev = np.array(training_mod.go_tuple_ids(model.vocab, model.dims.positions))
+    mask = None
+    if gold.ndim == 3:
+        mask = np.arange(len(contexts)) < np.array([len(ids) for ids in token_ids])[:, None]
+        prev = np.repeat(prev[:, None], len(gold), axis=1)
+    total = 0.0
+    for s in range(gold.shape[-2]):
+        hidden, cell = model.decode_step(prev, hidden, cell, projected, mask)
+        rel_logits, arg_logits, _ = model.head_logits(hidden)
+        w = None if weights is None else weights[:, s]
+        for k, head in enumerate([rel_logits, *arg_logits]):
+            total += cross_entropy(head, gold[..., s, k], w).item()
+        prev = gold[..., s, :].T
+    return total
+
+
+@pytest.mark.parametrize("setting", ["tpr-tpr", "tpr-lstm", "lstm-tpr", "lstm-lstm"])
+def test_scoring_every_step_at_once_equals_the_per_step_loss(setting):
+    """One head pass and one cross entropy per head give the per-step loss
+    within 1e-12 relative, for one sample and for a padded minibatch."""
+    cfg = micro_config()
+    cfg.encoder, cfg.decoder = setting.split("-")
+    model, short, long = _lockstep_setup(cfg)
+    want = _per_step_loss(model, long.token_ids, long.target_ids)
+    got = sequence_loss(teacher_forced_logits(model, long.token_ids, long.target_ids),
+                        long.target_ids).item()
+    assert abs(got - want) <= 1e-12 * want
+    batch = short[:3] + [long]
+    targets, weights = lockstep_targets(batch)
+    token_ids = [e.token_ids for e in batch]
+    want = _per_step_loss(model, token_ids, targets, weights)
+    got = minibatch_loss(model, batch).item()
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_one_teacher_forced_pass_makes_one_head_call(monkeypatch):
+    cfg, samples, vocab, model, _ = micro_setup()
+    calls = []
+    real = Tpn2fModel.head_logits
+
+    def spy(self, hidden):
+        calls.append(hidden.shape)
+        return real(self, hidden)
+
+    monkeypatch.setattr(Tpn2fModel, "head_logits", spy)
+    encoded = encode_samples(samples[:3], vocab, cfg.positions)
+    teacher_forced_logits(model, encoded[0].token_ids, encoded[0].target_ids)
+    minibatch_loss(model, encoded)
+    steps = max(len(e.target_ids) for e in encoded)
+    assert calls == [(len(encoded[0].target_ids), model.dims.d_h), (3, steps, model.dims.d_h)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +390,7 @@ def test_padding_a_minibatch_leaves_every_rows_loss_unchanged():
     def row_losses(rows):
         targets, weights = lockstep_targets(rows)
         logits = teacher_forced_logits(model, [e.token_ids for e in rows], targets)
-        one_row = np.eye(len(rows))
+        one_row = np.eye(len(rows))[:, :, None]
         return [sequence_loss(logits, targets, weights * one_row[b]).item()
                 for b in range(len(rows))]
 
@@ -367,6 +431,29 @@ def test_each_minibatch_is_one_minibatch_loss_call(monkeypatch):
     optimizer = AdamState.for_params([t for _, t in model.parameters()], cfg.learning_rate)
     train_epoch(model, encoded, optimizer, cfg, rng)
     assert sizes == [10, 2]
+
+
+def test_a_non_finite_minibatch_loss_is_named_before_its_optimizer_step(monkeypatch):
+    """At a learning rate of 1e300 the first step leaves weights that overflow, so
+    the second minibatch's loss is not finite: train_epoch names the epoch and that
+    minibatch's samples and makes no second Adam step."""
+    cfg, samples, vocab, model, rng = micro_setup(n=12)
+    cfg = replace(cfg, learning_rate=1e300, batch_size=4)
+    steps = []
+    real_adam_step = training_mod.adam_step
+
+    def counting(params, optimizer):
+        steps.append(optimizer.step_count)
+        real_adam_step(params, optimizer)
+
+    monkeypatch.setattr(training_mod, "adam_step", counting)
+    encoded = encode_samples(samples, vocab, cfg.positions)
+    optimizer = AdamState.for_params([t for _, t in model.parameters()], cfg.learning_rate)
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"^epoch 7: loss (nan|inf) on the minibatch of samples "
+                                      r"micro-\d+, micro-\d+, micro-\d+, micro-\d+$"):
+        train_epoch(model, encoded, optimizer, cfg, rng, epoch=7)
+    assert steps == [0]
 
 
 def test_loss_finite_over_random_initializations_at_published_dims():
@@ -756,7 +843,8 @@ def _header_with(model, cfg, config=None, vocab=None) -> bytes:
     return _joined_checkpoint_bytes(fake, optimizer, types.SimpleNamespace(to_dict=lambda: config))
 
 
-@pytest.mark.parametrize("key, value", [("reasoning_layers", 1.5), ("max_decode_len", 2.5)])
+@pytest.mark.parametrize("key, value", [("reasoning_layers", 1.5), ("max_decode_len", 2.5),
+                                        ("learning_rate", float("inf"))])
 def test_header_config_value_of_wrong_type_names_the_key(tmp_path, capsys, key, value):
     cfg, samples, _, model, _ = micro_setup(n=8)
     (tmp_path / "bad.ckpt").write_bytes(_header_with(model, cfg, {**cfg.to_dict(), key: value}))
@@ -794,8 +882,9 @@ def _renamed_eos(vocab):
     (lambda v: {**v, "arguments": [a for a in v["arguments"] if a != "PAD"]}, "arguments"),
     (lambda v: {**v, "arguments": " ".join(v["arguments"])}, "arguments"),
     (lambda v: [v["tokens"], v["relations"], v["arguments"]], "tokens"),
+    (lambda v: {**v, "tokens": ["UNK", "a", "a"]}, "tokens"),
 ], ids=["empty", "integer-tokens", "eos-renamed", "no-pad-argument", "arguments-string",
-        "not-an-object"])
+        "not-an-object", "repeated-token"])
 def test_header_vocab_must_hold_strings_and_special_symbols(tmp_path, capsys, edit, key):
     cfg, samples, _, model, _ = micro_setup(n=8)
     raw = _header_with(model, cfg, vocab=edit(model.vocab.to_dict()))
