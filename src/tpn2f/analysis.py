@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .model import Tpn2fModel, encoder_step
-from .tensor import zeros
 from .training import greedy_decode_with_vectors
 
 SCORE_THRESHOLD = 0.1
@@ -58,11 +57,10 @@ def extract_assignments(model: Tpn2fModel, tokens: Sequence[str]) -> list[Assign
         raise ValueError("assignment extraction needs the binding encoder")
     params = model.encoder
     token_ids = model.vocab.encode_text(tokens)
-    d_t = params.filler_lstm.hidden
-    binding, cells = zeros(d_t), (zeros(d_t), zeros(d_t))
+    binding, cell = params.lstm.zero_state()
     records = []
     for pos, (tok, tid) in enumerate(zip(tokens, token_ids)):
-        binding, cells, (a_f, a_r) = encoder_step(tid, binding, cells, params)
+        binding, cell, (a_f, a_r) = encoder_step(tid, binding, cell, params)
         records.append(AssignmentRecord(
             token=tok, position=pos,
             kept_fillers=threshold_scores(a_f.data),

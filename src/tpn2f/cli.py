@@ -209,8 +209,7 @@ def cmd_eval(args) -> int:
 
 def _load_model(path):
     ckpt = training_mod.load_checkpoint(_require_file(path, "checkpoint"))
-    model, _ = ckpt.build()
-    return model, ckpt
+    return ckpt.build_model(), ckpt
 
 
 def cmd_infer(args) -> int:

@@ -1,9 +1,11 @@
 """Encoder-decoder over tensor-product representations.
 
-The encoder runs two LSTMs (filler and role) whose shared recurrent input is
-the previous token's binding; each step soft-selects a filler and a role
-column under a sharp softmax (temperature 0.1) and binds them with an outer
-product, flattened: every encoder position, of either encoder, is one vector.
+The encoder's filler and role LSTMs read the same input, the token and the
+previous token's binding, so they run as one stacked cell; each step
+soft-selects a filler and a role column under a sharp softmax (temperature
+0.1) and binds them with an outer product, flattened.  The plain LSTM encoder
+runs the same recurrence on its hidden state: every encoder position, of
+either encoder, is one vector.
 A reasoning MLP maps the pooled encoding to the decoder's initial state.  The
 decoder is an attentional tuple-LSTM whose hidden state is treated as an
 order-3 binding and unbound into relation and argument vectors, which feed
@@ -11,11 +13,11 @@ separate classifier heads.
 
 Ablation variants swap either side for a plain LSTM (hidden size 100).
 
-Every LSTM cell keeps its gates in one weight ``w`` of shape ``(4H, in + H)``
-and one bias ``b`` of shape ``(4H,)``: row blocks f, g, i, o, columns
-``[input | recurrent]``, so a cell step is one matrix-vector product.  The
-per-gate names ``u_*``, ``v_*`` and ``b_*`` remain as read-only views of those
-blocks.
+Every LSTM cell keeps its gates in one weight ``w`` of shape ``(4H, in + R)``,
+``R`` the recurrent width, and one bias ``b`` of shape ``(4H,)``: row blocks
+f, g, i, o, columns ``[input | recurrent]``, so a cell step is one
+matrix-vector product.  ``u_*``, ``v_*`` and ``b_*`` are read-only views of
+those blocks.
 
 Every function here takes one sample's activations, ``(d,)``, or a minibatch's
 run in lockstep, ``(B, d)``: the encoders take a list of id sequences, which
@@ -34,9 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Vocabularies
-# ``mul`` and ``sigmoid`` are no longer called here (``lstm_gates`` fuses the
-# cell's gates), but stay importable from this module: ``perfbench/tracer.py``
-# counts the model's op calls through these names.
+# ``mul`` and ``sigmoid`` are unused here but stay importable: ``perfbench/tracer.py`` counts them.
 from .tensor import (  # noqa: F401
     ShapeError,
     Tensor,
@@ -185,33 +185,34 @@ class _GateBlock:
     def __get__(self, cell: "LstmParams | None", owner=None):
         if cell is None:
             return self
-        h = cell.hidden
+        h, r = cell.hidden, cell.recurrent
         rows = slice(self.gate * h, (self.gate + 1) * h)
-        if self.kind == "b":
-            view = cell.b.data[rows]
-        elif self.kind == "u":
-            view = cell.w.data[rows, :-h]
-        else:
-            view = cell.w.data[rows, -h:]
-        view = view.view()
+        cols = slice(None, -r) if self.kind == "u" else slice(-r, None)
+        view = (cell.b.data[rows] if self.kind == "b" else cell.w.data[rows, cols]).view()
         view.flags.writeable = False
         return view
 
 
 @dataclass
 class LstmParams:
-    """One LSTM cell as one fused weight and one bias.
+    """One LSTM cell, or ``cells`` stacked ones, as one fused weight and one bias.
 
-    ``w`` has shape ``(4H, in + H)`` and ``b`` shape ``(4H,)``.  Their row
-    blocks of ``H`` are the forget, candidate, input and output gates (f, g,
-    i, o, in that order); the columns of ``w`` are ``[input | recurrent]``.
-    The per-gate names ``u_f`` .. ``u_o`` (input weights, ``(H, in)``),
-    ``v_f`` .. ``v_o`` (recurrent weights, ``(H, H)``) and ``b_f`` .. ``b_o``
-    are read-only ndarray views of those blocks, not parameters.
+    ``w`` has shape ``(4H, in + R)`` and ``b`` shape ``(4H,)``, with recurrent
+    width ``R = H // cells``.  Their row blocks of ``H`` are the forget,
+    candidate, input and output gates (f, g, i, o, in that order); the columns
+    of ``w`` are ``[input | recurrent]``.  ``u_f`` .. ``u_o`` (``(H, in)``),
+    ``v_f`` .. ``v_o`` (``(H, R)``) and ``b_f`` .. ``b_o`` are read-only
+    ndarray views of those blocks, not parameters.
+
+    Stacked cells share their input and recurrent vector; each gate block holds
+    the first cell's ``R`` rows, then the next's.  A gate acts on its own row
+    alone, so a stacked step is exactly the cells' steps, its hidden and cell
+    states their concatenations.  ``cells`` is not a parameter.
     """
 
     w: Tensor
     b: Tensor
+    cells: int = 1
 
     u_f, u_g, u_i, u_o = (_GateBlock("u", k) for k in range(4))
     v_f, v_g, v_i, v_o = (_GateBlock("v", k) for k in range(4))
@@ -221,20 +222,29 @@ class LstmParams:
     def hidden(self) -> int:
         return self.b.shape[0] // 4
 
+    @property
+    def recurrent(self) -> int:
+        return self.hidden // self.cells
+
+    def zero_state(self, lead: tuple[int, ...] = ()) -> tuple[Tensor, Tensor]:
+        """A zero recurrent input ``(*lead, R)`` and a zero cell state ``(*lead, H)``."""
+        return zeros(lead + (self.recurrent,)), zeros(lead + (self.hidden,))
+
     @classmethod
-    def random(cls, rng: np.random.Generator, input_dim: int, hidden_dim: int) -> "LstmParams":
-        """Uniform(-0.1, 0.1) weights, drawn per gate block in the order
-        u_f..u_o, v_f..v_o, b_f..b_o, each draw written into its block."""
-        h = hidden_dim
-        w = np.empty((4 * h, input_dim + h))
-        b = np.empty(4 * h)
-        for k in range(4):
-            w[k * h:(k + 1) * h, :input_dim] = rng.uniform(-0.1, 0.1, size=(h, input_dim))
-        for k in range(4):
-            w[k * h:(k + 1) * h, input_dim:] = rng.uniform(-0.1, 0.1, size=(h, h))
-        for k in range(4):
-            b[k * h:(k + 1) * h] = rng.uniform(-0.1, 0.1, size=h)
-        return cls(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+    def random(cls, rng: np.random.Generator, input_dim: int, hidden_dim: int,
+               cells: int = 1) -> "LstmParams":
+        """Uniform(-0.1, 0.1) weights, ``cells`` stacked cells of ``hidden_dim``
+        each.  Cell by cell, each gate block is drawn in the order u_f..u_o,
+        v_f..v_o, b_f..b_o and written into that cell's rows of its block."""
+        h, n = hidden_dim, cells * hidden_dim
+        w = np.empty((4 * n, input_dim + h))
+        b = np.empty(4 * n)
+        for j in range(cells):
+            rows = [slice(k * n + j * h, k * n + (j + 1) * h) for k in range(4)]
+            blocks = [w[r, :input_dim] for r in rows] + [w[r, input_dim:] for r in rows]
+            for block in blocks + [b[r] for r in rows]:
+                block[...] = rng.uniform(-0.1, 0.1, size=block.shape)
+        return cls(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True), cells)
 
 
 def lstm_cell(p: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
@@ -253,8 +263,7 @@ class EncoderParams:
     """Filler/role binding encoder."""
 
     embed: Tensor                 # (n_tokens, d_word)
-    filler_lstm: LstmParams       # input d_word, hidden d_t
-    role_lstm: LstmParams
+    lstm: LstmParams              # filler and role LSTMs stacked: input d_word, hidden 2 d_t
     w_filler_attn: Tensor         # (n_fillers, d_t)
     w_role_attn: Tensor           # (n_roles, d_t)
     fillers: Tensor               # (d_filler, n_fillers)
@@ -265,13 +274,25 @@ class EncoderParams:
     def random(cls, rng, dims: ModelDims, n_tokens: int) -> "EncoderParams":
         return cls(
             embed=_uniform(rng, (n_tokens, dims.d_word)),
-            filler_lstm=LstmParams.random(rng, dims.d_word, dims.d_t),
-            role_lstm=LstmParams.random(rng, dims.d_word, dims.d_t),
+            lstm=LstmParams.random(rng, dims.d_word, dims.d_t, cells=2),
             w_filler_attn=_uniform(rng, (dims.n_fillers, dims.d_t)),
             w_role_attn=_uniform(rng, (dims.n_roles, dims.d_t)),
             fillers=_uniform(rng, (dims.d_filler, dims.n_fillers)),
             roles=_uniform(rng, (dims.d_role, dims.n_roles)),
         )
+
+
+@dataclass
+class LstmEncoderParams:
+    """Plain single-layer LSTM encoder used by the ablation variants."""
+
+    embed: Tensor
+    lstm: LstmParams
+
+    @classmethod
+    def random(cls, rng, dims: ModelDims, n_tokens: int) -> "LstmEncoderParams":
+        return cls(embed=_uniform(rng, (n_tokens, dims.d_word)),
+                   lstm=LstmParams.random(rng, dims.d_word, dims.lstm_hidden))
 
 
 def _embed(table: Tensor, ids, kind: str) -> Tensor:
@@ -302,21 +323,23 @@ def _id_rows(token_ids) -> tuple[np.ndarray, np.ndarray | None]:
     return pad_rows(token_ids)
 
 
-def encoder_step(token_id, prev_binding: Tensor, prev_cells: tuple[Tensor, Tensor],
-                 params: EncoderParams
-                 ) -> tuple[Tensor, tuple[Tensor, Tensor], tuple[Tensor, Tensor]]:
-    """One binding-encoder step from the previous ``(d_t,)`` binding, both LSTMs'
-    recurrent input; returns the token's binding ``flatten(f (x) r)``, the two
-    cell states and the filler and role selection scores.  An array of token
-    ids with ``(B, d_t)`` states steps B rows at once."""
-    w = _embed(params.embed, token_id, "token")
-    h_f, c_f = lstm_cell(params.filler_lstm, w, prev_binding, prev_cells[0])
-    h_r, c_r = lstm_cell(params.role_lstm, w, prev_binding, prev_cells[1])
+def encoder_step(token_id, prev: Tensor, cell: Tensor,
+                 params: EncoderParams | LstmEncoderParams
+                 ) -> tuple[Tensor, Tensor, tuple[Tensor, Tensor] | None]:
+    """One encoder step from the previous position's vector ``prev``; returns
+    this position's vector, the cell state and the filler and role selection
+    scores.  For the binding encoder that vector is the binding ``flatten(f (x)
+    r)`` and the cell state ``[c_f | c_r]``; for the LSTM encoder it is ``h``,
+    with no scores.  Token ids of B rows with ``(B, ...)`` states step at once."""
+    h, cell = lstm_cell(params.lstm, _embed(params.embed, token_id, "token"), prev, cell)
+    if isinstance(params, LstmEncoderParams):
+        return h, cell, None
+    h_f, h_r = split(h, 2)
     a_f = softmax_with_temperature(matmul(params.w_filler_attn, h_f), params.temperature)
     a_r = softmax_with_temperature(matmul(params.w_role_attn, h_r), params.temperature)
     f = matmul(params.fillers, a_f)
     r = matmul(params.roles, a_r)
-    return flatten(outer_product(f, r), f.ndim - 1), (c_f, c_r), (a_f, a_r)
+    return flatten(outer_product(f, r), f.ndim - 1), cell, (a_f, a_r)
 
 
 def _pool(contexts: list[Tensor], pooling: str, lengths: np.ndarray | None) -> Tensor:
@@ -329,17 +352,16 @@ def _pool(contexts: list[Tensor], pooling: str, lengths: np.ndarray | None) -> T
     return contract_last(transpose(stack_rows(contexts)), Tensor(keep.astype(np.float64)))
 
 
-def encode_sequence(token_ids, params: EncoderParams,
+def encode_sequence(token_ids, params: EncoderParams | LstmEncoderParams,
                     pooling: str = "sum_tprs") -> tuple[Tensor, list[Tensor]]:
-    """Run the encoder over one sample's token ids, or over a list of samples'
-    in lockstep; returns (pooled binding, per-position bindings)."""
+    """Run either encoder over one sample's token ids, or over a list of
+    samples' in lockstep; returns (pooled context, per-position contexts)."""
     ids, lengths = _id_rows(token_ids)
-    state = ids.shape[:-1] + (params.filler_lstm.hidden,)
-    binding, cells = zeros(state), (zeros(state), zeros(state))
+    context, cell = params.lstm.zero_state(ids.shape[:-1])
     contexts: list[Tensor] = []
     for step_ids in ids.T:   # one id, or one per row
-        binding, cells, _ = encoder_step(step_ids, binding, cells, params)
-        contexts.append(binding)
+        context, cell, _ = encoder_step(step_ids, context, cell, params)
+        contexts.append(context)
     return _pool(contexts, pooling, lengths), contexts
 
 
@@ -354,31 +376,6 @@ def bag_of_embeddings(token_ids: Sequence[int], embed: Tensor) -> Tensor:
     for tok in ordered[1:]:
         total = add(total, embedding_row(embed, tok))
     return total
-
-
-@dataclass
-class LstmEncoderParams:
-    """Plain single-layer LSTM encoder used by the ablation variants."""
-
-    embed: Tensor
-    lstm: LstmParams
-
-    @classmethod
-    def random(cls, rng, dims: ModelDims, n_tokens: int) -> "LstmEncoderParams":
-        return cls(embed=_uniform(rng, (n_tokens, dims.d_word)),
-                   lstm=LstmParams.random(rng, dims.d_word, dims.lstm_hidden))
-
-
-def lstm_encode_sequence(token_ids, params: LstmEncoderParams,
-                         pooling: str = "sum_tprs") -> tuple[Tensor, list[Tensor]]:
-    ids, lengths = _id_rows(token_ids)
-    state = ids.shape[:-1] + (params.lstm.hidden,)
-    h, c = zeros(state), zeros(state)
-    contexts: list[Tensor] = []
-    for step_ids in ids.T:   # one id, or one per row
-        h, c = lstm_cell(params.lstm, _embed(params.embed, step_ids, "token"), h, c)
-        contexts.append(h)
-    return _pool(contexts, pooling, lengths), contexts
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +545,7 @@ class Tpn2fModel:
 
     def encode(self, token_ids) -> tuple[Tensor, list[Tensor]]:
         """Encode one sample's token ids, or a list of samples' in lockstep."""
-        if self.variant.encoder == "tpr":
-            return encode_sequence(token_ids, self.encoder, self.variant.pooling)
-        return lstm_encode_sequence(token_ids, self.encoder, self.variant.pooling)
+        return encode_sequence(token_ids, self.encoder, self.variant.pooling)
 
     def initial_decoder_state(self, pooled: Tensor) -> tuple[Tensor, Tensor]:
         hidden = reasoning_map(pooled, self.reasoning)
@@ -579,19 +574,12 @@ def build_model(variant: ModelVariant, dims: ModelDims, vocab: Vocabularies,
     """Assemble the requested encoder/decoder pair with fresh random weights."""
     dims.validate()
     variant.validate()
-    if variant.encoder == "tpr":
-        encoder = EncoderParams.random(rng, dims, vocab.n_tokens)
-        enc_dim = dims.d_t
-    else:
-        encoder = LstmEncoderParams.random(rng, dims, vocab.n_tokens)
-        enc_dim = dims.lstm_hidden
-    if variant.decoder == "tpr":
-        decoder = DecoderParams.random(rng, dims, vocab.n_relations, vocab.n_arguments, enc_dim)
-        dec_hidden = dims.d_h
-    else:
-        decoder = LstmDecoderParams.random(rng, dims, vocab.n_relations, vocab.n_arguments,
-                                           enc_dim)
-        dec_hidden = dims.lstm_hidden
-    reasoning = ReasoningParams.random(rng, enc_dim, dec_hidden, variant.reasoning_layers)
+    encoder = (EncoderParams if variant.encoder == "tpr" else LstmEncoderParams).random(
+        rng, dims, vocab.n_tokens)
+    enc_dim = encoder.lstm.recurrent   # each encoder position's vector is its recurrent input
+    decoder = (DecoderParams if variant.decoder == "tpr" else LstmDecoderParams).random(
+        rng, dims, vocab.n_relations, vocab.n_arguments, enc_dim)
+    reasoning = ReasoningParams.random(rng, enc_dim, decoder.lstm.hidden,
+                                       variant.reasoning_layers)
     return Tpn2fModel(dims=dims, variant=variant, vocab=vocab,
                       encoder=encoder, reasoning=reasoning, decoder=decoder)

@@ -340,11 +340,13 @@ def train(model: Tpn2fModel, samples: Sequence[Sample], config: TrainConfig,
 # checkpoints
 
 CHECKPOINT_MAGIC = b"TPN2FCK1"
+# Version 5 stacked the encoder's filler and role LSTMs into one cell, ``encoder.lstm``
+# (version 4 stored them as ``encoder.filler_lstm`` and ``encoder.role_lstm``).
 # Version 4 renamed the reasoning tensors ``reasoning.wk``/``bk`` to ``weights.k``/``biases.k``.
 # Version 3: the config object dropped two model options that were never enabled.
 # Version 2 introduced one weight ``w`` and one bias ``b`` per LSTM cell (see
 # ``model.LstmParams``); version 1 stored 12 per-gate tensors.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 _ADAM_FIELDS = ("step_count", "learning_rate", "beta1", "beta2", "epsilon")
 
 
@@ -368,13 +370,15 @@ class Checkpoint:
     rng_state: dict
     epoch: int
 
-    def build(self) -> tuple[Tpn2fModel, AdamState]:
-        """Reconstruct the model and optimizer this checkpoint was saved from.
+    def build_model(self) -> Tpn2fModel:
+        """Reconstruct the model this checkpoint was saved from, without its optimizer.
 
-        Every tensor is copied into the new model's and optimizer's own arrays,
-        so two builds share no memory with each other or with the checkpoint.
-        The model's layout is built from zeros, not random draws, since every
-        weight is overwritten.  A layout too large to allocate is a ``CheckpointError``.
+        Every parameter's weight and both its Adam moments must be present with
+        the model's shapes, but only the weights are copied, into the new
+        model's own arrays, so two builds share no memory with each other or
+        with the checkpoint.  The model's layout is built from zeros, not random
+        draws, since every weight is overwritten.  A layout too large to
+        allocate is a ``CheckpointError``.
         """
         try:
             model = build_model(self.config.variant(), self.config.dims(), self.vocab,
@@ -382,7 +386,6 @@ class Checkpoint:
         except (MemoryError, ValueError) as exc:  # ValueError: past numpy's size limit
             raise CheckpointError(f"cannot allocate the model of the checkpoint's config "
                                   f"{self.config.dims()}: {exc}") from exc
-        names = []
         for name, tensor in model.parameters():
             for key in (name, f"adam.m.{name}", f"adam.v.{name}"):
                 if key not in self.tensors:
@@ -392,7 +395,12 @@ class Checkpoint:
                     raise CheckpointError(f"tensor {key!r} has shape {saved.shape}, "
                                           f"model expects {tensor.data.shape}")
             tensor.data[...] = self.tensors[name]
-            names.append(name)
+        return model
+
+    def build(self) -> tuple[Tpn2fModel, AdamState]:
+        """``build_model`` plus a copy of the optimizer state it was saved with."""
+        model = self.build_model()
+        names = [name for name, _ in model.parameters()]
         optimizer = AdamState(
             m=[self.tensors[f"adam.m.{n}"].copy() for n in names],
             v=[self.tensors[f"adam.v.{n}"].copy() for n in names],

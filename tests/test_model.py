@@ -70,10 +70,9 @@ def micro_model(seed=0, dims=MICRO, variant=None, vocab=None):
 
 def test_encoder_step_output_shape_at_published_dims():
     model = micro_model(dims=MATHQA)
-    binding, (c_f, c_r), _ = encoder_step(1, zeros(600), (zeros(600), zeros(600)),
-                                          model.encoder)
+    binding, cell, _ = encoder_step(1, zeros(600), zeros(1200), model.encoder)
     assert binding.shape == (600,)
-    assert c_f.shape == (600,) and c_r.shape == (600,)
+    assert cell.shape == (1200,)   # [c_f | c_r]
 
 
 def test_encoder_step_zero_weights_uniform_softmax_closed_form():
@@ -82,7 +81,7 @@ def test_encoder_step_zero_weights_uniform_softmax_closed_form():
     for name, t in named_tensors(params, "encoder"):
         if "fillers" not in name and "roles" not in name:
             t.data[...] = 0.0
-    binding, _, _ = encoder_step(2, zeros(20), (zeros(20), zeros(20)), params)
+    binding, _, _ = encoder_step(2, zeros(20), zeros(40), params)
     f_mean = params.fillers.data.mean(axis=1)
     r_mean = params.roles.data.mean(axis=1)
     assert np.allclose(binding.data, np.outer(f_mean, r_mean).reshape(-1), atol=1e-12)
@@ -90,7 +89,7 @@ def test_encoder_step_zero_weights_uniform_softmax_closed_form():
 
 def test_encoder_selections_are_convex_combinations():
     model = micro_model(seed=3)
-    binding, _, (a_f, a_r) = encoder_step(1, zeros(20), (zeros(20), zeros(20)), model.encoder)
+    binding, _, (a_f, a_r) = encoder_step(1, zeros(20), zeros(40), model.encoder)
     for scores in (a_f.data, a_r.data):
         assert (scores >= 0).all()
         assert abs(scores.sum() - 1.0) <= 1e-12
@@ -103,7 +102,7 @@ def test_encoder_selections_are_convex_combinations():
 def test_encoder_rejects_unknown_token_id():
     model = micro_model()
     with pytest.raises(VocabError):
-        encoder_step(99, zeros(20), (zeros(20), zeros(20)), model.encoder)
+        encoder_step(99, zeros(20), zeros(40), model.encoder)
 
 
 def test_encode_sequence_singleton_equals_context():
@@ -386,8 +385,7 @@ def test_build_full_model_has_binding_parts():
 
 
 _ENCODER_NAMES = {
-    "tpr": ["encoder.embed", "encoder.filler_lstm.w", "encoder.filler_lstm.b",
-            "encoder.role_lstm.w", "encoder.role_lstm.b", "encoder.w_filler_attn",
+    "tpr": ["encoder.embed", "encoder.lstm.w", "encoder.lstm.b", "encoder.w_filler_attn",
             "encoder.w_role_attn", "encoder.fillers", "encoder.roles"],
     "lstm": ["encoder.embed", "encoder.lstm.w", "encoder.lstm.b"],
 }
@@ -518,13 +516,22 @@ def test_gradient_flow_all_variants(encoder, decoder):
 GATE_NAMES = [f"{kind}_{gate}" for gate in "fgio" for kind in "uvb"]
 
 
-def _gate_slices(cell: LstmParams, kind: str, gate: str):
-    """(tensor, index) of one gate block inside the fused ``w`` or ``b``."""
-    h, k = cell.hidden, "fgio".index(gate)
-    rows = slice(k * h, (k + 1) * h)
+def _gate_slices(cell: LstmParams, kind: str, gate: str, part: int = 0):
+    """(tensor, index) of one gate block inside the fused ``w`` or ``b``: the
+    rows of the ``part``-th cell of a stacked cell, the whole block of a single one."""
+    h, r, k = cell.hidden, cell.recurrent, "fgio".index(gate)
+    rows = slice(k * h + part * r, k * h + (part + 1) * r)
     if kind == "b":
         return cell.b, rows
-    return cell.w, (rows, slice(None, -h) if kind == "u" else slice(-h, None))
+    return cell.w, (rows, slice(None, -r) if kind == "u" else slice(-r, None))
+
+
+def _unstacked(cell: LstmParams) -> list[LstmParams]:
+    """Each cell of a stacked cell as its own ``LstmParams``, from its rows of every gate block."""
+    h, r = cell.hidden, cell.recurrent
+    rows = [np.concatenate([np.arange(k * h + j * r, k * h + (j + 1) * r) for k in range(4)])
+            for j in range(cell.cells)]
+    return [LstmParams(Tensor(cell.w.data[i]), Tensor(cell.b.data[i])) for i in rows]
 
 
 def _four_gate_cell(p, x, h_prev, c_prev):
@@ -592,26 +599,70 @@ def test_fused_cell_layout_and_read_only_views():
         cell.v_f[0, 0] = 1.0
     cell.w.data[4, 5] = 2.5     # the views follow the fused weight
     assert cell.v_g[0, 2] == 2.5
-    assert len(micro_model(dims=MATHQA).parameters()) == 22
+    assert len(micro_model(dims=MATHQA).parameters()) == 20
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["vector", "rows"])
+def test_stacked_cell_is_the_two_cell_maths(lead):
+    """One step of the encoder's stacked cell is one step of the filler cell and
+    one of the role cell, each computed by the per-gate reference maths from its
+    rows of the stacked blocks: ``h = [h_f | h_r]`` and ``c = [c_f | c_r]``."""
+    rng = np.random.default_rng(8)
+    cell = LstmParams.random(rng, 8, 6, cells=2)
+    x, prev = rng.uniform(-1, 1, lead + (8,)), rng.uniform(-1, 1, lead + (6,))
+    cells = rng.uniform(-1, 1, lead + (12,))
+    h, c = lstm_cell(cell, Tensor(x), Tensor(prev), Tensor(cells))
+    for j, part in enumerate(_unstacked(cell)):
+        gates = {n: Tensor(getattr(part, n)) for n in GATE_NAMES}
+        own = slice(j * 6, (j + 1) * 6)
+        h_j, c_j = _four_gate_cell(gates, Tensor(x), Tensor(prev), Tensor(cells[..., own]))
+        assert np.abs(h.data[..., own] - h_j.data).max() <= 1e-12
+        assert np.abs(c.data[..., own] - c_j.data).max() <= 1e-12
+
+
+def test_stacked_cell_draws_two_cells_in_turn():
+    """The stacked cell's blocks are, bit for bit, two single-cell draws from an
+    equally seeded generator: the filler cell's, then the role cell's."""
+    stacked = LstmParams.random(np.random.default_rng(4), 6, 5, cells=2)
+    replay = np.random.default_rng(4)
+    for got, want in zip(_unstacked(stacked), [LstmParams.random(replay, 6, 5) for _ in "fr"]):
+        assert np.array_equal(got.w.data, want.w.data) and np.array_equal(got.b.data, want.b.data)
+    assert stacked.w.shape == (40, 11) and stacked.b.shape == (40,)
+    assert stacked.u_f.shape == (10, 6) and stacked.v_o.shape == (10, 5)
+    assert [n for n, _ in named_tensors(stacked, "x")] == ["x.w", "x.b"]
+
+
+@pytest.mark.parametrize("encoder, nodes", [("tpr", 17), ("lstm", 7)])
+def test_tape_nodes_per_encoder_position(encoder, nodes):
+    """One more token costs the binding encoder 17 tape nodes (the embedding, 6
+    for the stacked cell, 2 to split ``h`` into ``h_f`` and ``h_r``, 8 for the
+    selections and the binding) and the LSTM encoder 7."""
+    model = micro_model(variant=ModelVariant(encoder, "tpr"))
+    counts = []
+    for ids in ([1, 2, 3], [1, 2, 3, 4]):
+        with GradientTape() as tape:
+            encode_sequence(ids, model.encoder)
+        counts.append(len(tape))
+    assert counts[1] - counts[0] == nodes
 
 
 @pytest.mark.parametrize("encoder,decoder", [("tpr", "tpr"), ("lstm", "lstm")])
 def test_gradient_flow_every_gate_block(encoder, decoder):
     """Finite differences agree with the tape on 2 entries of every gate block
-    (u, v and b of f, g, i and o) of every LSTM cell."""
+    (u, v and b of f, g, i and o) of every LSTM cell; on the encoder's stacked
+    cell, 2 from the filler cell's rows and 2 from the role cell's."""
     vocab = tiny_vocab()
     model = build_model(ModelVariant(encoder, decoder), MICRO, vocab,
                         np.random.default_rng(1))
     enc = encode_sample(_audit_sample(vocab, 2), vocab, 2)
     with GradientTape():
         backward(sample_loss(model, enc))
-    cells = ([model.encoder.filler_lstm, model.encoder.role_lstm] if encoder == "tpr"
-             else [model.encoder.lstm]) + [model.decoder.lstm]
+    assert model.encoder.lstm.cells == (2 if encoder == "tpr" else 1)
     rng = np.random.default_rng(3)
     h = 1e-5
-    for k, cell in enumerate(cells):
-        for n in GATE_NAMES:
-            t, idx = _gate_slices(cell, n[0], n[2])
+    for k, cell in enumerate([model.encoder.lstm, model.decoder.lstm]):
+        for n, part in [(n, part) for n in GATE_NAMES for part in range(cell.cells)]:
+            t, idx = _gate_slices(cell, n[0], n[2], part)
             block, grad = t.data[idx], t.grad[idx]
             for flat in rng.choice(block.size, size=2, replace=False):
                 pos = np.unravel_index(flat, block.shape)
@@ -623,4 +674,4 @@ def test_gradient_flow_every_gate_block(encoder, decoder):
                 block[pos] = orig
                 fd = (hi - lo) / (2 * h)
                 denom = max(abs(fd), abs(grad[pos]), 1e-4)
-                assert abs(fd - grad[pos]) / denom < 1e-3, f"cell {k} {n}{pos}"
+                assert abs(fd - grad[pos]) / denom < 1e-3, f"cell {k}.{part} {n}{pos}"

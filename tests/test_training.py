@@ -21,7 +21,7 @@ from tpn2f import training as training_mod
 from tpn2f.cli import dispatch
 from tpn2f.data import build_vocabularies, preprocess_samples, save_dataset
 from tpn2f.formal_lang import RelationalTuple
-from tpn2f.model import ModelDims, ModelVariant, Tpn2fModel, build_model
+from tpn2f.model import LstmParams, ModelDims, ModelVariant, Tpn2fModel, build_model
 from tpn2f.synthetic import make_micro_dataset, micro_config
 from tpn2f.tensor import AdamState, GradientTape, Tensor, backward, cross_entropy
 from tpn2f.training import (
@@ -765,17 +765,34 @@ def _joined_checkpoint_bytes(model, optimizer, config, rng_state=None, epoch=0,
     return body + zlib.crc32(body).to_bytes(4, "little")
 
 
-def _version1_checkpoint_bytes(model, config) -> bytes:
-    """A version-1 file: 12 per-gate tensors ``u_*``, ``v_*``, ``b_*`` per LSTM cell."""
+def _version4_parameters(model) -> list[tuple[str, Tensor]]:
+    """The parameters under version 4's names, in its order: the encoder's stacked
+    cell as ``encoder.filler_lstm`` and ``encoder.role_lstm``, each made of its
+    rows of every gate block."""
+    cell = model.encoder.lstm
+    h, r = cell.hidden, cell.recurrent
     named = []
     for name, t in model.parameters():
+        if name == "encoder.lstm.w":
+            for j, old in enumerate(("filler_lstm", "role_lstm")):
+                rows = np.concatenate([np.arange(k * h + j * r, k * h + (j + 1) * r)
+                                       for k in range(4)])
+                named += [(f"encoder.{old}.w", Tensor(cell.w.data[rows])),
+                          (f"encoder.{old}.b", Tensor(cell.b.data[rows]))]
+        elif name != "encoder.lstm.b":
+            named.append((name, t))
+    return named
+
+
+def _version1_checkpoint_bytes(model, config) -> bytes:
+    """A version-1 file: 12 per-gate tensors ``u_*``, ``v_*``, ``b_*`` per LSTM cell."""
+    named, v4 = [], dict(_version4_parameters(model))
+    for name, t in v4.items():
         prefix, _, leaf = name.rpartition(".")
         if not prefix.endswith("lstm"):
             named.append((name, t))
         elif leaf == "w":
-            cell = model
-            for part in prefix.split("."):
-                cell = getattr(cell, part)
+            cell = LstmParams(t, v4[f"{prefix}.b"])
             named += [(f"{prefix}.{kind}_{gate}", Tensor(getattr(cell, f"{kind}_{gate}")))
                       for gate in "fgio" for kind in "uvb"]
     old = types.SimpleNamespace(parameters=lambda: named, vocab=model.vocab)
@@ -831,6 +848,23 @@ def test_version3_checkpoint_is_rejected_naming_its_version(tmp_path, capsys):
                      "--data", str(tmp_path / "data.jsonl"),
                      "--out", str(tmp_path / "pred.jsonl")]) == 1
     assert "version 3" in capsys.readouterr().err
+
+
+def test_version4_checkpoint_is_rejected_naming_its_version(tmp_path, capsys):
+    cfg, samples, _, model, _ = micro_setup(n=8)
+    named = _version4_parameters(model)
+    old = types.SimpleNamespace(parameters=lambda: named, vocab=model.vocab)
+    optimizer = AdamState.for_params([t for _, t in named], cfg.learning_rate)
+    raw = _joined_checkpoint_bytes(old, optimizer, cfg, version=4)
+    assert b'"encoder.filler_lstm.w"' in raw and b'"encoder.lstm.w"' not in raw
+    (tmp_path / "v4.ckpt").write_bytes(raw)
+    with pytest.raises(CheckpointError, match="version 4"):
+        load_checkpoint(tmp_path / "v4.ckpt")
+    save_dataset(tmp_path / "data.jsonl", samples)
+    assert dispatch(["infer", "--checkpoint", str(tmp_path / "v4.ckpt"),
+                     "--data", str(tmp_path / "data.jsonl"),
+                     "--out", str(tmp_path / "pred.jsonl")]) == 1
+    assert "version 4" in capsys.readouterr().err
 
 
 def _header_with(model, cfg, config=None, vocab=None) -> bytes:
@@ -1001,6 +1035,26 @@ def test_checkpoint_shorter_than_its_header_promises(tmp_path, monkeypatch):
         st_size=real_fstat(fd).st_size + 64))
     with pytest.raises(CheckpointError, match=r"truncated: read \d+ of \d+ bytes"):
         load_checkpoint(tmp_path / "m.ckpt")
+
+
+def test_infer_builds_no_optimizer_but_checks_every_moment(tmp_path, monkeypatch, capsys):
+    """``infer`` copies only the weights, yet a header missing an Adam moment still exits 1."""
+    cfg, samples, vocab, model = _trained_bundle(tmp_path)
+    ckpt = load_checkpoint(tmp_path / "m.ckpt")
+    for (na, ta), (nb, tb) in zip(ckpt.build_model().parameters(), ckpt.build()[0].parameters()):
+        assert na == nb and np.array_equal(ta.data, tb.data)
+    save_dataset(tmp_path / "data.jsonl", samples)
+    files = ["--data", str(tmp_path / "data.jsonl"), "--out", str(tmp_path / "pred.jsonl")]
+
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("infer built an optimizer")
+
+    monkeypatch.setattr(training_mod, "AdamState", no_optimizer)
+    assert dispatch(["infer", "--checkpoint", str(tmp_path / "m.ckpt"), *files]) == 0
+    (tmp_path / "bad.ckpt").write_bytes(
+        _reseal((tmp_path / "m.ckpt").read_bytes(), _drop_first_adam_moment))
+    assert dispatch(["infer", "--checkpoint", str(tmp_path / "bad.ckpt"), *files]) == 1
+    assert "missing tensor 'adam.m." in capsys.readouterr().err
 
 
 def test_checkpoint_builds_share_no_memory(tmp_path):
