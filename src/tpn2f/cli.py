@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -168,21 +169,16 @@ def cmd_train(args) -> int:
 
 def _read_predictions(path) -> dict[str, list[fl.RelationalTuple]]:
     preds = {}
-    for lineno, line in enumerate(_require_file(path, "prediction file")
-                                  .read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise UserError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    text = _require_file(path, "prediction file").read_text(encoding="utf-8")
+    for lineno, record in data_mod.read_json_lines(path, text):
         program = record.get("program") if isinstance(record, dict) else None
         if not (isinstance(program, list) and "id" in record and all(
                 isinstance(t, list) and 2 <= len(t) <= 4 and t[0]
                 and all(isinstance(s, str) for s in t) for t in program)):
             raise UserError(f"{path}:{lineno}: a prediction is an object with an 'id' and a "
                             f"'program' of [relation, arg, ...] lists of 2-4 strings")
-        preds[str(record["id"])] = [fl.RelationalTuple(t[0], tuple(t[1:])) for t in program]
+        preds[str(record["id"])] = data_mod.normalize_consts(
+            fl.RelationalTuple(t[0], tuple(t[1:])) for t in program)
     return preds
 
 
@@ -219,12 +215,20 @@ def cmd_infer(args) -> int:
     samples = _load_samples(args.data, args.format)
     samples = data_mod.preprocess_samples(samples, ckpt.config.positions)
     max_len = ckpt.config.max_decode_len if args.max_len is None else args.max_len
+    seconds = []
     with open(args.out, "w", encoding="utf-8") as fh:
         for s in samples:
-            program = training_mod.greedy_decode(model, model.vocab.encode_text(s.text), max_len)
+            tokens = model.vocab.encode_text(s.text)
+            start = time.perf_counter()
+            program = training_mod.greedy_decode(model, tokens, max_len)
+            seconds.append(time.perf_counter() - start)
             fh.write(json.dumps({"id": s.id,
                                  "program": [[t.relation, *t.args] for t in program]}) + "\n")
     print(f"wrote {len(samples)} predictions -> {args.out}")
+    if seconds:
+        p50, p95 = np.percentile(seconds, [50, 95]) * 1e3
+        print(f"decoded {len(seconds) / sum(seconds):.1f} samples/s; "
+              f"latency p50 {p50:.3f} ms, p95 {p95:.3f} ms")
     return 0
 
 

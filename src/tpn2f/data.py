@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .formal_lang import (
     _REF_RE,
@@ -72,22 +72,37 @@ def link_numbers(tokens: Sequence[str]) -> tuple[list[float], list[str]]:
     return numbers, out
 
 
-def _normalize_const(symbol: str) -> str:
-    # "const-100" is a tokenization artifact for "const100".
-    return "const" + symbol[len("const-"):] if symbol.startswith("const-") else symbol
+def normalize_consts(program: Iterable[RelationalTuple]) -> list[RelationalTuple]:
+    """Read every ``const-N`` argument as ``constN``, a tokenization artifact."""
+    return [RelationalTuple(t.relation, tuple(
+        "const" + a[len("const-"):] if a.startswith("const-") else a for a in t.args))
+        for t in program]
+
+
+def read_json_lines(path, text: str) -> list[tuple[int, Any]]:
+    """``(line number, value)`` for each non-blank line of JSON-lines ``text``
+    read from ``path``; a line that is not JSON is an error naming ``path:line``."""
+    values = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            values.append((lineno, json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    return values
 
 
 def _tuple_from_record(entry) -> RelationalTuple:
     if not (isinstance(entry, list) and 2 <= len(entry) <= 4 and str(entry[0])):
         raise SchemaError(f"field 'program' entries are [relation, 1-3 args], got {entry!r:.60}")
     rel, *args = (str(x) for x in entry)
-    return RelationalTuple(rel, tuple(_normalize_const(a) for a in args))
+    return RelationalTuple(rel, tuple(args))
 
 
 def _parse_program(value) -> list[RelationalTuple]:
     if isinstance(value, str):
-        return [RelationalTuple(t.relation, tuple(_normalize_const(a) for a in t.args))
-                for t in parse_tuple_sequence(value)]
+        return parse_tuple_sequence(value)
     if isinstance(value, list):
         return [_tuple_from_record(e) for e in value]
     raise SchemaError(f"field 'program' must be a string or list, got {type(value).__name__}")
@@ -138,6 +153,7 @@ def _sample_from_record(record: dict, index: int, fmt: str) -> Sample:
     else:
         missing = "program_tree" if fmt == "algolisp-style" else "program"
         raise SchemaError(f"missing field '{missing}' (or 'program')")
+    program = normalize_consts(program)
 
     if "numbers" in record:
         numbers = _numbers(record["numbers"], "numbers")
@@ -164,7 +180,6 @@ def load_dataset(path, fmt: str = "mathqa-style") -> list[Sample]:
     path = Path(path)
     raw = path.read_text(encoding="utf-8")
     stripped = raw.lstrip()
-    records: list[tuple[int, dict]] = []
     if not stripped:
         return []
     if stripped.startswith("["):
@@ -174,13 +189,7 @@ def load_dataset(path, fmt: str = "mathqa-style") -> list[Sample]:
             raise DatasetError(f"{path}: invalid JSON array: {exc}") from exc
         records = list(enumerate(arr))
     else:
-        for lineno, line in enumerate(raw.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        records = read_json_lines(path, raw)
     samples = []
     for index, record in records:
         try:

@@ -2,6 +2,9 @@
 
 A program is a straight-line sequence of tuples ``(relation, arg...)`` where
 ``#i`` names the result of step i and only backward references are legal.
+Tuple text ``(add,n0,n1) (sqrt,#0)`` and program trees ``(map a (partial1 b
+--))`` are both s-expressions and are read by one reader, in which whitespace
+and commas separate symbols and a parse error carries its text offset.
 Two executors are provided: an arithmetic one for math word problems
 (``exec_mathqa``) and a mini-Lisp one with closures and recursion
 (``exec_algolisp``).
@@ -13,7 +16,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 PAD_SYMBOL = "PAD"
 
@@ -63,6 +66,52 @@ def format_tuple_sequence(program: Sequence[RelationalTuple]) -> str:
     return " ".join(str(t) for t in program)
 
 
+def _read_sexprs(text: str, flat: bool = False,
+                 single: bool = False) -> Iterator[tuple[int, Any]]:
+    """Yield each top-level s-expression of ``text`` as an ``(offset, node)`` pair.
+
+    A node is an atom (a string) or a list of ``(offset, node)`` pairs.
+    Whitespace and commas separate symbols.  Each expression is read only
+    when it is asked for, so a caller's check on one fails before the text
+    after it is scanned.  ``flat`` makes a '(' inside a list an error, and
+    ``single`` a second top-level expression, each at its offset.
+    """
+    n = len(text)
+
+    def skip(i: int) -> int:
+        while i < n and (text[i].isspace() or text[i] == ","):
+            i += 1
+        return i
+
+    def read(i: int, nested: bool) -> tuple[Any, int]:
+        if text[i] == ")":
+            raise ParseError("unexpected ')'", i)
+        if text[i] != "(":
+            j = i
+            while j < n and text[j] not in "()," and not text[j].isspace():
+                j += 1
+            return text[i:j], j
+        if nested and flat:
+            raise ParseError("nested '(' inside tuple", i)
+        children = []
+        i = skip(i + 1)
+        while i < n and text[i] != ")":
+            child, end = read(i, True)
+            children.append((i, child))
+            i = skip(end)
+        if i >= n:
+            raise ParseError("unclosed '('", i)
+        return children, i + 1
+
+    i = skip(0)
+    while i < n:
+        node, end = read(i, False)
+        yield i, node
+        i = skip(end)
+        if single and i < n:
+            raise ParseError("trailing input after expression", i)
+
+
 def parse_tuple_sequence(text: str) -> list[RelationalTuple]:
     """Parse ``(rel,a1,a2) (rel,a1) ...``; comma and space both separate symbols.
 
@@ -70,32 +119,10 @@ def parse_tuple_sequence(text: str) -> list[RelationalTuple]:
     offset at which parsing failed.
     """
     tuples: list[RelationalTuple] = []
-    i, n = 0, len(text)
-    while True:
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            return tuples
-        if text[i] != "(":
-            raise ParseError(f"expected '(' but found {text[i]!r}", i)
-        start = i
-        i += 1
-        symbols: list[str] = []
-        while True:
-            while i < n and (text[i].isspace() or text[i] == ","):
-                i += 1
-            if i >= n:
-                raise ParseError("tuple is not closed", i)
-            if text[i] == ")":
-                i += 1
-                break
-            if text[i] == "(":
-                raise ParseError("nested '(' inside tuple", i)
-            j = i
-            while j < n and text[j] not in "(),," and not text[j].isspace():
-                j += 1
-            symbols.append(text[i:j])
-            i = j
+    for start, node in _read_sexprs(text, flat=True):
+        if isinstance(node, str):
+            raise ParseError(f"expected '(' but found {node[0]!r}", start)
+        symbols = [atom for _, atom in node]
         if not symbols:
             raise ParseError("empty tuple", start)
         if len(symbols) == 1:
@@ -106,6 +133,7 @@ def parse_tuple_sequence(text: str) -> list[RelationalTuple]:
         if len(args) == 1:
             args.append(PAD_SYMBOL)
         tuples.append(RelationalTuple(symbols[0], tuple(args)))
+    return tuples
 
 
 def check_straight_line(program: Sequence[RelationalTuple]) -> None:
@@ -123,69 +151,32 @@ def check_straight_line(program: Sequence[RelationalTuple]) -> None:
 # program trees
 
 
-def _parse_sexpr(text: str):
-    """S-expression -> nested lists of atoms.  Commas count as whitespace."""
-    pos = 0
-    n = len(text)
-
-    def skip():
-        nonlocal pos
-        while pos < n and (text[pos].isspace() or text[pos] == ","):
-            pos += 1
-
-    def node():
-        nonlocal pos
-        skip()
-        if pos >= n:
-            raise ParseError("unexpected end of input", pos)
-        if text[pos] == "(":
-            pos += 1
-            children = []
-            while True:
-                skip()
-                if pos >= n:
-                    raise ParseError("unclosed '('", pos)
-                if text[pos] == ")":
-                    pos += 1
-                    return children
-                children.append(node())
-        if text[pos] == ")":
-            raise ParseError("unexpected ')'", pos)
-        j = pos
-        while j < n and text[j] not in "()," and not text[j].isspace():
-            j += 1
-        atom = text[pos:j]
-        pos = j
-        return atom
-
-    tree = node()
-    skip()
-    if pos < n:
-        raise ParseError("trailing input after expression", pos)
-    return tree
-
-
 def flatten_program_tree(text: str) -> list[RelationalTuple]:
     """Post-order flattening: each application becomes one tuple, children
-    that are themselves applications become #i references."""
-    tree = _parse_sexpr(text)
+    that are themselves applications become #i references.  A malformed
+    application is an error at its own offset."""
+    forms = list(_read_sexprs(text, single=True))
+    if not forms:
+        raise ParseError("unexpected end of input", len(text))
+    start, tree = forms[0]
     if isinstance(tree, str):
-        raise ParseError("program must contain at least one application", 0)
+        raise ParseError("program must contain at least one application", start)
     out: list[RelationalTuple] = []
 
-    def walk(node) -> str:
+    def walk(start: int, node) -> str:
         if isinstance(node, str):
             return node
-        if not node or not isinstance(node[0], str):
-            raise ParseError("application head must be an atom", 0)
-        head, children = node[0], node[1:]
+        if not node or not isinstance(node[0][1], str):
+            raise ParseError("application head must be an atom", start)
+        head, children = node[0][1], node[1:]
         if not 1 <= len(children) <= 3:
-            raise ParseError(f"application {head!r} has {len(children)} children (need 1-3)", 0)
-        args = tuple(walk(c) for c in children)
+            raise ParseError(
+                f"application {head!r} has {len(children)} children (need 1-3)", start)
+        args = tuple(walk(*c) for c in children)
         out.append(RelationalTuple(head, args))
         return f"#{len(out) - 1}"
 
-    walk(tree)
+    walk(start, tree)
     return out
 
 
@@ -407,12 +398,6 @@ def _lisp_len(x):
     return len(x)
 
 
-def _lisp_sqrt(a):
-    if a < 0:
-        raise ExecutionError("sqrt-negative", f"square root of negative value {a}")
-    return math.sqrt(a)
-
-
 _LISP_BUILTINS: dict[str, Builtin] = {
     "+": Builtin("+", 2, _num_op("+", lambda a, b: a + b)),
     "-": Builtin("-", 2, _num_op("-", lambda a, b: a - b)),
@@ -431,7 +416,7 @@ _LISP_BUILTINS: dict[str, Builtin] = {
     "deref": Builtin("deref", 2, _lisp_deref),
     "digits": Builtin("digits", 1, _lisp_digits),
     "floor": Builtin("floor", 1, lambda a: math.floor(a)),
-    "sqrt": Builtin("sqrt", 1, _lisp_sqrt),
+    "sqrt": Builtin("sqrt", 1, _safe_sqrt),
     "min": Builtin("min", 2, _num_op("min", min)),
     "max": Builtin("max", 2, _num_op("max", max)),
 }

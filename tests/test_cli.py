@@ -416,6 +416,24 @@ def test_eval_rejects_a_malformed_prediction_line(tmp_path, micro_file, capsys, 
     assert f"{pred}:2" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_prediction_line_that_is_not_json(tmp_path, micro_file, capsys):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text('{"id": "micro-1", "program": [["add", "n0", "n1"]]}\n\n{oops\n')
+    assert dispatch(["eval", "--pred", str(pred), "--gold", str(micro_file)]) == 1
+    assert f"{pred}:3: invalid JSON" in capsys.readouterr().err
+
+
+def test_eval_reads_const_dash_as_const_in_predictions(tmp_path, capsys):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"id": "q", "text": "a 3 b 4",
+                                "program": "(divide,n0,const-100)"}) + "\n")
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps({"id": "q", "program": [["divide", "n0", "const-100"]]}) + "\n")
+    assert dispatch(["eval", "--pred", str(pred), "--gold", str(gold)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["op_acc"] == report["m_acc"] == report["exec_acc"] == 1.0
+
+
 def _untrained_checkpoint(tmp_path, micro_file, *flags):
     cfg_file = tmp_path / "c.cfg"
     cfg_file.write_text(MICRO_CFG)
@@ -451,6 +469,20 @@ def test_analyze_an_lstm_encoder_checkpoint_skips_assignments(tmp_path, micro_fi
     assert (out / "assignments.csv").read_text() == "token,position,role,filler,score\n"
     for name in ("clusters.csv", "scatter.svg", "roles.svg"):
         assert (out / name).exists()
+
+
+def test_infer_reports_samples_per_second_and_latency_percentiles(tmp_path, micro_file, capsys):
+    ckpt = _untrained_checkpoint(tmp_path, micro_file)
+    capsys.readouterr()
+    pred = tmp_path / "pred.jsonl"
+    assert dispatch(["infer", "--checkpoint", str(ckpt), "--data", str(micro_file),
+                     "--out", str(pred)]) == 0
+    wrote, speed = capsys.readouterr().out.splitlines()
+    assert wrote == f"wrote 12 predictions -> {pred}"
+    m = re.fullmatch(r"decoded (\d+\.\d) samples/s; latency p50 (\d+\.\d{3}) ms, "
+                     r"p95 (\d+\.\d{3}) ms", speed)
+    assert m, speed
+    assert float(m[1]) > 0 and 0 < float(m[2]) <= float(m[3])
 
 
 def test_analyze_decodes_to_the_checkpoints_max_decode_len(tmp_path, micro_file, monkeypatch):

@@ -91,6 +91,17 @@ def test_load_algolisp_tree_and_tests(tmp_path):
     assert exec_algolisp(s.program, inputs) == expected
 
 
+@pytest.mark.parametrize("fmt, field, program", [
+    ("mathqa-style", "program", "(divide,n0,const-100)"),
+    ("mathqa-style", "program", [["divide", "n0", "const-100"]]),
+    ("algolisp-style", "program_tree", "(divide n0 const-100)"),
+], ids=["tuple-text", "tuple-list", "tree"])
+def test_const_dash_reads_as_const_in_every_program_syntax(tmp_path, fmt, field, program):
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps({"text": "a 3", field: program}) + "\n")
+    assert load_dataset(path, fmt)[0].program == [T("divide", "n0", "const100")]
+
+
 @pytest.mark.parametrize("fields, field", [
     ({"numbers": "abc"}, "numbers"), ({"numbers": "123"}, "numbers"),
     ({"numbers": [1, True]}, "numbers"), ({"numbers": None}, "numbers"),

@@ -69,6 +69,38 @@ def test_format_round_trips_through_parser():
     assert format_tuple_sequence(parse_tuple_sequence(text)) == text
 
 
+_SYMBOLS = st.text("abn0123#-+<=.", min_size=1, max_size=5)
+
+
+@given(st.lists(st.tuples(_SYMBOLS, st.lists(_SYMBOLS, min_size=1, max_size=3)),
+                max_size=5),
+       st.data())
+@settings(max_examples=80)
+def test_formatted_program_parses_back_whatever_separates_its_symbols(program, data):
+    """Each comma that ``format_tuple_sequence`` prints may be any run of
+    spaces and commas; the parser reads the same tuples back."""
+    program = [T(rel, *args) for rel, args in program]
+    text = "".join(data.draw(st.text(" ,", min_size=1, max_size=4)) if c == "," else c
+                   for c in format_tuple_sequence(program))
+    padded = [T(t.relation, *t.args, "PAD") if len(t.args) == 1 else t for t in program]
+    assert parse_tuple_sequence(text) == padded
+
+
+@pytest.mark.parametrize("text", ["(a,b),(c,d)", ", (a,b) ,(c,d),", "(a b)(c,d)"])
+def test_commas_between_top_level_tuples_are_separators(text):
+    assert parse_tuple_sequence(text) == [T("a", "b", "PAD"), T("c", "d", "PAD")]
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(a,(b,c))", 3), ("(a,(b", 3), ("(a) (b,c", 0), ("(a,b))", 5),
+    ("(a,b) x", 6), ("  ()", 2), ("(a,b) (a,b,c,d,e)", 6),
+])
+def test_parse_error_offsets(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_tuple_sequence(text)
+    assert err.value.position == position
+
+
 # ---------------------------------------------------------------------------
 # math executor
 
@@ -251,6 +283,21 @@ def test_flatten_matches_published_command_sequence():
 def test_flatten_single_atom_is_error():
     with pytest.raises(ParseError):
         flatten_program_tree("a")
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(f (g) x)", 3), ("(f a (g b (h)))", 10), ("(f ((g a) b))", 3), ("(f a b c d)", 0),
+    ("  x", 2), ("(f", 2), (")", 0), ("(f x) (g", 6), ("", 0),
+])
+def test_flatten_error_carries_the_offset_of_its_node(text, position):
+    with pytest.raises(ParseError) as err:
+        flatten_program_tree(text)
+    assert err.value.position == position
+
+
+def test_flatten_reads_commas_as_separators():
+    assert flatten_program_tree("(map,a,(partial1, b, --))") == flatten_program_tree(
+        "(map a (partial1 b --))")
 
 
 def test_flatten_rebuild_round_trip_simple():
