@@ -15,7 +15,9 @@ so that two checkouts form pairs of runs taken under the same conditions.
 The file holds, per checkout and workload, every run's result line and the
 median and quartiles of each end-to-end metric, with the environment the
 runs reported (commit, ``src/`` line count, BLAS and thread count); with two
-or more checkouts, it also compares each one with the first, pair by pair.
+or more checkouts, it also compares each one with the first, pair by pair,
+and states for each metric whether a claimed gain holds and whether the
+metric stays within its ``BENCHMARK.json`` bound (see ``compare``).
 
 A run that exits non-zero, or prints no result, is listed under
 ``failed_runs`` with its seed, workload, checkout, exit code and the tail of
@@ -32,6 +34,7 @@ import argparse
 import contextlib
 import datetime
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -71,23 +74,36 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def compare(base: list[dict], other: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: the pairs' ratios other/base, and how many pairs ``other`` wins.
-    A pair is the two checkouts' runs of one seed; a seed either lacks is left out."""
+def compare(base: list[dict], other: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric: the pairs' ratios other/base, how many pairs ``other`` wins
+    (a tie counts for neither) and two verdicts.  ``claim_holds``: ``other``
+    wins at least 9 in 10 pairs and its median beats the base's by more than
+    the base's interquartile range.  ``within_bound``: ``other``'s median is
+    worse than the base's by no more than the metric's relative ``bound``.
+    ``metrics`` maps each name to its ``BENCHMARK.json`` entry (``better`` and
+    ``bound``).  A pair is the two checkouts' runs of one seed; a seed either
+    lacks is left out, and the medians and quartiles are the pairs' values."""
     base_runs = {r["seed"]: r for r in base}
     matched = [(base_runs[o["seed"]], o) for o in other if o["seed"] in base_runs]
     out = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
+        direction, bound = metric["better"], metric["bound"]
         pairs = [(b["metrics"][name]["value"], o["metrics"][name]["value"])
                  for b, o in matched if name in b["metrics"] and name in o["metrics"]]
         if not pairs:
             continue
-        wins = sum((o > b) if direction == "higher" else (o < b) for b, o in pairs)
+        sign = 1 if direction == "higher" else -1   # sign * (o - b) > 0: other is better
+        wins = sum(sign * (o - b) > 0 for b, o in pairs)
         ratios = [o / b for b, o in pairs if b]
+        base_stats = summary([b for b, _ in pairs])
+        base_median, other_median = base_stats["median"], statistics.median(o for _, o in pairs)
+        gain = sign * (other_median - base_median)
         out[name] = {"better": direction, "wins": wins, "pairs": len(pairs),
-                     "ratio_of_medians": (statistics.median(o for _, o in pairs)
-                                          / statistics.median(b for b, _ in pairs)),
-                     "pair_ratios": ratios}
+                     "ratio_of_medians": other_median / base_median,
+                     "pair_ratios": ratios,
+                     "claim_holds": wins >= 0.9 * len(pairs)
+                     and gain > base_stats["q3"] - base_stats["q1"],
+                     "within_bound": -gain <= bound * abs(base_median)}
     return out
 
 
@@ -111,7 +127,7 @@ def main(argv=None) -> int:
             ap.error(f"--checkout {spec!r}: expected NAME=PATH of a checkout with perfbench/")
         checkouts[name] = root
     bench = json.loads((next(iter(checkouts.values())) / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     workloads = args.workloads.split(",")
     try:
         seeds = parse_seeds(args.seeds)
@@ -136,7 +152,7 @@ def main(argv=None) -> int:
                     failed_checks.append({"workload": workload, "checkout": name,
                                           "seed": seed, "correct": result["correct"],
                                           "failed": result["failed"]})
-                rate = result["metrics"].get("train_samples_per_s", {}).get("value")
+                rate = result["metrics"].get("train_samples_per_s", {}).get("value", math.nan)
                 print(f"seed {seed} {workload:<13} {name:<10} correct={result['correct']} "
                       f"failed={result['failed']} train_samples_per_s={rate:.6g}", flush=True)
 
@@ -168,7 +184,7 @@ def main(argv=None) -> int:
             }
             if name != base_name:
                 per_workload[w]["versus_" + base_name] = compare(runs[base_name][w], results,
-                                                                 better)
+                                                                 end_to_end)
         env = envs[0] if envs else {}
         report["checkouts"][name] = {
             "commit": env.get("git_commit"),

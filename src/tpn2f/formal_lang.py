@@ -24,6 +24,10 @@ _REF_RE = re.compile(r"^#(\d+)$")
 _NUMBER_SLOT_RE = re.compile(r"^n(\d+)$")
 _CONST_RE = re.compile(r"^const-?(\d+(?:\.\d+)?)$")
 _NUMERAL_RE = re.compile(r"^-?\d+(?:\.\d+)?$")
+# The deepest nesting of parentheses a text may have.  The reader and
+# ``flatten_program_tree`` recurse once per level, so a deeper text is a
+# ``ParseError`` rather than a ``RecursionError``.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -74,7 +78,8 @@ def _read_sexprs(text: str, flat: bool = False,
     Whitespace and commas separate symbols.  Each expression is read only
     when it is asked for, so a caller's check on one fails before the text
     after it is scanned.  ``flat`` makes a '(' inside a list an error, and
-    ``single`` a second top-level expression, each at its offset.
+    ``single`` a second top-level expression, each at its offset; a '(' past
+    ``MAX_NESTING`` levels is an error at its offset.
     """
     n = len(text)
 
@@ -83,7 +88,7 @@ def _read_sexprs(text: str, flat: bool = False,
             i += 1
         return i
 
-    def read(i: int, nested: bool) -> tuple[Any, int]:
+    def read(i: int, depth: int) -> tuple[Any, int]:
         if text[i] == ")":
             raise ParseError("unexpected ')'", i)
         if text[i] != "(":
@@ -91,12 +96,14 @@ def _read_sexprs(text: str, flat: bool = False,
             while j < n and text[j] not in "()," and not text[j].isspace():
                 j += 1
             return text[i:j], j
-        if nested and flat:
+        if depth and flat:
             raise ParseError("nested '(' inside tuple", i)
+        if depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels", i)
         children = []
         i = skip(i + 1)
         while i < n and text[i] != ")":
-            child, end = read(i, True)
+            child, end = read(i, depth + 1)
             children.append((i, child))
             i = skip(end)
         if i >= n:
@@ -105,7 +112,7 @@ def _read_sexprs(text: str, flat: bool = False,
 
     i = skip(0)
     while i < n:
-        node, end = read(i, False)
+        node, end = read(i, 0)
         yield i, node
         i = skip(end)
         if single and i < n:

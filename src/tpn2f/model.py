@@ -167,8 +167,24 @@ def named_tensors(params, prefix: str):
             yield from named_tensors(value, name)
 
 
-def _uniform(rng: np.random.Generator, shape) -> Tensor:
+def _layout(shape) -> Tensor:
+    """The placeholder of a parameter in a layout-only model (``build_model`` with
+    no generator): a read-only zero of ``shape`` that holds no memory."""
+    return Tensor(np.broadcast_to(0.0, shape), requires_grad=True)
+
+
+def _uniform(rng: np.random.Generator | None, shape) -> Tensor:
+    if rng is None:
+        return _layout(shape)
     return Tensor(rng.uniform(-0.1, 0.1, size=shape), requires_grad=True)
+
+
+def _unit_normal(rng: np.random.Generator | None, size: int) -> Tensor:
+    """A standard normal draw scaled to unit length."""
+    if rng is None:
+        return _layout((size,))
+    v = rng.standard_normal(size)
+    return Tensor(v / np.linalg.norm(v), requires_grad=True)
 
 
 class _GateBlock:
@@ -231,12 +247,15 @@ class LstmParams:
         return zeros(lead + (self.recurrent,)), zeros(lead + (self.hidden,))
 
     @classmethod
-    def random(cls, rng: np.random.Generator, input_dim: int, hidden_dim: int,
+    def random(cls, rng: np.random.Generator | None, input_dim: int, hidden_dim: int,
                cells: int = 1) -> "LstmParams":
         """Uniform(-0.1, 0.1) weights, ``cells`` stacked cells of ``hidden_dim``
         each.  Cell by cell, each gate block is drawn in the order u_f..u_o,
-        v_f..v_o, b_f..b_o and written into that cell's rows of its block."""
+        v_f..v_o, b_f..b_o and written into that cell's rows of its block.
+        With no ``rng``, ``w`` and ``b`` are layout placeholders."""
         h, n = hidden_dim, cells * hidden_dim
+        if rng is None:
+            return cls(_layout((4 * n, input_dim + h)), _layout((4 * n,)), cells)
         w = np.empty((4 * n, input_dim + h))
         b = np.empty(4 * n)
         for j in range(cells):
@@ -428,10 +447,7 @@ class DecoderParams:
     @classmethod
     def random(cls, rng, dims: ModelDims, n_relations: int, n_arguments: int, enc_dim: int):
         # Unbinding vectors start as distinct unit Gaussians.
-        pos = []
-        for _ in range(dims.positions):
-            v = rng.standard_normal(dims.d_pos)
-            pos.append(Tensor(v / np.linalg.norm(v), requires_grad=True))
+        pos = [_unit_normal(rng, dims.d_pos) for _ in range(dims.positions)]
         return cls(
             rel_embed=_uniform(rng, (n_relations, dims.d_rel)),
             arg_embed=_uniform(rng, (n_arguments, dims.d_arg)),
@@ -570,8 +586,13 @@ class Tpn2fModel:
 
 
 def build_model(variant: ModelVariant, dims: ModelDims, vocab: Vocabularies,
-                rng: np.random.Generator) -> Tpn2fModel:
-    """Assemble the requested encoder/decoder pair with fresh random weights."""
+                rng: np.random.Generator | None) -> Tpn2fModel:
+    """Assemble the requested encoder/decoder pair with fresh random weights.
+
+    With ``rng`` None it is the layout only: every parameter is a read-only
+    zero of its shape that holds no memory (one stored zero), for a caller
+    that then sets each parameter's ``data``, as ``Checkpoint.build`` does.
+    """
     dims.validate()
     variant.validate()
     encoder = (EncoderParams if variant.encoder == "tpr" else LstmEncoderParams).random(

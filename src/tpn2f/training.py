@@ -350,63 +350,73 @@ CHECKPOINT_VERSION = 5
 _ADAM_FIELDS = ("step_count", "learning_rate", "beta1", "beta2", "epsilon")
 
 
-class _LayoutOnly:
-    """Stands in for the generator when only the model's shapes are needed."""
-
-    def uniform(self, low, high, size):
-        return np.zeros(size)
-
-    def standard_normal(self, size):
-        return np.ones(size)
-
-
 @dataclass
 class Checkpoint:
+    """A checkpoint file's contents, as ``load_checkpoint`` read them.
+
+    ``tensors`` maps each stored name, a parameter's or ``adam.m.``/``adam.v.``
+    and a parameter's, to the array its bytes were read into.  A checkpoint
+    builds once: ``build`` or ``build_model`` hands those arrays over and sets
+    ``tensors`` to None, and a second build is a ``CheckpointError``.
+    """
+
     version: int
     config: TrainConfig
     vocab: Vocabularies
-    tensors: dict[str, np.ndarray]
+    tensors: dict[str, np.ndarray] | None
     adam: dict
     rng_state: dict
     epoch: int
 
     def build_model(self) -> Tpn2fModel:
-        """Reconstruct the model this checkpoint was saved from, without its optimizer.
+        """The model this checkpoint was saved from, without its optimizer: the
+        checks of ``build``, then the Adam moments are dropped."""
+        return self._place()[0]
+
+    def build(self) -> tuple[Tpn2fModel, AdamState]:
+        """The model this checkpoint was saved from and its optimizer state.
 
         Every parameter's weight and both its Adam moments must be present with
-        the model's shapes, but only the weights are copied, into the new
-        model's own arrays, so two builds share no memory with each other or
-        with the checkpoint.  The model's layout is built from zeros, not random
-        draws, since every weight is overwritten.  A layout too large to
-        allocate is a ``CheckpointError``.
+        the model's shapes.  They are not copied: each parameter's ``data`` and
+        each moment is the array ``load_checkpoint`` read, so builds from two
+        loads share no memory.  The model's layout is built with no weights of
+        its own (``build_model`` with no generator); a config too large to lay
+        out is a ``CheckpointError``.
         """
+        model, tensors = self._place()
+        names = [name for name, _ in model.parameters()]
+        optimizer = AdamState(
+            m=[tensors[f"adam.m.{n}"] for n in names],
+            v=[tensors[f"adam.v.{n}"] for n in names],
+            **{k: self.adam[k] for k in _ADAM_FIELDS},
+        )
+        return model, optimizer
+
+    def _place(self) -> tuple[Tpn2fModel, dict[str, np.ndarray]]:
+        """The model with the loaded weights as its parameters' arrays, and the
+        loaded tensors, which this checkpoint then lets go of."""
+        if self.tensors is None:
+            raise CheckpointError("checkpoint already built; load it again")
+        dims = self.config.dims()
         try:
-            model = build_model(self.config.variant(), self.config.dims(), self.vocab,
-                                _LayoutOnly())
+            model = build_model(self.config.variant(), dims, self.vocab, None)
         except (MemoryError, ValueError) as exc:  # ValueError: past numpy's size limit
             raise CheckpointError(f"cannot allocate the model of the checkpoint's config "
-                                  f"{self.config.dims()}: {exc}") from exc
-        for name, tensor in model.parameters():
+                                  f"{dims}: {exc}") from exc
+        named = model.parameters()
+        for name, tensor in named:
             for key in (name, f"adam.m.{name}", f"adam.v.{name}"):
                 if key not in self.tensors:
                     raise CheckpointError(f"checkpoint is missing tensor {key!r}")
                 saved = self.tensors[key]
-                if saved.shape != tensor.data.shape:
-                    raise CheckpointError(f"tensor {key!r} has shape {saved.shape}, "
-                                          f"model expects {tensor.data.shape}")
-            tensor.data[...] = self.tensors[name]
-        return model
-
-    def build(self) -> tuple[Tpn2fModel, AdamState]:
-        """``build_model`` plus a copy of the optimizer state it was saved with."""
-        model = self.build_model()
-        names = [name for name, _ in model.parameters()]
-        optimizer = AdamState(
-            m=[self.tensors[f"adam.m.{n}"].copy() for n in names],
-            v=[self.tensors[f"adam.v.{n}"].copy() for n in names],
-            **{k: self.adam[k] for k in _ADAM_FIELDS},
-        )
-        return model, optimizer
+                if saved.shape != tensor.shape:
+                    raise CheckpointError(f"tensor {key!r} has shape {saved.shape}, the model "
+                                          f"of the checkpoint's config {dims} expects "
+                                          f"{tensor.shape}")
+        tensors, self.tensors = self.tensors, None
+        for name, tensor in named:
+            tensor.data = tensors[name]
+        return model, tensors
 
 
 def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: TrainConfig,
@@ -498,37 +508,54 @@ def _check_header_values(header: dict) -> None:
             raise CheckpointError(f"checkpoint {key} must be {wanted}, got {value!r:.60}")
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Read and verify a checkpoint written by ``save_checkpoint``.
+class _CheckedReader:
+    """Reads a checkpoint file front to back, folding every byte it reads into
+    the running CRC; a short read reports the file as truncated."""
 
-    The file is read once into one buffer and its CRC is checked in place.
-    The returned tensors are float64 views into that buffer, so a load holds
-    one copy of the tensor bytes; ``Checkpoint.build`` copies them into the
-    model's and the optimizer's own arrays.
-    """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head_len = int.from_bytes(fh.read(16)[8:], "little")
-        # Offset the file in the buffer so that the tensor data, which follows
-        # the 16-byte prefix and the header, starts 8-byte aligned.
-        pad = -(16 + head_len) % 8
-        buf = np.empty(pad + size, dtype=np.uint8)
-        fh.seek(0)
-        n_read = fh.readinto(buf[pad:])
-    if n_read < size:
-        raise CheckpointError(f"checkpoint file is truncated: read {n_read} of {size} bytes")
-    if size < len(CHECKPOINT_MAGIC) + 12:
-        raise CheckpointError("checkpoint file is truncated")
-    body = memoryview(buf)[pad:pad + size - 4]
-    if zlib.crc32(body).to_bytes(4, "little") != buf[pad + size - 4:].tobytes():
-        raise CheckpointError("checkpoint checksum mismatch (corrupt or truncated file)")
-    if body[:8] != CHECKPOINT_MAGIC:
+    def __init__(self, fh, size: int):
+        self.fh, self.size, self.pos, self.crc = fh, size, 0, 0
+
+    def read_into(self, buf) -> None:
+        view = memoryview(buf).cast("B")
+        n = self.fh.readinto(view)
+        self.crc = zlib.crc32(view[:n], self.crc)
+        self.pos += n
+        if n < len(view):
+            raise CheckpointError(f"checkpoint file is truncated: read {self.pos} "
+                                  f"of {self.size} bytes")
+
+    def read(self, n: int) -> bytearray:
+        buf = bytearray(n)
+        self.read_into(buf)
+        return buf
+
+    def skip_to(self, pos: int) -> None:
+        """Read up to byte ``pos`` for the CRC alone, at most 1 MiB at a time."""
+        chunk = memoryview(bytearray(min(pos - self.pos, 1 << 20)))
+        while self.pos < pos:
+            self.read_into(chunk[:pos - self.pos])
+
+    def check_crc(self) -> None:
+        """Read the rest of the file and check its CRC against the last 4 bytes."""
+        self.skip_to(self.size - 4)
+        crc = self.crc.to_bytes(4, "little")
+        if self.read(4) != crc:
+            raise CheckpointError("checkpoint checksum mismatch (corrupt or truncated file)")
+
+
+def _read_header(reader: _CheckedReader) -> tuple[dict, TrainConfig, Vocabularies, list]:
+    """The header's JSON object, config and vocabularies, and its tensor table
+    as ``_tensor_table`` checks it; a ``CheckpointError`` or ``ConfigError``
+    names the first fault."""
+    prefix = reader.read(16)
+    if prefix[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    if 16 + head_len > len(body):
+    head_len = int.from_bytes(prefix[8:], "little")
+    if 16 + head_len > reader.size - 4:
         raise CheckpointError(f"checkpoint header of {head_len} bytes runs past the end "
                               f"of the file (truncated)")
     try:
-        header = json.loads(body[16:16 + head_len].tobytes().decode("utf-8"))
+        header = json.loads(reader.read(head_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
@@ -545,16 +572,64 @@ def load_checkpoint(path) -> Checkpoint:
     if not (isinstance(header["adam"], dict) and set(_ADAM_FIELDS) <= header["adam"].keys()):
         raise CheckpointError(f"checkpoint optimizer state needs {', '.join(_ADAM_FIELDS)}")
     _check_header_values(header)
-    data_start = pad + 16 + head_len
-    tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        name, shape, start = _tensor_entry(entry, len(body) - 16 - head_len)
-        arr = np.frombuffer(buf, dtype="<f8", count=math.prod(shape), offset=data_start + start)
-        tensors[name] = arr.reshape(shape).astype(np.float64, copy=False)
+    table = _tensor_table(header["tensors"], reader.size - 4 - reader.pos)
+    return (header, TrainConfig.from_dict(header["config"]),
+            Vocabularies.from_dict(header["vocab"], CheckpointError), table)
+
+
+def _tensor_table(entries: list, n_bytes: int) -> list[tuple[str, tuple[int, ...], int]]:
+    """Each tensor entry's name, shape and byte offset, in the order of their
+    offsets: every tensor lies inside the ``n_bytes`` of tensor data, and no
+    two share a name or a byte, so the tensors take no more than the file."""
+    table = sorted((_tensor_entry(entry, n_bytes) for entry in entries), key=lambda e: e[2])
+    names, end, last = set(), 0, None
+    for name, shape, offset in table:
+        if name in names:
+            raise CheckpointError(f"tensor {name!r} appears twice in the tensor table")
+        names.add(name)
+        size = 8 * math.prod(shape)
+        if size and offset < end:
+            raise CheckpointError(f"tensor {name!r} at byte {offset} overlaps tensor "
+                                  f"{last!r}, which ends at byte {end}")
+        if size:
+            end, last = offset + size, name
+    return table
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read and verify a checkpoint written by ``save_checkpoint``.
+
+    The header is read and checked first; a header that fails a check makes
+    the rest of the file be read for the CRC, so that a corrupt file is
+    reported as corrupt.  Then each tensor, in the order of its offset, is
+    read straight into its own fresh float64 array, and every byte goes into
+    the running CRC, checked against the file's last 4 bytes; the bytes
+    between tensors are read for the CRC alone.  A load so holds one copy of
+    the tensor bytes and never more than the file holds (``_tensor_table``),
+    and ``Checkpoint.build`` hands those arrays over without copying them.
+    """
+    with open(path, "rb") as fh:
+        reader = _CheckedReader(fh, os.fstat(fh.fileno()).st_size)
+        if reader.size < len(CHECKPOINT_MAGIC) + 12:
+            raise CheckpointError("checkpoint file is truncated")
+        try:
+            header, config, vocab, table = _read_header(reader)
+        except (CheckpointError, ConfigError):
+            reader.check_crc()
+            raise
+        data_start = reader.pos
+        tensors: dict[str, np.ndarray] = {}
+        for name, shape, offset in table:
+            arr = np.empty(shape, dtype="<f8")
+            if arr.size:
+                reader.skip_to(data_start + offset)
+                reader.read_into(arr)
+            tensors[name] = arr.astype(np.float64, copy=False)
+        reader.check_crc()
     return Checkpoint(
         version=header["version"],
-        config=TrainConfig.from_dict(header["config"]),
-        vocab=Vocabularies.from_dict(header["vocab"], CheckpointError),
+        config=config,
+        vocab=vocab,
         tensors=tensors,
         adam=header["adam"],
         rng_state=header.get("rng_state", {}),

@@ -51,19 +51,56 @@ def test_compare_pairs_runs_by_seed():
     """A seed only one side ran is no pair; wins follow each metric's direction."""
     base = [_run(0, rate=10.0, t=2.0), _run(1, rate=10.0, t=2.0), _run(2, rate=10.0, t=2.0)]
     other = [_run(0, rate=12.0, t=1.0), _run(2, rate=8.0, t=1.0), _run(3, rate=99.0, t=9.0)]
-    out = bench_json.compare(base, other, {"rate": "higher", "t": "lower"})
+    out = bench_json.compare(base, other, {"rate": _metric("higher"), "t": _metric("lower")})
     assert out["rate"]["pairs"] == 2 and out["rate"]["wins"] == 1
     assert out["rate"]["pair_ratios"] == [1.2, 0.8]
     assert out["rate"]["ratio_of_medians"] == pytest.approx(1.0)
     assert out["t"] == {"better": "lower", "wins": 2, "pairs": 2, "ratio_of_medians": 0.5,
-                        "pair_ratios": [0.5, 0.5]}
+                        "pair_ratios": [0.5, 0.5], "claim_holds": True, "within_bound": True}
 
 
-def _checkout(root: Path) -> Path:
+def _metric(better, bound=0.25):
+    return {"better": better, "bound": bound}
+
+
+def _pairs(base_values, other_values, name="m"):
+    return ([_run(k, **{name: v}) for k, v in enumerate(base_values)],
+            [_run(k, **{name: v}) for k, v in enumerate(other_values)])
+
+
+@pytest.mark.parametrize("better, base, other, holds", [
+    ("higher", [10.0] * 10, [11.0] * 10, True),                  # 10/10 wins, IQR 0
+    ("higher", [10.0] * 10, [11.0] * 9 + [10.0], True),          # a tie counts for neither
+    ("higher", [10.0] * 10, [11.0] * 8 + [10.0] * 2, False),     # 8 wins and two ties
+    ("higher", [10.0] * 10, [11.0] * 8 + [9.0] * 2, False),      # 8 wins
+    ("lower", [10.0] * 10, [9.0] * 9 + [11.0], True),
+    ("lower", [10.0] * 10, [11.0] * 10, False),                  # 10 losses
+    # 10/10 wins, but the medians 14.5 and 15.5 differ by the base's IQR 7.5 - 21.5, no more
+    ("higher", [float(v) for v in range(10, 20)], [v + 1.0 for v in range(10, 20)], False),
+    ("higher", [float(v) for v in range(10, 20)], [v + 15.0 for v in range(10, 20)], True),
+])
+def test_claim_holds_on_9_of_10_wins_and_a_median_gap_beyond_the_base_iqr(better, base,
+                                                                          other, holds):
+    out = bench_json.compare(*_pairs(base, other), {"m": _metric(better)})
+    assert out["m"]["claim_holds"] is holds
+
+
+@pytest.mark.parametrize("better, other, within", [
+    ("lower", 5.0, True), ("lower", 5.5, False), ("lower", 1.0, True),
+    ("higher", 3.0, True), ("higher", 2.5, False), ("higher", 9.0, True),
+])
+def test_within_bound_allows_a_median_worse_by_at_most_the_bound(better, other, within):
+    """Base median 4 and bound 0.25: a lower-is-better median may reach 5, a
+    higher-is-better one may fall to 3."""
+    out = bench_json.compare(*_pairs([4.0] * 3, [other] * 3), {"m": _metric(better)})
+    assert out["m"]["within_bound"] is within
+
+
+def _checkout(root: Path, metrics=(("train_samples_per_s", "higher"),)) -> Path:
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text("")
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "train_samples_per_s", "better": "higher"}]}))
+        {"name": name, "better": better, "bound": 0.25} for name, better in metrics]}))
     return root
 
 
@@ -139,3 +176,31 @@ def test_a_run_with_failed_checks_is_listed_kept_and_exits_1(tmp_path, monkeypat
     summary = report["checkouts"]["a"]["workloads"]["micro-train"]
     assert summary["metrics"]["train_samples_per_s"]["n"] == 3
     assert not summary["all_correct"] and summary["failed"] == 1
+
+
+def test_the_file_states_each_metrics_claim_and_bound_verdicts(tmp_path, monkeypatch):
+    """Over 10 seeds, b's rate is 1.5x a's (a claim that holds) and its latency
+    1.5x a's (a loss beyond the 25% bound)."""
+    metrics = (("rate", "higher"), ("latency_ms", "lower"))
+    roots = {name: _checkout(tmp_path / name, metrics) for name in ("a", "b")}
+
+    def fake_run(cmd, cwd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        scale = 1.5 if Path(cwd).name == "b" else 1.0
+        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {
+            "rate": {"value": scale * (10.0 + seed % 3), "unit": "1/s"},
+            "latency_ms": {"value": scale * 4.0, "unit": "ms"}}}
+        return subprocess.CompletedProcess(
+            cmd, 0, f"env {json.dumps({'git_commit': 'x'})}\n{json.dumps(result)}\n", "")
+
+    monkeypatch.setattr(bench_json.subprocess, "run", fake_run)
+    assert bench_json.main(["--label", "v", "--checkout", f"a={roots['a']}",
+                            "--checkout", f"b={roots['b']}", "--workloads", "mathqa-infer",
+                            "--seeds", "0-9", "--out-dir", str(tmp_path)]) == 0
+    versus = json.loads((tmp_path / "BENCH_v.json").read_text())[
+        "checkouts"]["b"]["workloads"]["mathqa-infer"]["versus_a"]
+    assert versus["rate"]["wins"] == 10
+    assert versus["rate"]["claim_holds"] is True and versus["rate"]["within_bound"] is True
+    assert versus["latency_ms"]["wins"] == 0
+    assert versus["latency_ms"]["claim_holds"] is False
+    assert versus["latency_ms"]["within_bound"] is False

@@ -380,6 +380,16 @@ def test_prepare_rejects_positions_outside_2_and_3(tmp_path, micro_file, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tree", ["(f " * 3000 + "x" + ")" * 3000, "(f " * 3000],
+                         ids=["closed", "unclosed"])
+def test_prepare_rejects_a_program_tree_nested_3000_deep(tmp_path, capsys, tree):
+    data = tmp_path / "deep.jsonl"
+    data.write_text(json.dumps({"id": "deep", "text": "x", "program_tree": tree}) + "\n")
+    assert dispatch(["prepare", "--data", str(data), "--format", "algolisp-style",
+                     "--out", str(tmp_path / "prep")]) == 1
+    assert "nested deeper than" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["stop_at_full_accuracy=", "stop_at_full_accuracy=maybe",
                                   "epochs=none", "learning_rate=yes", "learning_rate=inf"])
 def test_key_value_line_of_wrong_type_names_the_key(tmp_path, line):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpn2f.formal_lang import (
+    MAX_NESTING,
     ExecutionError,
     ParseError,
     ProgramEnv,
@@ -298,6 +299,17 @@ def test_flatten_error_carries_the_offset_of_its_node(text, position):
 def test_flatten_reads_commas_as_separators():
     assert flatten_program_tree("(map,a,(partial1, b, --))") == flatten_program_tree(
         "(map a (partial1 b --))")
+
+
+def test_nesting_up_to_the_limit_parses_and_one_level_more_is_a_parse_error():
+    deepest = "(f " * MAX_NESTING + "x" + ")" * MAX_NESTING
+    program = flatten_program_tree(deepest)
+    assert len(program) == MAX_NESTING and program[-1] == T("f", f"#{MAX_NESTING - 2}")
+    for text in ["(f " * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+                 "(f " * 3000 + "x" + ")" * 3000, "(f " * 3000]:
+        with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING} levels") as err:
+            flatten_program_tree(text)
+        assert err.value.position == 3 * MAX_NESTING
 
 
 def test_flatten_rebuild_round_trip_simple():

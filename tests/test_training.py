@@ -961,6 +961,7 @@ def test_any_header_config_or_vocab_loads_or_names_the_fault(config, vocab):
 def test_build_draws_no_random_weights(tmp_path, monkeypatch):
     _trained_bundle(tmp_path)
     ckpt = load_checkpoint(tmp_path / "m.ckpt")
+    saved = load_checkpoint(tmp_path / "m.ckpt").tensors   # a second load to compare with
 
     def no_generator(*args, **kwargs):
         raise AssertionError("build drew random numbers")
@@ -968,11 +969,11 @@ def test_build_draws_no_random_weights(tmp_path, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     model, optimizer = ckpt.build()
     named = model.parameters()
-    assert len(named) == len(ckpt.tensors) // 3
+    assert len(named) == len(saved) // 3
     for (name, t), m, v in zip(named, optimizer.m, optimizer.v):
-        assert np.array_equal(t.data, ckpt.tensors[name]), name
-        assert np.array_equal(m, ckpt.tensors[f"adam.m.{name}"]), name
-        assert np.array_equal(v, ckpt.tensors[f"adam.v.{name}"]), name
+        assert np.array_equal(t.data, saved[name]), name
+        assert np.array_equal(m, saved[f"adam.m.{name}"]), name
+        assert np.array_equal(v, saved[f"adam.v.{name}"]), name
 
 
 def _fresh_state(cfg=None):
@@ -1040,8 +1041,9 @@ def test_checkpoint_shorter_than_its_header_promises(tmp_path, monkeypatch):
 def test_infer_builds_no_optimizer_but_checks_every_moment(tmp_path, monkeypatch, capsys):
     """``infer`` copies only the weights, yet a header missing an Adam moment still exits 1."""
     cfg, samples, vocab, model = _trained_bundle(tmp_path)
-    ckpt = load_checkpoint(tmp_path / "m.ckpt")
-    for (na, ta), (nb, tb) in zip(ckpt.build_model().parameters(), ckpt.build()[0].parameters()):
+    model = load_checkpoint(tmp_path / "m.ckpt").build_model()
+    full, _ = load_checkpoint(tmp_path / "m.ckpt").build()
+    for (na, ta), (nb, tb) in zip(model.parameters(), full.parameters()):
         assert na == nb and np.array_equal(ta.data, tb.data)
     save_dataset(tmp_path / "data.jsonl", samples)
     files = ["--data", str(tmp_path / "data.jsonl"), "--out", str(tmp_path / "pred.jsonl")]
@@ -1057,18 +1059,80 @@ def test_infer_builds_no_optimizer_but_checks_every_moment(tmp_path, monkeypatch
     assert "missing tensor 'adam.m." in capsys.readouterr().err
 
 
+def _built_arrays(model, optimizer) -> list[np.ndarray]:
+    return [t.data for _, t in model.parameters()] + optimizer.m + optimizer.v
+
+
 def test_checkpoint_builds_share_no_memory(tmp_path):
+    """Builds from two loads share no memory, nor do two arrays of one build."""
     _trained_bundle(tmp_path)
-    ckpt = load_checkpoint(tmp_path / "m.ckpt")
-    builds = [ckpt.build(), ckpt.build()]
-    arrays = [[t.data for _, t in model.parameters()] + optimizer.m + optimizer.v
-              for model, optimizer in builds]
+    arrays = [_built_arrays(*load_checkpoint(tmp_path / "m.ckpt").build()) for _ in range(2)]
     for a in arrays[0]:
-        for b in arrays[1] + list(ckpt.tensors.values()):
+        for b in arrays[1]:
             assert not np.may_share_memory(a, b)
-    for b in arrays[1]:
-        for c in ckpt.tensors.values():
-            assert not np.may_share_memory(b, c)
+    for built in arrays:
+        for k, a in enumerate(built):
+            assert not any(np.may_share_memory(a, b) for b in built[k + 1:])
+
+
+def test_a_checkpoint_builds_once(tmp_path):
+    _trained_bundle(tmp_path)
+    for first, second in [("build", "build"), ("build_model", "build"),
+                          ("build", "build_model"), ("build_model", "build_model")]:
+        ckpt = load_checkpoint(tmp_path / "m.ckpt")
+        getattr(ckpt, first)()
+        assert ckpt.tensors is None   # the checkpoint holds no tensor bytes once built
+        with pytest.raises(CheckpointError, match="already built; load it again"):
+            getattr(ckpt, second)()
+
+
+def test_built_arrays_are_writeable_contiguous_and_bit_equal_to_a_second_load(tmp_path):
+    _trained_bundle(tmp_path)
+    model, optimizer = load_checkpoint(tmp_path / "m.ckpt").build()
+    saved = load_checkpoint(tmp_path / "m.ckpt").tensors
+    names = [name for name, _ in model.parameters()]
+    keys = names + [f"adam.m.{n}" for n in names] + [f"adam.v.{n}" for n in names]
+    built = _built_arrays(model, optimizer)
+    assert len(built) == len(saved)
+    for key, arr in zip(keys, built):
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable, key
+        assert arr.shape == saved[key].shape and arr.tobytes() == saved[key].tobytes(), key
+
+
+def test_one_adam_step_after_build_equals_the_step_before_saving(tmp_path):
+    """The built model and optimizer take the same Adam step, bit for bit, as
+    the saved ones, whose moments were nonzero after a step of their own."""
+    cfg, model, optimizer = _fresh_state()
+    params = [t for _, t in model.parameters()]
+    rng = np.random.default_rng(5)
+    grads = [[rng.standard_normal(p.shape) for p in params] for _ in range(2)]
+
+    def step(params, optimizer, grads):
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        training_mod.adam_step(params, optimizer)
+
+    step(params, optimizer, grads[0])
+    save_checkpoint(tmp_path / "m.ckpt", model, optimizer, cfg)
+    restored, restored_opt = load_checkpoint(tmp_path / "m.ckpt").build()
+    restored_params = [t for _, t in restored.parameters()]
+    step(params, optimizer, grads[1])
+    step(restored_params, restored_opt, grads[1])
+    assert restored_opt.step_count == optimizer.step_count == 2
+    for a, b in zip(_built_arrays(model, optimizer), _built_arrays(restored, restored_opt)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_layout_only_model_has_every_shape_and_holds_no_weights():
+    cfg, _, vocab, model, _ = micro_setup(n=4)
+    for variant in [ModelVariant(), ModelVariant("lstm", "lstm", "last_state", 2)]:
+        seeded = build_model(variant, cfg.dims(), vocab, np.random.default_rng(0))
+        layout = build_model(variant, cfg.dims(), vocab, None)
+        assert [(n, t.shape) for n, t in layout.parameters()] == [
+            (n, t.shape) for n, t in seeded.parameters()]
+        for _, t in layout.parameters():
+            assert t.data.nbytes == 0 or not t.data.flags.writeable
+            assert not any(t.data.strides) and not t.data.any()
 
 
 def test_checkpoint_io_allocates_no_copy_on_save_and_one_on_load(tmp_path):
@@ -1084,10 +1148,79 @@ def test_checkpoint_io_allocates_no_copy_on_save_and_one_on_load(tmp_path):
         tracemalloc.reset_peak()
         ckpt = load_checkpoint(path)
         load_peak = tracemalloc.get_traced_memory()[1]
+        restored, restored_opt = ckpt.build()
+        build_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert save_peak <= 0.02 * tensor_bytes
     assert load_peak <= 1.1 * path.stat().st_size
+    assert build_peak <= 1.1 * path.stat().st_size   # the built model holds the loaded arrays
+
+
+def _overlap_second(header):
+    table = header["tensors"]
+    table[1]["offset"] = table[0]["offset"]
+
+
+def _rename_second(header):
+    table = header["tensors"]
+    table[1]["name"] = table[0]["name"]
+
+
+def _all_at_zero_spanning_the_data(header):
+    total = sum(8 * math.prod(e["shape"]) for e in header["tensors"])
+    for e in header["tensors"]:
+        e.update(offset=0, shape=[total // 8])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_overlap_second, r"tensor '\S+' at byte 0 overlaps tensor '\S+', which ends at byte \d+"),
+    (_rename_second, r"tensor '\S+' appears twice in the tensor table"),
+    (_all_at_zero_spanning_the_data, "overlaps tensor"),
+], ids=["overlap", "duplicate-name", "every-entry-spans-the-data"])
+def test_a_header_cannot_make_the_load_allocate_more_than_the_file(tmp_path, edit, message):
+    _trained_bundle(tmp_path)
+    raw = (tmp_path / "m.ckpt").read_bytes()
+    (tmp_path / "bad.ckpt").write_bytes(_reseal(raw, edit))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(tmp_path / "bad.ckpt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * len(raw)
+
+
+def _with_gap(raw: bytes, gap: bytes) -> bytes:
+    """The checkpoint with ``gap`` between its first tensor and the rest, its
+    later offsets moved past it and its CRC recomputed."""
+    head_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + head_len])
+    first = header["tensors"][0]
+    cut = 8 * math.prod(first["shape"])
+    for e in header["tensors"][1:]:
+        e["offset"] += len(gap)
+    head = json.dumps(header).encode("utf-8")
+    data = raw[16 + head_len:-4]
+    body = raw[:8] + len(head).to_bytes(8, "little") + head + data[:cut] + gap + data[cut:]
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def test_bytes_between_tensors_are_read_for_the_crc(tmp_path):
+    _trained_bundle(tmp_path)
+    raw = (tmp_path / "m.ckpt").read_bytes()
+    gapped = _with_gap(raw, bytes(range(24)) * 50_000)   # 1.2 MB: more than one chunk
+    (tmp_path / "gap.ckpt").write_bytes(gapped)
+    model, _ = load_checkpoint(tmp_path / "gap.ckpt").build()
+    saved = load_checkpoint(tmp_path / "m.ckpt").tensors
+    for name, t in model.parameters():
+        assert t.data.tobytes() == saved[name].tobytes(), name
+    head_len = int.from_bytes(raw[8:16], "little")
+    at = 16 + head_len + 8 * math.prod(model.parameters()[0][1].shape) + 700_000
+    (tmp_path / "bad_gap.ckpt").write_bytes(gapped[:at] + b"\xff" + gapped[at + 1:])
+    with pytest.raises(CheckpointError, match="checksum mismatch"):
+        load_checkpoint(tmp_path / "bad_gap.ckpt")
 
 
 def test_micro_overfit_script_fails_on_too_few_epochs():
