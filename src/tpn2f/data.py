@@ -19,6 +19,7 @@ from typing import Any, Iterable, Sequence
 from .formal_lang import (
     _REF_RE,
     PAD_SYMBOL,
+    ParseError,
     RelationalTuple,
     flatten_program_tree,
     parse_tuple_sequence,
@@ -196,6 +197,8 @@ def load_dataset(path, fmt: str = "mathqa-style") -> list[Sample]:
             samples.append(_sample_from_record(record, index, fmt))
         except SchemaError as exc:
             raise SchemaError(f"{path}: record {index}: {exc}") from exc
+        except ParseError as exc:
+            raise ParseError(f"{path}: record {index}: {exc.message}", exc.position) from exc
     return samples
 
 
@@ -305,12 +308,16 @@ def preprocess_program(program: Sequence[RelationalTuple], positions: int = 2,
 
 def preprocess_samples(samples: Sequence[Sample], positions: int = 2,
                        rewrite_table: dict | None = None) -> list[Sample]:
-    return [
-        Sample(id=s.id, text=s.text,
-               program=preprocess_program(s.program, positions, rewrite_table),
-               numbers=s.numbers, tests=s.tests, options=s.options)
-        for s in samples
-    ]
+    """``preprocess_program`` on every sample; an error names the sample's id."""
+    out = []
+    for s in samples:
+        try:
+            program = preprocess_program(s.program, positions, rewrite_table)
+        except PreprocessError as exc:
+            raise PreprocessError(f"sample {s.id}: {exc}") from exc
+        out.append(Sample(id=s.id, text=s.text, program=program, numbers=s.numbers,
+                          tests=s.tests, options=s.options))
+    return out
 
 
 def load_rewrite_table(path) -> dict[str, list[list[str]]]:

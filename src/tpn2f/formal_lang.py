@@ -35,6 +35,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (offset {position})")
+        self.message = message
         self.position = position
 
 

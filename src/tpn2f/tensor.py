@@ -2,15 +2,15 @@
 
 Everything downstream (the encoder-decoder, the training loop, the gradient
 checks) is built on the small op set in this module.  Arrays are row-major
-float64 throughout; reshape/transpose are metadata-only views.
+float64 throughout; views (``split``, ``reshape``, ``transpose``) record no tape node.
 
 Activations keep their features on the last axis under optional leading row
 axes: one sample's vector is ``(d,)`` and a minibatch run in lockstep holds
 one row per sample, ``(B, d)``.  Every op treats each row alike, so one model
 code path serves a sample and a minibatch.
 
-One gradient is formed late: ``matmul(W, X)`` with a leaf ``W`` (a tensor no
-node on the tape produced, i.e. a parameter) hands ``backward`` the factors
+One gradient is formed late: ``matmul(W, X)`` with a leaf ``W`` (a parameter:
+no tape node produced it and it views nothing) hands ``backward`` the factors
 ``G`` and ``X`` of its grad ``G^T X`` instead of the product.  ``backward``
 stacks each leaf's factor rows, B x T of them over B rows and T steps of a
 recurrence, and forms its grad with one GEMM after the reverse sweep, instead
@@ -51,15 +51,17 @@ class Tensor:
 
     A leaf's ``grad`` is allocated lazily by ``backward`` and accumulates
     additively; it is cleared by ``adam_step``, never implicitly.  A produced
-    tensor's grad lives only while ``backward`` passes it on.
+    tensor's grad lives only while ``backward`` passes it on.  A view holds no
+    grad: ``source = (viewed, map)`` takes each grad sent to it to what it views.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "source")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self.source: tuple[Tensor, Callable] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -101,7 +103,8 @@ class GradientTape:
     ``backward`` drops each produced tensor's grad as soon as its node is
     replayed.  A leaf's grad is never read during the sweep, so it may be
     completed after it; a produced matrix's grad is read when its node is
-    replayed, so it takes its product at once.
+    replayed, so it takes its product at once.  A view's grad may pass on at
+    once, as its consumers come after the node that produced what it views.
     """
 
     def __init__(self):
@@ -136,9 +139,18 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> T
     return out
 
 
+def _view(t: Tensor, data: np.ndarray, grad_map: Callable) -> Tensor:
+    """``data``, a view of ``t``'s, whose grad reaches ``t`` through ``grad_map``."""
+    out = Tensor(data, _ACTIVE_TAPE is not None and t.requires_grad)
+    out.source = (t, grad_map)
+    return out
+
+
 def _accumulate(t: Tensor, g: np.ndarray | None) -> None:
     if g is None or not t.requires_grad:
         return
+    while t.source is not None:   # a view: pass the grad on to what it views
+        t, g = t.source[0], t.source[1](g)
     if t.grad is None:
         # Copy: backward fns may hand out views or share one array.
         t.grad = np.array(g, dtype=np.float64)
@@ -166,10 +178,10 @@ def backward(loss: Tensor) -> None:
     The factors ``matmul(W, X)`` sends to a leaf ``W`` are kept during the
     reverse sweep and added to ``W.grad`` after it as one ``G^T X`` product
     over the stacked rows of every step; all other grads, including those of
-    produced matrices, are added at once.  Training runs one tape per
-    optimizer step, so that product is ``W``'s first grad and is stored as it
-    is; a caller that runs several tapes before one step adds it to the grad
-    already there.
+    produced matrices and of views (not leaves), are added at once.  Training
+    runs one tape per optimizer step, so that product is ``W``'s first grad and
+    is stored as it is; a caller that runs several tapes before one step adds it
+    to the grad already there.
     """
     tape = _ACTIVE_TAPE
     if tape is None:
@@ -188,7 +200,7 @@ def backward(loss: Tensor) -> None:
             if type(gt) is _OuterFactors:
                 if not t.requires_grad:
                     continue
-                if t not in produced:
+                if t not in produced and t.source is None:
                     deferred.setdefault(t, []).append(gt)
                     continue
                 gt = gt.g.T @ gt.x
@@ -375,13 +387,8 @@ def scale(t: Tensor, factor: float) -> Tensor:
 
 
 def reshape(t: Tensor, shape) -> Tensor:
-    out = Tensor(t.data.reshape(shape))
-    orig = t.data.shape
-
-    def bw(g):
-        return (g.reshape(orig),)
-
-    return _record(out, (t,), bw)
+    orig = t.shape
+    return _view(t, t.data.reshape(shape), lambda g: g.reshape(orig))
 
 
 def flatten(t: Tensor, start: int = 0) -> Tensor:
@@ -393,12 +400,7 @@ def transpose(t: Tensor) -> Tensor:
     """Swap the last two axes: a matrix's transpose, per row for ``(B, M, N)``."""
     if t.ndim < 2:
         raise RankError(f"transpose expects a matrix, got {t.shape}")
-    out = Tensor(t.data.swapaxes(-1, -2))
-
-    def bw(g):
-        return (g.swapaxes(-1, -2),)
-
-    return _record(out, (t,), bw)
+    return _view(t, t.data.swapaxes(-1, -2), lambda g: g.swapaxes(-1, -2))
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -420,11 +422,8 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 def split(t: Tensor, n: int) -> list[Tensor]:
-    """The ``n`` equal consecutive pieces of the last axis, each a view of ``t``.
-
-    Each piece is its own tape node, whose backward scatters the piece's grad
-    into a zero array the shape of ``t``.
-    """
+    """The ``n`` equal consecutive pieces of the last axis, each a view of ``t``
+    whose grad is scattered into a zero array the shape of ``t``."""
     if t.ndim < 1:
         raise RankError(f"split expects a vector or rows, got {t.shape}")
     total = t.shape[-1]
@@ -434,12 +433,12 @@ def split(t: Tensor, n: int) -> list[Tensor]:
     size = total // n
     pieces = []
     for lo in range(0, total, size):
-        def bw(g, lo=lo):
+        def scatter(g, lo=lo):
             gt = np.zeros(shape)
             gt[..., lo:lo + size] = g
-            return (gt,)
+            return gt
 
-        pieces.append(_record(Tensor(t.data[..., lo:lo + size]), (t,), bw))
+        pieces.append(_view(t, t.data[..., lo:lo + size], scatter))
     return pieces
 
 

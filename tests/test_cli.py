@@ -80,6 +80,22 @@ def test_train_on_a_record_with_empty_text_exits_1(capsys, tmp_path):
     assert "record 2: field 'text'" in err and "internal error" not in err
 
 
+def test_prepare_names_the_file_and_record_of_an_unparsable_program(capsys, tmp_path):
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"text": "a 3", "program": "(add,n0"}) + "\n")
+    assert dispatch(["prepare", "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{data}: record 1: unclosed '(' (offset 7)" in err
+
+
+def test_prepare_names_the_sample_of_a_program_it_cannot_rewrite(capsys, tmp_path):
+    data = tmp_path / "d.jsonl"
+    data.write_text(json.dumps({"id": "q7", "text": "a 3", "program": "(fold,n0,n0,n0)"}) + "\n")
+    assert dispatch(["prepare", "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "sample q7: no rewrite rule for 3-argument relation 'fold'" in err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("train", "--config"), ("train", "--data"), ("prepare", "--rewrite-table"),
     ("infer", "--checkpoint"), ("infer", "--data"), ("analyze", "--checkpoint"),

@@ -1,6 +1,7 @@
 """Dataset loading, number linking, arity normalization, vocabularies."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -121,6 +122,26 @@ def test_load_bad_field_names_record_and_field(tmp_path, fields, field):
     path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **fields}) + "\n")
     with pytest.raises(SchemaError, match=f"record 2: field '{field}'"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("fmt, record, position", [
+    ("mathqa-style", {"program": "(add,n0"}, 7),
+    ("algolisp-style", {"program_tree": "(f a) b"}, 6),
+])
+def test_load_unparsable_program_names_record_and_keeps_offset(tmp_path, fmt, record, position):
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps({"text": "a 3", "program": "(add,n0,n0)"}) + "\n"
+                    + json.dumps({"text": "a 3", **record}) + "\n")
+    want = rf"^{re.escape(str(path))}: record 2: .* \(offset {position}\)$"
+    with pytest.raises(ParseError, match=want) as err:
+        load_dataset(path, fmt)
+    assert err.value.position == position
+
+
+def test_preprocess_error_names_the_sample():
+    sample = Sample(id="q7", text=["a"], program=[T("fold", "n0", "n0", "n0")])
+    with pytest.raises(PreprocessError, match="^sample q7: no rewrite rule"):
+        preprocess_samples([sample])
 
 
 _JSON = st.recursive(

@@ -41,7 +41,7 @@ from tpn2f.tensor import (
     zeros,
 )
 from tpn2f.tpr import TupleTprConfig, bind3
-from tpn2f.training import sample_loss, encode_sample
+from tpn2f.training import encode_sample, sample_loss, teacher_forced_logits
 
 MICRO = ModelDims(d_word=8, d_filler=5, n_fillers=7, d_role=4, n_roles=6,
                   d_rel=4, d_arg=3, d_pos=5, positions=2, lstm_hidden=9)
@@ -632,11 +632,12 @@ def test_stacked_cell_draws_two_cells_in_turn():
     assert [n for n, _ in named_tensors(stacked, "x")] == ["x.w", "x.b"]
 
 
-@pytest.mark.parametrize("encoder, nodes", [("tpr", 17), ("lstm", 7)])
+@pytest.mark.parametrize("encoder, nodes", [("tpr", 12), ("lstm", 5)])
 def test_tape_nodes_per_encoder_position(encoder, nodes):
-    """One more token costs the binding encoder 17 tape nodes (the embedding, 6
-    for the stacked cell, 2 to split ``h`` into ``h_f`` and ``h_r``, 8 for the
-    selections and the binding) and the LSTM encoder 7."""
+    """One more token costs the binding encoder 12 tape nodes (the embedding, 4
+    for the stacked cell, 7 for the selections and the binding) and the LSTM
+    encoder 5; the views (the cell's ``h``/``c`` split, the ``h_f``/``h_r``
+    split and the flattened binding) record none."""
     model = micro_model(variant=ModelVariant(encoder, "tpr"))
     counts = []
     for ids in ([1, 2, 3], [1, 2, 3, 4]):
@@ -644,6 +645,21 @@ def test_tape_nodes_per_encoder_position(encoder, nodes):
             encode_sequence(ids, model.encoder)
         counts.append(len(tape))
     assert counts[1] - counts[0] == nodes
+
+
+@pytest.mark.parametrize("decoder", ["tpr", "lstm"])
+def test_tape_nodes_per_teacher_forced_decoder_step(decoder):
+    """One more target tuple costs either decoder 14 tape nodes at 2 argument
+    positions: 3 embeddings and their concat, 4 for the cell and 6 for the
+    attention; the cell's ``h``/``c`` split and the memory's transpose are views
+    and record none, and the heads score every step in one pass."""
+    model = micro_model(variant=ModelVariant("tpr", decoder))
+    counts = []
+    for steps in (2, 3):
+        with GradientTape() as tape:
+            teacher_forced_logits(model, [1, 2, 3], np.full((steps, 3), 4))
+        counts.append(len(tape))
+    assert counts[1] - counts[0] == 14
 
 
 @pytest.mark.parametrize("encoder,decoder", [("tpr", "tpr"), ("lstm", "lstm")])

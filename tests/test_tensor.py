@@ -44,7 +44,7 @@ from tpn2f.tensor import (
     tanh,
     transpose,
 )
-from tpn2f.training import encode_samples, mathqa_preset, sample_loss
+from tpn2f.training import encode_samples, mathqa_preset, minibatch_loss, sample_loss
 
 finite_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -344,7 +344,7 @@ def test_tape_determinism():
     "matmul_rows_recurrent", "matmul_rows3", "bias_rows", "outer_rows", "contract_rows",
     "contract_rows4",
     "softmax_masked", "cross_entropy_rows", "embed_ids", "concat_split_rows", "stack_rows3",
-    "transpose_rows",
+    "transpose_rows", "split_of_piece", "reshape_transpose_of_piece", "view_two_consumers",
 ])
 def test_gradient_check_all_ops(name):
     """Central differences (h=1e-5) vs backward(): relative error < 1e-4."""
@@ -383,6 +383,9 @@ def test_gradient_check_all_ops(name):
         "concat_split_rows": [(2, 3), (2, 5)],
         "stack_rows3": [(2, 3), (2, 3)],
         "transpose_rows": [(2, 3, 4)],
+        "split_of_piece": [(8,)],
+        "reshape_transpose_of_piece": [(3, 8)],
+        "view_two_consumers": [(3, 4), (3,)],
     }[name]]
     weights = Tensor(rng.uniform(-1, 1, (3, 5)))
     mask = np.array([[True, False, True, True, False], [True] * 5, [False, False, True, False, False]])
@@ -463,6 +466,18 @@ def test_gradient_check_all_ops(name):
             return sum_all(tanh(mul(stack_rows([xs[0], xs[1]]), Tensor(np.arange(12.0).reshape(2, 2, 3)))))
         if name == "transpose_rows":
             return sum_all(tanh(mul(transpose(xs[0]), Tensor(np.arange(24.0).reshape(2, 4, 3)))))
+        if name == "split_of_piece":  # pieces of pieces, of a leaf and of a produced tensor
+            a, b = split(xs[0], 2)
+            c, d = split(a, 2)
+            e, f = split(split(tanh(xs[0]), 2)[1], 2)
+            return sum_all(tanh(concat([mul(c, d), sigmoid(b), mul(e, f)])))
+        if name == "reshape_transpose_of_piece":  # the piece ``a`` is viewed twice
+            a, b = split(xs[0], 2)
+            return add(sum_all(tanh(mul(transpose(a), reshape(b, (4, 3))))),
+                       sum_all(sigmoid(flatten(transpose(a)))))
+        if name == "view_two_consumers":
+            v = transpose(tanh(xs[0]))
+            return sum_all(tanh(add(matmul(v, xs[1]), contract_last(v, xs[1]))))
         raise AssertionError(name)
 
     with GradientTape():
@@ -481,6 +496,100 @@ def test_split_pieces_are_consecutive_and_checked():
         split(Tensor(np.zeros(())), 2)
     rows = split(Tensor(np.arange(8.0).reshape(2, 4)), 2)
     assert [p.data.tolist() for p in rows] == [[[0, 1], [4, 5]], [[2, 3], [6, 7]]]
+
+
+def test_views_record_no_tape_node():
+    """split, reshape/flatten and transpose share their input's data and leave
+    the tape as it was; a view knows what it views and never holds a grad."""
+    t = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    with GradientTape() as tape:
+        y = tanh(t)
+        nodes = len(tape)
+        a, b = split(y, 2)
+        v = transpose(reshape(flatten(a), (2, 3)))
+        leaf_views = [reshape(t, (12,)), transpose(t)]
+        views = [a, b, v, split(a, 2)[0], *leaf_views]
+        assert len(tape) == nodes
+        assert all(np.shares_memory(x.data, y.data) for x in (a, b))
+        assert all(np.shares_memory(x.data, t.data) for x in leaf_views)
+        assert v.source[0].source[0].source[0] is a and a.source[0] is y
+        backward(sum_all(mul(v, v)))
+    assert all(x.grad is None for x in views) and t.grad is not None
+    assert not transpose(t).requires_grad   # no tape: no grad to pass on
+
+
+def test_a_view_of_a_leaf_passes_its_matmul_weight_grad_to_the_leaf():
+    """A transposed or reshaped leaf used as matmul's weight is not a leaf
+    itself: its product is formed at once and lands in the viewed leaf's grad."""
+    rng = np.random.default_rng(11)
+    w = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    flat = Tensor(rng.uniform(-1, 1, 12), requires_grad=True)
+    x = rng.uniform(-1, 1, (5, 4))
+    c = rng.uniform(-1, 1, (5, 3))
+    with GradientTape():
+        w_t, w_r = transpose(w), reshape(flat, (3, 4))
+        out = add(matmul(w_t, Tensor(x)), matmul(w_r, Tensor(x)))
+        backward(sum_all(mul(out, Tensor(c))))
+    assert w_t.grad is None and w_r.grad is None
+    assert np.array_equal(w.grad, (c.T @ x).T)
+    assert np.array_equal(flat.grad, (c.T @ x).reshape(-1))
+
+
+def _recorded_reshape(t: Tensor, shape) -> Tensor:
+    """Reference view ops: each records a tape node, as these ops once did."""
+    orig = t.shape
+    return tensor_mod._record(Tensor(t.data.reshape(shape)), (t,), lambda g: (g.reshape(orig),))
+
+
+def _recorded_transpose(t: Tensor) -> Tensor:
+    return tensor_mod._record(Tensor(t.data.swapaxes(-1, -2)), (t,),
+                              lambda g: (g.swapaxes(-1, -2),))
+
+
+def _recorded_split(t: Tensor, n: int) -> list[Tensor]:
+    shape, size = t.shape, t.shape[-1] // n
+    pieces = []
+    for lo in range(0, shape[-1], size):
+        def bw(g, lo=lo):
+            gt = np.zeros(shape)
+            gt[..., lo:lo + size] = g
+            return (gt,)
+
+        pieces.append(tensor_mod._record(Tensor(t.data[..., lo:lo + size]), (t,), bw))
+    return pieces
+
+
+@pytest.mark.parametrize("variant", ["tpr-tpr", "tpr-lstm", "lstm-tpr", "lstm-lstm"])
+def test_views_give_the_recorded_view_ops_loss_and_grads_exactly(variant, monkeypatch):
+    """A padded micro minibatch's loss and every parameter grad are equal (==)
+    whether the model's views pass their grads on at once or record tape nodes."""
+    cfg = micro_config()
+    cfg.encoder, cfg.decoder = variant.split("-")
+    samples = preprocess_samples(make_micro_dataset(8, seed=3), positions=cfg.positions)
+    vocab = build_vocabularies(samples)
+    model = build_model(cfg.variant(), cfg.dims(), vocab, np.random.default_rng(2))
+    batch = encode_samples(samples, vocab, cfg.positions)
+    assert len({len(e.token_ids) for e in batch}) > 1
+
+    def loss_and_grads():
+        with GradientTape() as tape:
+            loss = minibatch_loss(model, batch)
+            backward(loss)
+        grads = [t.grad for _, t in model.parameters()]
+        for _, t in model.parameters():
+            t.grad = None
+        return loss.item(), grads, len(tape)
+
+    loss, grads, nodes = loss_and_grads()
+    for name, op in [("split", _recorded_split), ("reshape", _recorded_reshape),
+                     ("transpose", _recorded_transpose),
+                     ("flatten", lambda t, start=0: _recorded_reshape(t, t.shape[:start] + (-1,)))]:
+        monkeypatch.setattr(model_mod, name, op)
+    want_loss, want, recorded_nodes = loss_and_grads()
+    assert recorded_nodes > nodes
+    assert loss == want_loss
+    for (name, _), got, ref in zip(model.parameters(), grads, want, strict=True):
+        assert got is not None and np.array_equal(got, ref), name
 
 
 def test_matmul_weight_grad_accumulates_across_tapes():
