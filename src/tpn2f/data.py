@@ -170,7 +170,8 @@ def _sample_from_record(record: dict, index: int, fmt: str) -> Sample:
         program=program,
         numbers=numbers,
         tests=_parse_tests(record["tests"]) if record.get("tests") is not None else None,
-        options=_numbers(record.get("options") or [], "options") or None,
+        options=(_numbers(record["options"], "options") or None
+                 if record.get("options") is not None else None),
     )
 
 

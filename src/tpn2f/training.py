@@ -61,7 +61,7 @@ class TrainConfig(ModelVariant, ModelDims):
     epochs: int = checked(60, at_least=0)
     learning_rate: float = checked(0.00115, above=0.0)
     batch_size: int = checked(64, at_least=1)
-    seed: int = 0
+    seed: int = checked(0, at_least=0)
     max_decode_len: int = checked(30, at_least=1)
     grad_clip: float | None = checked(None, above=0.0)
     patience: int | None = checked(None, at_least=0)
@@ -277,33 +277,39 @@ def operation_accuracy(model: Tpn2fModel, encoded: Sequence[EncodedSample],
 def train_epoch(model: Tpn2fModel, encoded: Sequence[EncodedSample], optimizer: AdamState,
                 config: TrainConfig, rng: np.random.Generator, epoch: int = 0) -> EpochStats:
     """One teacher-forced pass over the data; returns mean loss and train accuracy.  A
-    non-finite minibatch loss is a ``FloatingPointError`` naming the epoch and samples."""
+    non-finite minibatch loss or global grad norm is a ``FloatingPointError`` naming the
+    epoch and samples, raised before the step's Adam update; numpy's float warnings are
+    silenced for the epoch, so that a diverging run prints that error alone."""
     if not encoded:
         raise ValueError("empty training set")
     start = time.monotonic()
     params = [t for _, t in model.parameters()]
     order = rng.permutation(len(encoded))
     total_loss = 0.0
-    for lo in range(0, len(order), config.batch_size):
-        batch = [encoded[i] for i in order[lo:lo + config.batch_size]]
-        with GradientTape():
-            loss = minibatch_loss(model, batch)
-            if not math.isfinite(loss.item()):
-                raise FloatingPointError(
-                    f"epoch {epoch}: loss {loss.item()} on the minibatch of samples "
-                    f"{', '.join(enc.sample_id for enc in batch)}")
-            backward(scale(loss, 1.0 / len(batch)))
-        total_loss += loss.item()
-        for p in params:
-            if p.grad is None:
-                p.grad = np.zeros(p.shape)
-        if config.grad_clip is not None:
-            clip_gradients(params, config.grad_clip)
-        adam_step(params, optimizer)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, len(order), config.batch_size):
+            batch = [encoded[i] for i in order[lo:lo + config.batch_size]]
+            with GradientTape():
+                loss = minibatch_loss(model, batch)
+                _require_finite("loss", loss.item(), epoch, batch)
+                backward(scale(loss, 1.0 / len(batch)))
+            total_loss += loss.item()
+            for p in params:
+                if p.grad is None:
+                    p.grad = np.zeros(p.shape)
+            norm = clip_gradients(params, config.grad_clip or math.inf)
+            _require_finite("grad norm", norm, epoch, batch)
+            adam_step(params, optimizer)
+        op_acc = operation_accuracy(model, encoded, config.max_decode_len)
     mean_loss = total_loss / len(encoded)
-    op_acc = operation_accuracy(model, encoded, config.max_decode_len)
     return EpochStats(epoch=epoch, mean_loss=mean_loss, op_acc=op_acc,
                       wallclock=time.monotonic() - start)
+
+
+def _require_finite(what: str, value: float, epoch: int, batch: Sequence[EncodedSample]) -> None:
+    if not math.isfinite(value):
+        raise FloatingPointError(f"epoch {epoch}: {what} {value} on the minibatch of samples "
+                                 f"{', '.join(enc.sample_id for enc in batch)}")
 
 
 def train(model: Tpn2fModel, samples: Sequence[Sample], config: TrainConfig,
@@ -340,13 +346,16 @@ def train(model: Tpn2fModel, samples: Sequence[Sample], config: TrainConfig,
 # checkpoints
 
 CHECKPOINT_MAGIC = b"TPN2FCK1"
+# Version 6 lists each parameter once, by name and shape, and packs every weight, then
+# every first and every second Adam moment in that order; version 5 gave each Adam moment
+# its own table entry and every tensor a byte offset.
 # Version 5 stacked the encoder's filler and role LSTMs into one cell, ``encoder.lstm``
 # (version 4 stored them as ``encoder.filler_lstm`` and ``encoder.role_lstm``).
 # Version 4 renamed the reasoning tensors ``reasoning.wk``/``bk`` to ``weights.k``/``biases.k``.
 # Version 3: the config object dropped two model options that were never enabled.
 # Version 2 introduced one weight ``w`` and one bias ``b`` per LSTM cell (see
 # ``model.LstmParams``); version 1 stored 12 per-gate tensors.
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 _ADAM_FIELDS = ("step_count", "learning_rate", "beta1", "beta2", "epsilon")
 
 
@@ -354,16 +363,16 @@ _ADAM_FIELDS = ("step_count", "learning_rate", "beta1", "beta2", "epsilon")
 class Checkpoint:
     """A checkpoint file's contents, as ``load_checkpoint`` read them.
 
-    ``tensors`` maps each stored name, a parameter's or ``adam.m.``/``adam.v.``
-    and a parameter's, to the array its bytes were read into.  A checkpoint
-    builds once: ``build`` or ``build_model`` hands those arrays over and sets
-    ``tensors`` to None, and a second build is a ``CheckpointError``.
+    ``tensors`` maps each parameter's name to its weight and its two Adam
+    moments, ``(weight, m, v)``, the arrays their bytes were read into.  A
+    checkpoint builds once: ``build`` or ``build_model`` hands those arrays over
+    and sets ``tensors`` to None, and a second build is a ``CheckpointError``.
     """
 
     version: int
     config: TrainConfig
     vocab: Vocabularies
-    tensors: dict[str, np.ndarray] | None
+    tensors: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] | None
     adam: dict
     rng_state: dict
     epoch: int
@@ -376,25 +385,21 @@ class Checkpoint:
     def build(self) -> tuple[Tpn2fModel, AdamState]:
         """The model this checkpoint was saved from and its optimizer state.
 
-        Every parameter's weight and both its Adam moments must be present with
-        the model's shapes.  They are not copied: each parameter's ``data`` and
+        Every parameter of the model must be present with the model's shape.
+        Its weight and moments are not copied: each parameter's ``data`` and
         each moment is the array ``load_checkpoint`` read, so builds from two
         loads share no memory.  The model's layout is built with no weights of
         its own (``build_model`` with no generator); a config too large to lay
         out is a ``CheckpointError``.
         """
-        model, tensors = self._place()
-        names = [name for name, _ in model.parameters()]
-        optimizer = AdamState(
-            m=[tensors[f"adam.m.{n}"] for n in names],
-            v=[tensors[f"adam.v.{n}"] for n in names],
-            **{k: self.adam[k] for k in _ADAM_FIELDS},
-        )
+        model, moments = self._place()
+        optimizer = AdamState(m=[m for m, _ in moments], v=[v for _, v in moments],
+                              **{k: self.adam[k] for k in _ADAM_FIELDS})
         return model, optimizer
 
-    def _place(self) -> tuple[Tpn2fModel, dict[str, np.ndarray]]:
-        """The model with the loaded weights as its parameters' arrays, and the
-        loaded tensors, which this checkpoint then lets go of."""
+    def _place(self) -> tuple[Tpn2fModel, list[tuple[np.ndarray, np.ndarray]]]:
+        """The model with the loaded weights as its parameters' arrays, and each
+        parameter's loaded moments, which this checkpoint then lets go of."""
         if self.tensors is None:
             raise CheckpointError("checkpoint already built; load it again")
         dims = self.config.dims()
@@ -405,40 +410,35 @@ class Checkpoint:
                                   f"{dims}: {exc}") from exc
         named = model.parameters()
         for name, tensor in named:
-            for key in (name, f"adam.m.{name}", f"adam.v.{name}"):
-                if key not in self.tensors:
-                    raise CheckpointError(f"checkpoint is missing tensor {key!r}")
-                saved = self.tensors[key]
-                if saved.shape != tensor.shape:
-                    raise CheckpointError(f"tensor {key!r} has shape {saved.shape}, the model "
-                                          f"of the checkpoint's config {dims} expects "
-                                          f"{tensor.shape}")
+            if name not in self.tensors:
+                raise CheckpointError(f"checkpoint is missing tensor {name!r}")
+            saved = self.tensors[name][0]
+            if saved.shape != tensor.shape:
+                raise CheckpointError(f"tensor {name!r} has shape {saved.shape}, the model "
+                                      f"of the checkpoint's config {dims} expects "
+                                      f"{tensor.shape}")
         tensors, self.tensors = self.tensors, None
         for name, tensor in named:
-            tensor.data = tensors[name]
-        return model, tensors
+            tensor.data = tensors[name][0]
+        return model, [tensors[name][1:] for name, _ in named]
 
 
 def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: TrainConfig,
                     rng_state: dict | None = None, epoch: int = 0) -> None:
     """Write a self-contained checkpoint: header JSON + packed f64 + CRC32.
 
-    The write is atomic (temp file + rename) and byte-stable: saving a loaded
-    checkpoint reproduces the file exactly.  Each tensor's bytes go straight
-    from its array to the file and into the running CRC, so the save holds no
-    copy of the tensor bytes.  On any failure the temp file is removed and an
-    existing ``path`` is left untouched.
+    The header's tensor table holds each parameter's name and shape, in
+    ``model.parameters()`` order; the packed data is every weight, then every
+    first Adam moment, then every second one, each in table order.  The write
+    is atomic (temp file + rename) and byte-stable: saving a loaded checkpoint
+    reproduces the file exactly.  Each tensor's bytes go straight from its
+    array to the file and into the running CRC, so the save holds no copy of
+    the tensor bytes.  On any failure the temp file is removed and an existing
+    ``path`` is left untouched.
     """
     named = model.parameters()
-    arrays: list[tuple[str, np.ndarray]] = [(n, t.data) for n, t in named]
-    for (name, _), m, v in zip(named, optimizer.m, optimizer.v):
-        arrays.append((f"adam.m.{name}", m))
-        arrays.append((f"adam.v.{name}", v))
-    table = []
-    offset = 0
-    for name, arr in arrays:
-        table.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += 8 * arr.size
+    arrays = [t.data for _, t in named] + list(optimizer.m) + list(optimizer.v)
+    table = [{"name": name, "shape": list(t.shape)} for name, t in named]
     header = {
         "version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
@@ -455,7 +455,7 @@ def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: Train
         with open(tmp, "wb") as fh:
             fh.write(prefix)
             crc = zlib.crc32(prefix)
-            for _, arr in arrays:
+            for arr in arrays:
                 raw = np.ascontiguousarray(arr, dtype="<f8")
                 fh.write(raw)
                 crc = zlib.crc32(raw, crc)
@@ -469,24 +469,6 @@ def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: Train
 
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _tensor_entry(entry, n_bytes: int) -> tuple[str, tuple[int, ...], int]:
-    """Name, shape and byte offset of one header tensor entry, checked
-    against the ``n_bytes`` of packed data that follow the header."""
-    if not isinstance(entry, dict) or not {"name", "shape", "offset"} <= entry.keys():
-        raise CheckpointError(f"tensor entry {entry!r} needs name, shape and offset")
-    name, shape, offset = entry["name"], entry["shape"], entry["offset"]
-    if not (isinstance(name, str) and isinstance(shape, list)
-            and all(_is_count(d) for d in shape) and _is_count(offset)):
-        raise CheckpointError(
-            f"tensor {name!r}: shape and offset must be non-negative integers, "
-            f"got shape {shape!r}, offset {offset!r}")
-    end = offset + 8 * math.prod(shape)
-    if end > n_bytes:
-        raise CheckpointError(f"tensor {name!r} ends at byte {end}, "
-                              f"past the {n_bytes} bytes of tensor data")
-    return name, tuple(shape), offset
 
 
 def _is_finite_number(value) -> bool:
@@ -524,20 +506,25 @@ class _CheckedReader:
             raise CheckpointError(f"checkpoint file is truncated: read {self.pos} "
                                   f"of {self.size} bytes")
 
+    def read_array(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next ``8 * prod(shape)`` bytes, read into a fresh float64 array."""
+        arr = np.empty(shape, dtype="<f8")
+        if arr.size:   # memoryview cannot cast a shape holding a zero
+            self.read_into(arr)
+        return arr.astype(np.float64, copy=False)
+
     def read(self, n: int) -> bytearray:
         buf = bytearray(n)
         self.read_into(buf)
         return buf
 
-    def skip_to(self, pos: int) -> None:
-        """Read up to byte ``pos`` for the CRC alone, at most 1 MiB at a time."""
-        chunk = memoryview(bytearray(min(pos - self.pos, 1 << 20)))
-        while self.pos < pos:
-            self.read_into(chunk[:pos - self.pos])
-
     def check_crc(self) -> None:
-        """Read the rest of the file and check its CRC against the last 4 bytes."""
-        self.skip_to(self.size - 4)
+        """Read the rest of the file, at most 1 MiB at a time, and check its CRC
+        against the last 4 bytes."""
+        end = self.size - 4
+        chunk = memoryview(bytearray(min(end - self.pos, 1 << 20)))
+        while self.pos < end:
+            self.read_into(chunk[:end - self.pos])
         crc = self.crc.to_bytes(4, "little")
         if self.read(4) != crc:
             raise CheckpointError("checkpoint checksum mismatch (corrupt or truncated file)")
@@ -577,22 +564,27 @@ def _read_header(reader: _CheckedReader) -> tuple[dict, TrainConfig, Vocabularie
             Vocabularies.from_dict(header["vocab"], CheckpointError), table)
 
 
-def _tensor_table(entries: list, n_bytes: int) -> list[tuple[str, tuple[int, ...], int]]:
-    """Each tensor entry's name, shape and byte offset, in the order of their
-    offsets: every tensor lies inside the ``n_bytes`` of tensor data, and no
-    two share a name or a byte, so the tensors take no more than the file."""
-    table = sorted((_tensor_entry(entry, n_bytes) for entry in entries), key=lambda e: e[2])
-    names, end, last = set(), 0, None
-    for name, shape, offset in table:
+def _tensor_table(entries: list, n_bytes: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Each parameter's name and shape: every entry holds just those two, no two
+    share a name, and the weights and both Adam moments of the shapes take
+    exactly the ``n_bytes`` of tensor data, so the tensors take no more than the file."""
+    table, names = [], set()
+    for entry in entries:
+        if not (isinstance(entry, dict) and entry.keys() == {"name", "shape"}):
+            raise CheckpointError(f"tensor entry {entry!r:.80} must hold just a name and a shape")
+        name, shape = entry["name"], entry["shape"]
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(_is_count(d) for d in shape)):
+            raise CheckpointError(f"tensor {name!r:.60}: shape must be a list of non-negative "
+                                  f"integers, got {shape!r:.60}")
         if name in names:
             raise CheckpointError(f"tensor {name!r} appears twice in the tensor table")
         names.add(name)
-        size = 8 * math.prod(shape)
-        if size and offset < end:
-            raise CheckpointError(f"tensor {name!r} at byte {offset} overlaps tensor "
-                                  f"{last!r}, which ends at byte {end}")
-        if size:
-            end, last = offset + size, name
+        table.append((name, tuple(shape)))
+    claimed = 3 * 8 * sum(math.prod(shape) for _, shape in table)
+    if claimed != n_bytes:
+        raise CheckpointError(f"the tensor table's weights and Adam moments take {claimed} "
+                              f"bytes, but the file holds {n_bytes} bytes of tensor data")
     return table
 
 
@@ -601,12 +593,12 @@ def load_checkpoint(path) -> Checkpoint:
 
     The header is read and checked first; a header that fails a check makes
     the rest of the file be read for the CRC, so that a corrupt file is
-    reported as corrupt.  Then each tensor, in the order of its offset, is
-    read straight into its own fresh float64 array, and every byte goes into
-    the running CRC, checked against the file's last 4 bytes; the bytes
-    between tensors are read for the CRC alone.  A load so holds one copy of
-    the tensor bytes and never more than the file holds (``_tensor_table``),
-    and ``Checkpoint.build`` hands those arrays over without copying them.
+    reported as corrupt.  Then every weight, every first and every second
+    moment, in table order, is read straight into its own fresh float64 array,
+    and every byte goes into the running CRC, checked against the file's last
+    4 bytes.  A load so holds one copy of the tensor bytes and never more than
+    the file holds (``_tensor_table``), and ``Checkpoint.build`` hands those
+    arrays over without copying them.
     """
     with open(path, "rb") as fh:
         reader = _CheckedReader(fh, os.fstat(fh.fileno()).st_size)
@@ -617,20 +609,13 @@ def load_checkpoint(path) -> Checkpoint:
         except (CheckpointError, ConfigError):
             reader.check_crc()
             raise
-        data_start = reader.pos
-        tensors: dict[str, np.ndarray] = {}
-        for name, shape, offset in table:
-            arr = np.empty(shape, dtype="<f8")
-            if arr.size:
-                reader.skip_to(data_start + offset)
-                reader.read_into(arr)
-            tensors[name] = arr.astype(np.float64, copy=False)
+        blocks = [[reader.read_array(shape) for _, shape in table] for _ in range(3)]
         reader.check_crc()
     return Checkpoint(
         version=header["version"],
         config=config,
         vocab=vocab,
-        tensors=tensors,
+        tensors={name: arrays for (name, _), arrays in zip(table, zip(*blocks))},
         adam=header["adam"],
         rng_state=header.get("rng_state", {}),
         epoch=header.get("epoch", 0),

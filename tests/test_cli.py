@@ -235,9 +235,16 @@ def test_full_command_cycle(tmp_path, micro_file, capsys):
     assert set(first) == {"epoch", "mean_loss", "op_acc", "wallclock"}
 
 
-def test_infer_on_checkpoint_with_out_of_range_offset_exits_1(tmp_path, micro_file, capsys):
-    """A header whose CRC is valid but whose tensor offset points past the data
-    is a user-facing checkpoint error, not an internal one."""
+@pytest.mark.parametrize("edit, message", [
+    (lambda table: table.pop(), "bytes, but the file holds"),
+    (lambda table: table.append({"name": "extra", "shape": [4, 2]}), "bytes, but the file holds"),
+    (lambda table: table[0].update(offset=0), "must hold just a name and a shape"),
+], ids=["dropped-entry", "extra-entry", "offset"])
+def test_infer_on_checkpoint_whose_table_misstates_the_data_exits_1(tmp_path, micro_file,
+                                                                    capsys, edit, message):
+    """A header whose CRC is valid but whose tensor table does not account for
+    the packed data byte for byte is a user-facing checkpoint error, not an
+    internal one."""
     cfg_file = tmp_path / "c.cfg"
     cfg_file.write_text(MICRO_CFG)
     assert dispatch(["train", "--data", str(micro_file), "--out", str(tmp_path / "run"),
@@ -245,19 +252,42 @@ def test_infer_on_checkpoint_with_out_of_range_offset_exits_1(tmp_path, micro_fi
     raw = (tmp_path / "run" / "model.ckpt").read_bytes()
     head_len = int.from_bytes(raw[8:16], "little")
     header = json.loads(raw[16:16 + head_len])
-    header["tensors"][0]["offset"] = 10**12
+    edit(header["tensors"])
     head = json.dumps(header).encode("utf-8")
     body = raw[:8] + len(head).to_bytes(8, "little") + head + raw[16 + head_len:-4]
     (tmp_path / "bad.ckpt").write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
     assert dispatch(["infer", "--checkpoint", str(tmp_path / "bad.ckpt"),
                      "--data", str(micro_file), "--out", str(tmp_path / "pred.jsonl")]) == 1
-    assert "past" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_train_rejects_zero_batch_size(tmp_path, micro_file, capsys):
     assert dispatch(["train", "--data", str(micro_file), "--out", str(tmp_path / "run"),
                      "--batch-size", "0"]) == 1
     assert "batch_size" in capsys.readouterr().err
+
+
+def test_train_rejects_a_negative_seed_naming_it(tmp_path, micro_file, capsys):
+    assert dispatch(["train", "--data", str(micro_file), "--out", str(tmp_path / "run"),
+                     "--seed", "-1"]) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("batch_size, epoch", [(10, 0), (64, 1)])
+def test_a_diverging_train_names_the_epoch_and_samples_without_numpy_warnings(
+        tmp_path, micro_file, capsys, recwarn, batch_size, epoch):
+    """At a learning rate of 1e300 the weights overflow after the first step; the
+    run stops with the named error and exit 1, and numpy prints no warning first,
+    neither in the epoch's next minibatch nor, with one minibatch, in its eval."""
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(MICRO_CFG)
+    assert dispatch(["train", "--data", str(micro_file), "--out", str(tmp_path / "run"),
+                     "--config", str(cfg_file), "--learning-rate", "1e300",
+                     "--batch-size", str(batch_size)]) == 1
+    assert re.search(rf"error: epoch {epoch}: (loss|grad norm) (nan|inf) on the minibatch of "
+                     r"samples micro-\d+", capsys.readouterr().err)
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_train_rejects_negative_clip_and_zero_dimension(tmp_path, micro_file, capsys):

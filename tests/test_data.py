@@ -107,14 +107,16 @@ def test_const_dash_reads_as_const_in_every_program_syntax(tmp_path, fmt, field,
     ({"numbers": "abc"}, "numbers"), ({"numbers": "123"}, "numbers"),
     ({"numbers": [1, True]}, "numbers"), ({"numbers": None}, "numbers"),
     ({"options": ["x"]}, "options"), ({"options": 5}, "options"),
+    ({"options": 0}, "options"), ({"options": False}, "options"), ({"options": ""}, "options"),
     ({"text": 5}, "text"), ({"text": ["a", 1]}, "text"),
     ({"text": ""}, "text"), ({"text": "  "}, "text"), ({"text": []}, "text"),
     ({"program": [["add", "n0", "n1", "n2", "n3"]]}, "program"),
     ({"program": [["", "n0"]]}, "program"), ({"program": [[]]}, "program"),
     ({"tests": 5}, "tests"), ({"tests": [{"input": 3, "output": 1}]}, "tests"),
 ], ids=["numbers-text", "numbers-digits", "numbers-bool", "numbers-null", "options-text",
-        "options-number", "text-number", "text-mixed", "text-empty", "text-blank",
-        "text-empty-list", "program-5-items",
+        "options-number", "options-zero", "options-false", "options-empty-string",
+        "text-number", "text-mixed", "text-empty", "text-blank", "text-empty-list",
+        "program-5-items",
         "program-empty-relation", "program-empty-entry", "tests-number", "tests-input-number"])
 def test_load_bad_field_names_record_and_field(tmp_path, fields, field):
     path = tmp_path / "d.jsonl"
@@ -122,6 +124,14 @@ def test_load_bad_field_names_record_and_field(tmp_path, fields, field):
     path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **fields}) + "\n")
     with pytest.raises(SchemaError, match=f"record 2: field '{field}'"):
         load_dataset(path)
+
+
+def test_missing_null_or_empty_options_read_as_no_options(tmp_path):
+    path = tmp_path / "d.jsonl"
+    good = {"text": "a 3", "program": [["add", "n0", "n0"]]}
+    path.write_text("".join(json.dumps(r) + "\n" for r in (
+        good, {**good, "options": None}, {**good, "options": []}, {**good, "options": [2]})))
+    assert [s.options for s in load_dataset(path)] == [None, None, None, [2.0]]
 
 
 @pytest.mark.parametrize("fmt, record, position", [
