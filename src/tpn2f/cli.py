@@ -249,13 +249,17 @@ def cmd_exec(args) -> int:
         if args.dataset == "mathqa":
             try:
                 numbers = [float(x) for x in args.numbers.split(",")] if args.numbers else []
+                if not np.isfinite(numbers).all():
+                    raise ValueError(f"got {args.numbers}")
             except ValueError as exc:
-                raise UserError(f"--numbers must be comma-separated floats: {exc}") from exc
+                raise UserError(f"--numbers must be comma-separated finite floats: {exc}") from exc
             result = fl.exec_mathqa(program, fl.ProgramEnv(numbers=numbers))
         else:
             try:
                 bindings = json.loads(args.bindings) if args.bindings else {}
-            except json.JSONDecodeError as exc:
+                if not isinstance(bindings, dict):
+                    raise ValueError(f"got {args.bindings:.60}")
+            except ValueError as exc:   # json.JSONDecodeError is a ValueError
                 raise UserError(f"--bindings must be a JSON object: {exc}") from exc
             result = fl.exec_algolisp(program, bindings)
         print(_format_value(result))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -124,11 +125,12 @@ def _parse_tests(value) -> list[tuple[dict, Any]]:
 
 
 def _numbers(value, name: str) -> list[float]:
-    if isinstance(value, list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
-        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+    """A list of finite numbers: a NaN option would compare false with every answer."""
+    with contextlib.suppress(OverflowError):  # an integer beyond the float range
+        if isinstance(value, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                                           and math.isfinite(x) for x in value):
             return [float(x) for x in value]
-    raise SchemaError(f"field {name!r} must be a list of numbers, got {value!r:.60}")
+    raise SchemaError(f"field {name!r} must be a list of finite numbers, got {value!r:.60}")
 
 
 def _sample_from_record(record: dict, index: int, fmt: str) -> Sample:

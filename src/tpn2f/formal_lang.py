@@ -429,13 +429,6 @@ _LISP_BUILTINS: dict[str, Builtin] = {
     "max": Builtin("max", 2, _num_op("max", max)),
 }
 
-# Relations evaluated by the interpreter loop itself rather than via Builtin.
-_LISP_SPECIAL = {
-    "if", "if1", "if2", "lambda1", "lambda2", "partial", "partial1",
-    "map", "reduce", "reduce1", "reduce2", "invoke1", "self",
-}
-
-
 class _LispRun:
     def __init__(self, program: Sequence[RelationalTuple], bindings: dict[str, Any],
                  max_depth: int):

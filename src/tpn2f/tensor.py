@@ -521,10 +521,11 @@ def cross_entropy(logits: Tensor, true_index, weights=None) -> Tensor:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment buffers plus hyperparameters."""
+    """Adam's hyperparameters and moments: ``m`` and ``v`` each pack every parameter's
+    moments into one float64 array, in the order ``adam_step`` is given the parameters."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step_count: int
     learning_rate: float
     beta1: float = 0.9
@@ -532,18 +533,10 @@ class AdamState:
     epsilon: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: Sequence[Tensor], learning_rate: float,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   epsilon: float = 1e-8) -> "AdamState":
-        return cls(
-            m=[np.zeros(p.shape) for p in params],
-            v=[np.zeros(p.shape) for p in params],
-            step_count=0,
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+    def for_params(cls, params: Sequence[Tensor], learning_rate: float) -> "AdamState":
+        """Zero moments for ``params`` and step 0, with the default betas and epsilon."""
+        n = sum(p.size for p in params)
+        return cls(m=np.zeros(n), v=np.zeros(n), step_count=0, learning_rate=learning_rate)
 
 
 # Elements per block of ``adam_step``: the six arrays a block touches (param,
@@ -562,27 +555,30 @@ def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
         m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
         p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
 
-    so the result is bit-identical to it.  Params and moments must be
-    C-contiguous, as they are updated through flat views.
+    so the result is bit-identical to it.  A parameter's moments are its
+    ``p.size`` entries of ``state.m`` and ``state.v``, in parameter order.
+    Params must be C-contiguous, as they are updated through flat views.
     """
-    if len(params) != len(state.m):
-        raise StateError(f"optimizer tracks {len(state.m)} params, got {len(params)}")
-    for k, (p, m, v) in enumerate(zip(params, state.m, state.v)):
+    n = sum(p.size for p in params)
+    if not state.m.shape == state.v.shape == (n,):
+        raise StateError(f"optimizer moments have shapes {state.m.shape} and {state.v.shape}, "
+                         f"the {len(params)} params need ({n},)")
+    for k, p in enumerate(params):
         if p.grad is None:
             raise StateError(f"parameter {k} has no gradient")
-        if not p.grad.shape == m.shape == v.shape == p.data.shape:
-            raise StateError(f"parameter {k} has shape {p.data.shape}, grad {p.grad.shape}, "
-                             f"moments {m.shape} and {v.shape}")
-        if not (p.data.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
-            raise StateError(f"parameter {k} or its moments are not C-contiguous")
+        if p.grad.shape != p.data.shape:
+            raise StateError(f"parameter {k} has shape {p.data.shape}, grad {p.grad.shape}")
+        if not p.data.flags.c_contiguous:
+            raise StateError(f"parameter {k} is not C-contiguous")
     state.step_count += 1
     t = state.step_count
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     n_max = max((p.size for p in params), default=0)
     scratch_a, scratch_b = np.empty(min(n_max, ADAM_BLOCK)), np.empty(min(n_max, ADAM_BLOCK))
-    for p, m, v in zip(params, state.m, state.v):
-        flat = p.data.reshape(-1), p.grad.reshape(-1), m.reshape(-1), v.reshape(-1)
+    ends = np.cumsum([p.size for p in params[:-1]], dtype=int)
+    for p, m, v in zip(params, np.split(state.m, ends), np.split(state.v, ends)):
+        flat = p.data.reshape(-1), p.grad.reshape(-1), m, v
         for lo in range(0, p.size, ADAM_BLOCK):
             pb, gb, mb, vb = (x[lo:lo + ADAM_BLOCK] for x in flat)
             a, b = scratch_a[:gb.size], scratch_b[:gb.size]

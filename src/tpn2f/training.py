@@ -17,6 +17,7 @@ import os
 import time
 import zlib
 from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -363,44 +364,35 @@ _ADAM_FIELDS = ("step_count", "learning_rate", "beta1", "beta2", "epsilon")
 class Checkpoint:
     """A checkpoint file's contents, as ``load_checkpoint`` read them.
 
-    ``tensors`` maps each parameter's name to its weight and its two Adam
-    moments, ``(weight, m, v)``, the arrays their bytes were read into.  A
-    checkpoint builds once: ``build`` or ``build_model`` hands those arrays over
-    and sets ``tensors`` to None, and a second build is a ``CheckpointError``.
+    ``table`` lists each parameter's name and shape; ``weights``, ``m`` and
+    ``v`` are the three blocks of the file, every parameter's weights, first
+    and second Adam moments, each one float64 array packed in table order.  A
+    checkpoint builds once: ``build`` or ``build_model`` hands the blocks over
+    and sets all three to None, and a second build is a ``CheckpointError``.
     """
 
     version: int
     config: TrainConfig
     vocab: Vocabularies
-    tensors: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] | None
+    table: list[tuple[str, tuple[int, ...]]]
+    weights: np.ndarray | None
+    m: np.ndarray | None
+    v: np.ndarray | None
     adam: dict
     rng_state: dict
     epoch: int
 
     def build_model(self) -> Tpn2fModel:
-        """The model this checkpoint was saved from, without its optimizer: the
-        checks of ``build``, then the Adam moments are dropped."""
-        return self._place()[0]
+        """The model this checkpoint was saved from, without its optimizer.
 
-    def build(self) -> tuple[Tpn2fModel, AdamState]:
-        """The model this checkpoint was saved from and its optimizer state.
-
-        Every parameter of the model must be present with the model's shape.
-        Its weight and moments are not copied: each parameter's ``data`` and
-        each moment is the array ``load_checkpoint`` read, so builds from two
-        loads share no memory.  The model's layout is built with no weights of
-        its own (``build_model`` with no generator); a config too large to lay
-        out is a ``CheckpointError``.
+        The model's layout is built with no weights of its own (``build_model``
+        with no generator); a config too large to lay out is a
+        ``CheckpointError``.  The table must list the layout's parameters,
+        names and shapes, in order, or a ``CheckpointError`` names the first
+        entry that differs.  Each parameter's ``data`` is then its view of the
+        weights block, not a copy, so builds from two loads share no memory.
         """
-        model, moments = self._place()
-        optimizer = AdamState(m=[m for m, _ in moments], v=[v for _, v in moments],
-                              **{k: self.adam[k] for k in _ADAM_FIELDS})
-        return model, optimizer
-
-    def _place(self) -> tuple[Tpn2fModel, list[tuple[np.ndarray, np.ndarray]]]:
-        """The model with the loaded weights as its parameters' arrays, and each
-        parameter's loaded moments, which this checkpoint then lets go of."""
-        if self.tensors is None:
+        if self.weights is None:
             raise CheckpointError("checkpoint already built; load it again")
         dims = self.config.dims()
         try:
@@ -409,18 +401,22 @@ class Checkpoint:
             raise CheckpointError(f"cannot allocate the model of the checkpoint's config "
                                   f"{dims}: {exc}") from exc
         named = model.parameters()
-        for name, tensor in named:
-            if name not in self.tensors:
-                raise CheckpointError(f"checkpoint is missing tensor {name!r}")
-            saved = self.tensors[name][0]
-            if saved.shape != tensor.shape:
-                raise CheckpointError(f"tensor {name!r} has shape {saved.shape}, the model "
-                                      f"of the checkpoint's config {dims} expects "
-                                      f"{tensor.shape}")
-        tensors, self.tensors = self.tensors, None
-        for name, tensor in named:
-            tensor.data = tensors[name][0]
-        return model, [tensors[name][1:] for name, _ in named]
+        expected = [(name, t.shape) for name, t in named]
+        for k, (have, want) in enumerate(zip_longest(self.table, expected, fillvalue="nothing")):
+            if have != want:
+                raise CheckpointError(f"tensor table entry {k} is {have}, the model of the "
+                                      f"checkpoint's config {dims} expects {want}")
+        ends = np.cumsum([t.size for _, t in named[:-1]], dtype=int)
+        for (_, tensor), block in zip(named, np.split(self.weights, ends)):
+            tensor.data = block.reshape(tensor.shape)
+        self.weights = self.m = self.v = None
+        return model
+
+    def build(self) -> tuple[Tpn2fModel, AdamState]:
+        """The model this checkpoint was saved from, as ``build_model`` builds
+        it, and its optimizer state, which keeps the two moment blocks."""
+        m, v = self.m, self.v
+        return self.build_model(), AdamState(m=m, v=v, **{k: self.adam[k] for k in _ADAM_FIELDS})
 
 
 def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: TrainConfig,
@@ -431,13 +427,13 @@ def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: Train
     ``model.parameters()`` order; the packed data is every weight, then every
     first Adam moment, then every second one, each in table order.  The write
     is atomic (temp file + rename) and byte-stable: saving a loaded checkpoint
-    reproduces the file exactly.  Each tensor's bytes go straight from its
-    array to the file and into the running CRC, so the save holds no copy of
-    the tensor bytes.  On any failure the temp file is removed and an existing
-    ``path`` is left untouched.
+    reproduces the file exactly.  Each weight's and each moment block's bytes go
+    straight from its array to the file and into the running CRC, so the save
+    holds no copy of the tensor bytes.  On any failure the temp file is
+    removed and an existing ``path`` is left untouched.
     """
     named = model.parameters()
-    arrays = [t.data for _, t in named] + list(optimizer.m) + list(optimizer.v)
+    arrays = [t.data for _, t in named] + [optimizer.m, optimizer.v]
     table = [{"name": name, "shape": list(t.shape)} for name, t in named]
     header = {
         "version": CHECKPOINT_VERSION,
@@ -509,8 +505,7 @@ class _CheckedReader:
     def read_array(self, shape: tuple[int, ...]) -> np.ndarray:
         """The next ``8 * prod(shape)`` bytes, read into a fresh float64 array."""
         arr = np.empty(shape, dtype="<f8")
-        if arr.size:   # memoryview cannot cast a shape holding a zero
-            self.read_into(arr)
+        self.read_into(arr)
         return arr.astype(np.float64, copy=False)
 
     def read(self, n: int) -> bytearray:
@@ -593,12 +588,13 @@ def load_checkpoint(path) -> Checkpoint:
 
     The header is read and checked first; a header that fails a check makes
     the rest of the file be read for the CRC, so that a corrupt file is
-    reported as corrupt.  Then every weight, every first and every second
-    moment, in table order, is read straight into its own fresh float64 array,
-    and every byte goes into the running CRC, checked against the file's last
-    4 bytes.  A load so holds one copy of the tensor bytes and never more than
-    the file holds (``_tensor_table``), and ``Checkpoint.build`` hands those
-    arrays over without copying them.
+    reported as corrupt.  Then the three blocks, every weight, every first and
+    every second moment in table order, are each read straight into one fresh
+    float64 array, and every byte goes into the running CRC, checked against
+    the file's last 4 bytes.  A load so holds one copy of the tensor bytes and
+    never more than the file holds (``_tensor_table``); no table shape reaches
+    numpy until ``Checkpoint.build_model`` has matched it to the model's, and
+    the build hands the blocks over without copying them.
     """
     with open(path, "rb") as fh:
         reader = _CheckedReader(fh, os.fstat(fh.fileno()).st_size)
@@ -609,13 +605,17 @@ def load_checkpoint(path) -> Checkpoint:
         except (CheckpointError, ConfigError):
             reader.check_crc()
             raise
-        blocks = [[reader.read_array(shape) for _, shape in table] for _ in range(3)]
+        n = sum(math.prod(shape) for _, shape in table)
+        weights, m, v = (reader.read_array((n,)) for _ in range(3))
         reader.check_crc()
     return Checkpoint(
         version=header["version"],
         config=config,
         vocab=vocab,
-        tensors={name: arrays for (name, _), arrays in zip(table, zip(*blocks))},
+        table=table,
+        weights=weights,
+        m=m,
+        v=v,
         adam=header["adam"],
         rng_state=header.get("rng_state", {}),
         epoch=header.get("epoch", 0),

@@ -63,6 +63,33 @@ def test_exec_failure_is_user_error(capsys):
     assert "div-zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("numbers", ["nan", "1,inf", "2,-inf"])
+def test_exec_non_finite_numbers_is_user_error(capsys, numbers):
+    code = dispatch(["exec", "--dataset", "mathqa", "--program", "(add,n0,n1)",
+                     "--numbers", numbers])
+    assert code == 1
+    assert "--numbers must be comma-separated finite floats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bindings", ['"abc"', "[1]", "3", "null"])
+def test_exec_bindings_that_are_not_an_object_is_user_error(capsys, bindings):
+    code = dispatch(["exec", "--dataset", "algolisp", "--program", "(+,a,b)",
+                     "--bindings", bindings])
+    assert code == 1
+    assert f"--bindings must be a JSON object: got {bindings}" in capsys.readouterr().err
+
+
+def test_eval_gold_with_a_nan_option_is_user_error(capsys, tmp_path):
+    """A NaN option once matched every wrong answer: ``exec_acc`` read 1.0."""
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({"id": "r0", "text": "2 plus 3", "program": "(add,n0,n1)",
+                                "options": [float("nan"), 5, 6]}) + "\n")
+    pred.write_text(json.dumps({"id": "r0", "program": [["multiply", "n0", "n1"]]}) + "\n")
+    assert dispatch(["eval", "--pred", str(pred), "--gold", str(gold)]) == 1
+    assert "record 1: field 'options' must be a list of finite numbers" in (
+        capsys.readouterr().err)
+
+
 def test_missing_config_file_exits_1(capsys, tmp_path):
     code = dispatch(["train", "--config", "missing.cfg",
                      "--data", str(tmp_path / "x.jsonl"), "--out", str(tmp_path)])

@@ -113,12 +113,17 @@ def test_const_dash_reads_as_const_in_every_program_syntax(tmp_path, fmt, field,
     ({"program": [["add", "n0", "n1", "n2", "n3"]]}, "program"),
     ({"program": [["", "n0"]]}, "program"), ({"program": [[]]}, "program"),
     ({"tests": 5}, "tests"), ({"tests": [{"input": 3, "output": 1}]}, "tests"),
+    ({"numbers": [3, float("nan")]}, "numbers"), ({"numbers": [float("inf")]}, "numbers"),
+    ({"options": [float("nan"), 5, 6]}, "options"), ({"options": [4, -float("inf")]}, "options"),
 ], ids=["numbers-text", "numbers-digits", "numbers-bool", "numbers-null", "options-text",
         "options-number", "options-zero", "options-false", "options-empty-string",
         "text-number", "text-mixed", "text-empty", "text-blank", "text-empty-list",
         "program-5-items",
-        "program-empty-relation", "program-empty-entry", "tests-number", "tests-input-number"])
+        "program-empty-relation", "program-empty-entry", "tests-number", "tests-input-number",
+        "numbers-nan", "numbers-infinity", "options-nan", "options-minus-infinity"])
 def test_load_bad_field_names_record_and_field(tmp_path, fields, field):
+    """A non-finite number, which JSON's ``NaN`` and ``Infinity`` spell, is a bad field:
+    a NaN option would compare false with every answer and so match option 0."""
     path = tmp_path / "d.jsonl"
     good = {"text": "a 3", "program": [["add", "n0", "n0"]]}
     path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **fields}) + "\n")
@@ -187,7 +192,7 @@ def test_any_json_records_load_or_raise_a_data_error(records, fmt, as_array):
             return
     for s in samples:
         assert all(isinstance(t, str) for t in s.text) and isinstance(s.id, str)
-        assert all(type(x) is float for x in s.numbers + (s.options or []))
+        assert all(type(x) is float and np.isfinite(x) for x in s.numbers + (s.options or []))
         assert all(isinstance(t, RelationalTuple) for t in s.program)
 
 

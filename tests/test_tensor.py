@@ -737,19 +737,29 @@ def test_adam_blocked_step_is_bit_identical_to_textbook_update():
         adam_step(params, state)
         for (data, m, v), g in zip(ref, grads):
             textbook_step(data, g, m, v, state)
-    for p, m, v, (ref_data, ref_m, ref_v) in zip(params, state.m, state.v, ref):
+    for p, (ref_data, _, _) in zip(params, ref):
         assert p.data.tobytes() == ref_data.tobytes()
-        assert m.tobytes() == ref_m.tobytes() and v.tobytes() == ref_v.tobytes()
+    assert state.m.tobytes() == b"".join(ref_m.tobytes() for _, ref_m, _ in ref)
+    assert state.v.tobytes() == b"".join(ref_v.tobytes() for _, _, ref_v in ref)
+
+
+def test_adam_state_packs_each_moment_into_one_array_in_parameter_order():
+    params = [Tensor(np.zeros(s), requires_grad=True) for s in [(2, 3), (4,), (1,)]]
+    state = AdamState.for_params(params, learning_rate=0.1)
+    for moments in (state.m, state.v):
+        assert moments.shape == (11,) and moments.dtype == np.float64 and not moments.any()
 
 
 def test_adam_rejects_moments_of_another_shape():
+    """Each moment must be one array of an entry per parameter element."""
     p = Tensor(np.zeros((2, 3)), requires_grad=True)
-    p.grad = np.ones((2, 3))
-    state = AdamState.for_params([p], learning_rate=0.1)
-    state.v[0] = np.zeros(6)
-    with pytest.raises(StateError, match="moments"):
-        adam_step([p], state)
-    assert state.step_count == 0 and np.array_equal(p.data, np.zeros((2, 3)))
+    for shape in [(5,), (6, 1), (2, 3)]:
+        p.grad = np.ones((2, 3))
+        state = AdamState.for_params([p], learning_rate=0.1)
+        state.v = np.zeros(shape)
+        with pytest.raises(StateError, match="moments"):
+            adam_step([p], state)
+        assert state.step_count == 0 and np.array_equal(p.data, np.zeros((2, 3)))
 
 
 def test_clip_gradients():

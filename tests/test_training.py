@@ -484,7 +484,7 @@ def test_a_non_finite_grad_is_named_before_its_optimizer_step(monkeypatch, value
                     epoch=2)
     assert optimizer.step_count == 0
     assert all(p.data.tobytes() == b.tobytes() for p, b in zip(params, before))
-    assert not any(m.any() or v.any() for m, v in zip(optimizer.m, optimizer.v))
+    assert not (optimizer.m.any() or optimizer.v.any())
 
 
 def test_loss_finite_over_random_initializations_at_published_dims():
@@ -661,6 +661,36 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     assert (tmp_path / "again.ckpt").read_bytes() == first
 
 
+def test_one_train_step_leaves_the_textbook_moments_packed_in_parameter_order(monkeypatch):
+    """``AdamState.for_params`` gives two arrays of an entry per parameter
+    element; after one ``train`` step they hold each parameter's textbook
+    moments from zero, concatenated in parameter order, bit for bit."""
+    made, grads = [], []
+    real_for_params, real_adam_step = AdamState.for_params, training_mod.adam_step
+    monkeypatch.setattr(AdamState, "for_params",
+                        lambda *a: made.append(real_for_params(*a)) or made[-1])
+
+    def recording_step(params, state):
+        grads.extend(p.grad.copy() for p in params)
+        real_adam_step(params, state)
+
+    monkeypatch.setattr(training_mod, "adam_step", recording_step)
+    cfg, samples, _, model, _ = micro_setup(n=8)
+    cfg.epochs, cfg.batch_size = 1, 8
+    train(model, samples, cfg)
+    (optimizer,) = made
+    params = [t for _, t in model.parameters()]
+    assert optimizer.step_count == 1 and len(grads) == len(params)
+    n = sum(p.size for p in params)
+    assert optimizer.m.shape == optimizer.v.shape == (n,)
+    b1, b2 = optimizer.beta1, optimizer.beta2
+    m = [b1 * np.zeros(g.shape) + (1.0 - b1) * g for g in grads]
+    v = [b2 * np.zeros(g.shape) + (1.0 - b2) * g * g for g in grads]
+    assert optimizer.m.tobytes() == b"".join(a.tobytes() for a in m)
+    assert optimizer.v.tobytes() == b"".join(a.tobytes() for a in v)
+    assert optimizer.m.any() and optimizer.v.any()
+
+
 def test_trained_checkpoint_lists_each_parameter_once_and_packs_weights_then_moments(
         tmp_path, monkeypatch):
     """A seeded micro ``train`` writes one name/shape entry per parameter, 20 for
@@ -744,9 +774,11 @@ def _add_entry(header):
     (lambda h: h.pop("vocab"), "lacks vocab"),
     (_drop_last_entry, _MISCOUNTED),
     (_add_entry, _MISCOUNTED),
-    (_set_first("name", "unknown"), "checkpoint is missing tensor 'encoder.embed'"),
+    (_set_first("name", "unknown"),
+     r"entry 0 is \('unknown', \(12, 16\)\), the model .* expects \('encoder.embed', \(12, 16\)\)"),
     (lambda h: h["tensors"][0]["shape"].reverse(),
-     r"tensor 'encoder.embed' has shape \(16, 12\), the model .* expects \(12, 16\)"),
+     r"entry 0 is \('encoder.embed', \(16, 12\)\), the model .* expects "
+     r"\('encoder.embed', \(12, 16\)\)"),
 ], ids=["offset", "shape", "negative", "float", "no-shape", "adam-field", "no-vocab",
         "dropped-entry", "extra-entry", "renamed-entry", "transposed-shape"])
 def test_bad_header_with_valid_crc_is_checkpoint_error(tmp_path, edit, message):
@@ -754,6 +786,58 @@ def test_bad_header_with_valid_crc_is_checkpoint_error(tmp_path, edit, message):
     (tmp_path / "bad.ckpt").write_bytes(_reseal((tmp_path / "m.ckpt").read_bytes(), edit))
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(tmp_path / "bad.ckpt").build()
+
+
+def _retabled(raw: bytes, edit) -> bytes:
+    """A checkpoint whose table and blocks ``edit`` changed, its CRC resealed:
+    ``edit`` maps the list of each entry and its ``(weight, m, v)`` arrays to a
+    new one, whose arrays are then packed block by block in its order."""
+    head_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + head_len])
+    shapes = [tuple(entry["shape"]) for entry in header["tensors"]]
+    blocks = np.frombuffer(raw[16 + head_len:-4], dtype="<f8").reshape(3, -1)
+    pairs = edit(list(zip(header["tensors"],
+                          zip(*(_per_parameter(block, shapes) for block in blocks)))))
+    header["tensors"] = [entry for entry, _ in pairs]
+    head = json.dumps(header).encode("utf-8")
+    data = b"".join(arrays[k].astype("<f8").tobytes() for k in range(3) for _, arrays in pairs)
+    body = raw[:8] + len(head).to_bytes(8, "little") + head + data
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda pairs: pairs + [({"name": "extra", "shape": [3]}, (np.ones(3),) * 3)],
+     "entry 20 is ('extra', (3,)), the model of the checkpoint's config"),
+    (lambda pairs: [pairs[1], pairs[0], *pairs[2:]],
+     "entry 0 is ('encoder.lstm.w', (640, 96)), the model of the checkpoint's config"),
+    (lambda pairs: pairs + [({"name": "z", "shape": [0, 10**30]}, (np.zeros(0),) * 3)],
+     f"entry 20 is ('z', (0, {10**30})), the model of the checkpoint's config"),
+], ids=["extra-entry-with-its-bytes", "swapped-entries-and-bytes", "zero-size-huge-shape"])
+def test_off_spec_table_makes_infer_exit_1_naming_the_entry(tmp_path, capsys, edit, message):
+    """The table must list the model's parameters in order: an entry the model
+    lacks, a reordered table or a shape numpy cannot allocate, each with bytes
+    that match the table, names the first entry that differs."""
+    cfg, samples, vocab, model = _trained_bundle(tmp_path)
+    (tmp_path / "bad.ckpt").write_bytes(_retabled((tmp_path / "m.ckpt").read_bytes(), edit))
+    with pytest.raises(CheckpointError) as raised:
+        load_checkpoint(tmp_path / "bad.ckpt").build_model()
+    assert message in str(raised.value)
+    save_dataset(tmp_path / "data.jsonl", samples)
+    assert dispatch(["infer", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                     "--data", str(tmp_path / "data.jsonl"),
+                     "--out", str(tmp_path / "pred.jsonl")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_a_table_rewritten_unchanged_builds_the_same_model(tmp_path):
+    _trained_bundle(tmp_path)
+    raw = (tmp_path / "m.ckpt").read_bytes()
+    (tmp_path / "same.ckpt").write_bytes(_retabled(raw, lambda pairs: pairs))
+    model, optimizer = load_checkpoint(tmp_path / "m.ckpt").build()
+    same, same_opt = load_checkpoint(tmp_path / "same.ckpt").build()
+    assert [n for n, _ in model.parameters()] == [n for n, _ in same.parameters()]
+    for a, b in zip(_built_arrays(model, optimizer), _built_arrays(same, same_opt), strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def _set_header(key, value):
@@ -818,10 +902,12 @@ def _joined_checkpoint_bytes(model, optimizer, config, rng_state=None, epoch=0,
     named = model.parameters()
     if version >= 6:
         table = [{"name": n, "shape": list(t.shape)} for n, t in named]
-        arrays = [t.data for _, t in named] + list(optimizer.m) + list(optimizer.v)
+        arrays = [t.data for _, t in named] + [optimizer.m, optimizer.v]
     else:
         entries = [(n, t.data) for n, t in named]
-        for (name, _), m, v in zip(named, optimizer.m, optimizer.v):
+        shapes = [t.shape for _, t in named]
+        for (name, _), m, v in zip(named, _per_parameter(optimizer.m, shapes),
+                                   _per_parameter(optimizer.v, shapes)):
             entries += [(f"adam.m.{name}", m), (f"adam.v.{name}", v)]
         offsets = np.cumsum([0] + [8 * arr.size for _, arr in entries])
         table = [{"name": n, "shape": list(arr.shape), "offset": int(offset)}
@@ -841,6 +927,12 @@ def _joined_checkpoint_bytes(model, optimizer, config, rng_state=None, epoch=0,
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = b"TPN2FCK1" + len(head).to_bytes(8, "little") + head + b"".join(blobs)
     return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def _per_parameter(block: np.ndarray, shapes) -> list[np.ndarray]:
+    """A packed block cut into one view of each shape, in order."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [block[end - math.prod(shape):end].reshape(shape) for shape, end in zip(shapes, ends)]
 
 
 def _version4_parameters(model) -> list[tuple[str, Tensor]]:
@@ -1034,7 +1126,7 @@ def test_any_header_config_or_vocab_loads_or_names_the_fault(config, vocab):
 def test_build_draws_no_random_weights(tmp_path, monkeypatch):
     _trained_bundle(tmp_path)
     ckpt = load_checkpoint(tmp_path / "m.ckpt")
-    saved = load_checkpoint(tmp_path / "m.ckpt").tensors   # a second load to compare with
+    saved = load_checkpoint(tmp_path / "m.ckpt")   # a second load to compare with
 
     def no_generator(*args, **kwargs):
         raise AssertionError("build drew random numbers")
@@ -1042,10 +1134,13 @@ def test_build_draws_no_random_weights(tmp_path, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     model, optimizer = ckpt.build()
     named = model.parameters()
-    assert len(named) == len(saved)
-    for (name, t), m, v in zip(named, optimizer.m, optimizer.v):
-        for built, kept in zip((t.data, m, v), saved[name]):
-            assert np.array_equal(built, kept), name
+    assert len(named) == len(saved.table)
+    shapes = [shape for _, shape in saved.table]
+    kept = zip(*(_per_parameter(block, shapes) for block in (saved.weights, saved.m, saved.v)))
+    for (name, t), m, v, triple in zip(named, _per_parameter(optimizer.m, shapes),
+                                       _per_parameter(optimizer.v, shapes), kept, strict=True):
+        for built, want in zip((t.data, m, v), triple):
+            assert np.array_equal(built, want), name
 
 
 def _fresh_state(cfg=None):
@@ -1134,12 +1229,17 @@ def test_infer_builds_no_optimizer_but_checks_every_moment(tmp_path, monkeypatch
 
 
 def _built_arrays(model, optimizer) -> list[np.ndarray]:
-    return [t.data for _, t in model.parameters()] + optimizer.m + optimizer.v
+    """Every parameter's weights, then the two packed moment arrays."""
+    return [t.data for _, t in model.parameters()] + [optimizer.m, optimizer.v]
 
 
 def test_checkpoint_builds_share_no_memory(tmp_path):
-    """Builds from two loads share no memory, nor do two arrays of one build."""
+    """Builds from two loads share no memory, nor do two arrays of one build;
+    a built checkpoint holds none of its blocks, ``build_model``'s included."""
     _trained_bundle(tmp_path)
+    ckpt = load_checkpoint(tmp_path / "m.ckpt")
+    ckpt.build_model()
+    assert ckpt.weights is None and ckpt.m is None and ckpt.v is None
     arrays = [_built_arrays(*load_checkpoint(tmp_path / "m.ckpt").build()) for _ in range(2)]
     for a in arrays[0]:
         for b in arrays[1]:
@@ -1155,7 +1255,8 @@ def test_a_checkpoint_builds_once(tmp_path):
                           ("build", "build_model"), ("build_model", "build_model")]:
         ckpt = load_checkpoint(tmp_path / "m.ckpt")
         getattr(ckpt, first)()
-        assert ckpt.tensors is None   # the checkpoint holds no tensor bytes once built
+        # the checkpoint holds no tensor bytes once built
+        assert ckpt.weights is None and ckpt.m is None and ckpt.v is None
         with pytest.raises(CheckpointError, match="already built; load it again"):
             getattr(ckpt, second)()
 
@@ -1163,11 +1264,11 @@ def test_a_checkpoint_builds_once(tmp_path):
 def test_built_arrays_are_writeable_contiguous_and_bit_equal_to_a_second_load(tmp_path):
     _trained_bundle(tmp_path)
     model, optimizer = load_checkpoint(tmp_path / "m.ckpt").build()
-    saved = load_checkpoint(tmp_path / "m.ckpt").tensors
+    saved = load_checkpoint(tmp_path / "m.ckpt")
     names = [name for name, _ in model.parameters()]
-    kept = [saved[n][k] for k in range(3) for n in names]   # weights, then m, then v
+    kept = _per_parameter(saved.weights, [shape for _, shape in saved.table]) + [saved.m, saved.v]
     built = _built_arrays(model, optimizer)
-    assert len(names) == len(saved) and len(built) == len(kept)
+    assert names == [name for name, _ in saved.table] and len(built) == len(kept)
     for k, (arr, want) in enumerate(zip(built, kept)):
         assert arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable, k
         assert arr.shape == want.shape and arr.tobytes() == want.tobytes(), k
