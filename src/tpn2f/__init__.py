@@ -4,7 +4,8 @@ The package maps tokenized word problems to straight-line programs of
 relational tuples ``(relation, arg1, arg2)``.  Subpackages:
 
 - ``tensor``: float64 autodiff engine (gradient tape, Adam)
-- ``tpr``: role/filler binding-unbinding algebra and dual bases
+- ``tpr``: order-2 binding theory the model is tested against (dual bases,
+  residual decomposition)
 - ``model``: filler/role-LSTM encoder, reasoning MLP, tuple decoder
 - ``training``: teacher-forced training, greedy decoding, checkpoints
 - ``formal_lang``: tuple grammar, program executors, evaluation metrics

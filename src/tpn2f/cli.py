@@ -306,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="normalize a dataset and build vocabularies")
     p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=["mathqa-style", "algolisp-style"],
-                   default="mathqa-style")
+    p.add_argument("--format", choices=data_mod.FORMATS, default="mathqa-style")
     p.add_argument("--out", required=True)
     p.add_argument("--positions", type=int, choices=[2, 3], default=None)
     p.add_argument("--rewrite-table", default=None)
@@ -315,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=["mathqa-style", "algolisp-style"],
-                   default="mathqa-style")
+    p.add_argument("--format", choices=data_mod.FORMATS, default="mathqa-style")
     p.add_argument("--out", required=True)
     _add_config_flags(p)
     p.set_defaults(fn=cmd_train)
@@ -324,16 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score predictions against gold programs")
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
-    p.add_argument("--format", choices=["mathqa-style", "algolisp-style"],
-                   default="mathqa-style")
+    p.add_argument("--format", choices=data_mod.FORMATS, default="mathqa-style")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("infer", help="greedy-decode programs for a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=["mathqa-style", "algolisp-style"],
-                   default="mathqa-style")
+    p.add_argument("--format", choices=data_mod.FORMATS, default="mathqa-style")
     p.add_argument("--out", required=True)
     p.add_argument("--max-len", type=int, default=None)
     p.set_defaults(fn=cmd_infer)
@@ -348,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="emit interpretability reports")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=["mathqa-style", "algolisp-style"],
-                   default="mathqa-style")
+    p.add_argument("--format", choices=data_mod.FORMATS, default="mathqa-style")
     p.add_argument("--out", required=True)
     p.add_argument("--clusters", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)

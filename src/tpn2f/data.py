@@ -30,6 +30,7 @@ GO_SYMBOL = "GO"
 EOS_SYMBOL = "EOS"
 UNK_SYMBOL = "UNK"
 SPECIAL_SYMBOLS = (PAD_SYMBOL, UNK_SYMBOL, GO_SYMBOL, EOS_SYMBOL)
+FORMATS = ("mathqa-style", "algolisp-style")
 
 _TOKEN_NUMBER_RE = re.compile(r"^(\d+(?:\.\d+)?)[.,?!%:;]*$")
 
@@ -179,7 +180,7 @@ def _sample_from_record(record: dict, index: int, fmt: str) -> Sample:
 
 def load_dataset(path, fmt: str = "mathqa-style") -> list[Sample]:
     """Read JSON-lines (or one JSON array) of records into normalized Samples."""
-    if fmt not in ("mathqa-style", "algolisp-style"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown dataset format {fmt!r}")
     path = Path(path)
     raw = path.read_text(encoding="utf-8")

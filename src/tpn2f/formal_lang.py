@@ -613,10 +613,13 @@ def nearest_option(value: float, options: Sequence[float]) -> int:
 
 @dataclass
 class MetricReport:
+    """Rates over ``n`` samples; ``acc`` and ``p50_acc`` are over the samples
+    with a non-empty test suite, and None when no sample has one."""
+
     op_acc: float
     exec_acc: float
-    acc: float
-    p50_acc: float
+    acc: float | None
+    p50_acc: float | None
     m_acc: float
     n: int
 
@@ -641,8 +644,6 @@ def _exec_match(pred, gold, env_numbers, options) -> bool:
 
 
 def _suite_pass_rate(pred, suite) -> float:
-    if not suite:
-        return 1.0  # vacuous: no tests to fail
     passed = 0
     for inputs, expected in suite:
         try:
@@ -660,10 +661,11 @@ def evaluate_metrics(predictions: Sequence[Sequence[RelationalTuple]],
                      options: Sequence[Sequence[float] | None] | None = None) -> MetricReport:
     """Exact-match, execution, and test-suite pass rates over aligned programs.
 
-    - op_acc / m_acc: exact tuple-sequence match rate
+    - op_acc: exact tuple-sequence match rate; m_acc is AlgoLisp's name for it
     - exec_acc: executed-answer match (nearest option when options are given;
       identical programs short-circuit to a match)
-    - acc / p50_acc: all / at-least-half of the sample's I/O tests pass
+    - acc / p50_acc: all / at-least-half of the sample's I/O tests pass, over
+      the samples with a non-empty suite; None when no sample has one
     """
     n = len(predictions)
     if len(golds) != n:
@@ -672,9 +674,9 @@ def evaluate_metrics(predictions: Sequence[Sequence[RelationalTuple]],
         if extra is not None and len(extra) != n:
             raise ValueError(f"{name} has length {len(extra)}, expected {n}")
     if n == 0:
-        return MetricReport(0.0, 0.0, 0.0, 0.0, 0.0, 0)
+        return MetricReport(0.0, 0.0, None, None, 0.0, 0)
 
-    exact = exec_ok = full = half = 0
+    exact = exec_ok = suites = full = half = 0
     for i in range(n):
         pred = [t for t in predictions[i]]
         gold = [t for t in golds[i]]
@@ -684,11 +686,11 @@ def evaluate_metrics(predictions: Sequence[Sequence[RelationalTuple]],
         opt_i = options[i] if options else None
         if _exec_match(pred, gold, env_i, opt_i):
             exec_ok += 1
-        suite = test_suites[i] if test_suites else None
-        rate = _suite_pass_rate(pred, suite)
-        if rate == 1.0:
-            full += 1
-        if rate >= 0.5:
-            half += 1
-    return MetricReport(op_acc=exact / n, exec_acc=exec_ok / n, acc=full / n,
-                        p50_acc=half / n, m_acc=exact / n, n=n)
+        if test_suites and test_suites[i]:
+            suites += 1
+            rate = _suite_pass_rate(pred, test_suites[i])
+            full += rate == 1.0
+            half += rate >= 0.5
+    return MetricReport(op_acc=exact / n, exec_acc=exec_ok / n,
+                        acc=full / suites if suites else None,
+                        p50_acc=half / suites if suites else None, m_acc=exact / n, n=n)

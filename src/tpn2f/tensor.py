@@ -538,6 +538,14 @@ class AdamState:
         n = sum(p.size for p in params)
         return cls(m=np.zeros(n), v=np.zeros(n), step_count=0, learning_rate=learning_rate)
 
+    def check_moments(self, params: Sequence[Tensor]) -> None:
+        """Raise ``StateError`` unless ``m`` and ``v`` each hold one entry per
+        element of ``params``."""
+        n = sum(p.size for p in params)
+        if not self.m.shape == self.v.shape == (n,):
+            raise StateError(f"optimizer moments have shapes {self.m.shape} and {self.v.shape}, "
+                             f"the {len(params)} params need ({n},)")
+
 
 # Elements per block of ``adam_step``: the six arrays a block touches (param,
 # grad, both moments and two scratch blocks) take 1.5 MiB, within a 2 MiB L2.
@@ -559,10 +567,7 @@ def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
     ``p.size`` entries of ``state.m`` and ``state.v``, in parameter order.
     Params must be C-contiguous, as they are updated through flat views.
     """
-    n = sum(p.size for p in params)
-    if not state.m.shape == state.v.shape == (n,):
-        raise StateError(f"optimizer moments have shapes {state.m.shape} and {state.v.shape}, "
-                         f"the {len(params)} params need ({n},)")
+    state.check_moments(params)
     for k, p in enumerate(params):
         if p.grad is None:
             raise StateError(f"parameter {k} has no gradient")

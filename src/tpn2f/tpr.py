@@ -1,13 +1,15 @@
-"""Role/filler binding-unbinding algebra.
+"""Order-2 role/filler binding theory the model is checked against.
 
 A symbol structure is embedded as a sum of filler (x) role outer products;
 a constituent is recovered by contracting with the role's dual (unbinding)
-vector.  Relational tuples use an order-3 variant with positional sub-roles:
-one term per argument position, all sharing the relation vector.
+vector (Smolensky 1990).  ``decompose_residual`` splits a tensor that meets
+the unbinding conditions into a pure binding plus a part no unbinding vector
+sees.  The decoder's order-3 tuple binding is defined once, by
+``model.unbinding_module``.
 
 All functions accept ``Tensor`` or plain array-likes and return ``Tensor``;
-binding/unbinding compose the taped ops, so they are differentiable when fed
-taped inputs.
+``bind2`` and ``unbind2`` compose the taped ops, so they are differentiable
+when fed taped inputs.
 """
 
 from __future__ import annotations
@@ -16,17 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    RankError,
-    ShapeError,
-    Tensor,
-    add,
-    contract_last,
-    flatten,
-    outer_product,
-    reshape,
-    zeros,
-)
+from .tensor import RankError, ShapeError, Tensor, add, contract_last, outer_product
 
 
 class ConsistencyError(ValueError):
@@ -66,42 +58,16 @@ def bind2(fillers, roles) -> Tensor:
     if len(fillers) != len(roles):
         raise ShapeError(f"{len(fillers)} fillers vs {len(roles)} roles")
     if not fillers:
-        raise ShapeError("bind2 of empty lists needs declared dimensions; use bind2_empty")
+        raise ShapeError("bind2 needs at least one filler/role pair")
     out = outer_product(fillers[0], roles[0])
     for f, r in zip(fillers[1:], roles[1:]):
         out = add(out, outer_product(f, r))
     return out
 
 
-def bind2_empty(d_filler: int, d_role: int) -> Tensor:
-    """The empty sum: a zero tensor of the declared binding shape."""
-    return zeros((d_filler, d_role))
-
-
 def unbind2(bound, unbind_vector) -> Tensor:
     """Recover a filler: T @ u.  Exact when u is dual to the bound role."""
     return contract_last(_as_tensor(bound), _as_tensor(unbind_vector))
-
-
-def bind3(a1, a2, r_rel, cfg: "TupleTprConfig") -> Tensor:
-    """Order-3 tuple binding: a1 (x) r (x) p1  +  a2 (x) r (x) p2."""
-    a1, a2, r_rel = _as_tensor(a1), _as_tensor(a2), _as_tensor(r_rel)
-    if a1.shape != (cfg.d_arg,) or a2.shape != (cfg.d_arg,):
-        raise ShapeError(f"arguments must have shape ({cfg.d_arg},)")
-    if r_rel.shape != (cfg.d_rel,):
-        raise ShapeError(f"relation must have shape ({cfg.d_rel},)")
-    total = None
-    for a, p in ((a1, cfg.position(0)), (a2, cfg.position(1))):
-        pair = flatten(outer_product(a, r_rel))
-        term = reshape(outer_product(pair, p), (cfg.d_arg, cfg.d_rel, cfg.d_pos))
-        total = term if total is None else add(total, term)
-    return total
-
-
-def unbind3(bound, p_unbind, r_rel_unbind) -> Tensor:
-    """Two-step argument recovery: (H . p') . r'."""
-    return contract_last(contract_last(_as_tensor(bound), _as_tensor(p_unbind)),
-                         _as_tensor(r_rel_unbind))
 
 
 def decompose_residual(bound, unbind_vectors, fillers, tolerance: float = 1e-8):
@@ -138,10 +104,6 @@ def decompose_residual(bound, unbind_vectors, fillers, tolerance: float = 1e-8):
 class TprSpace:
     """Filler/role dictionaries plus the role matrix's dual (unbinding) basis."""
 
-    d_filler: int
-    n_fillers: int
-    d_role: int
-    n_roles: int
     fillers: np.ndarray      # (d_filler, n_fillers), column i embeds filler i
     roles: np.ndarray        # (d_role, n_roles)
     unbinding: np.ndarray    # (n_roles, d_role) = dual_basis(roles); row j unbinds role j
@@ -151,36 +113,7 @@ class TprSpace:
                d_role: int, n_roles: int) -> "TprSpace":
         fillers = rng.standard_normal((d_filler, n_fillers))
         roles = rng.standard_normal((d_role, n_roles))
-        return cls(d_filler, n_fillers, d_role, n_roles, fillers, roles,
-                   dual_basis(roles).data)
+        return cls(fillers, roles, dual_basis(roles).data)
 
     def unbinding_vector(self, j: int) -> np.ndarray:
         return self.unbinding[j]
-
-
-@dataclass
-class TupleTprConfig:
-    """Dimensions and positional role/unbinding vectors for tuple bindings."""
-
-    d_arg: int
-    d_rel: int
-    d_pos: int
-    positions: np.ndarray         # (d_pos, n_positions), column i is p_i
-    pos_unbinding: np.ndarray     # (n_positions, d_pos), row i is p'_i
-
-    @classmethod
-    def from_positions(cls, d_arg: int, d_rel: int, positions) -> "TupleTprConfig":
-        p = np.asarray(positions, dtype=np.float64)
-        return cls(d_arg, d_rel, p.shape[0], p, dual_basis(p).data)
-
-    @classmethod
-    def random(cls, rng: np.random.Generator, d_arg: int, d_rel: int, d_pos: int,
-               n_positions: int = 2) -> "TupleTprConfig":
-        p = rng.standard_normal((d_pos, n_positions))
-        return cls.from_positions(d_arg, d_rel, p)
-
-    def position(self, i: int) -> Tensor:
-        return Tensor(self.positions[:, i])
-
-    def position_unbinding(self, i: int) -> Tensor:
-        return Tensor(self.pos_unbinding[i])

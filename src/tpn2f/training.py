@@ -429,10 +429,12 @@ def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: Train
     is atomic (temp file + rename) and byte-stable: saving a loaded checkpoint
     reproduces the file exactly.  Each weight's and each moment block's bytes go
     straight from its array to the file and into the running CRC, so the save
-    holds no copy of the tensor bytes.  On any failure the temp file is
-    removed and an existing ``path`` is left untouched.
+    holds no copy of the tensor bytes.  Moments that do not match the
+    parameters raise ``StateError`` before any file is opened.  On any failure
+    the temp file is removed and an existing ``path`` is left untouched.
     """
     named = model.parameters()
+    optimizer.check_moments([t for _, t in named])
     arrays = [t.data for _, t in named] + [optimizer.m, optimizer.v]
     table = [{"name": name, "shape": list(t.shape)} for name, t in named]
     header = {

@@ -3,15 +3,20 @@
 import dataclasses
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tpn2f
 from tpn2f import analysis
 from tpn2f.cli import _config_text, _effective_config, build_parser, dispatch, load_config
-from tpn2f.data import save_dataset
+from tpn2f.data import load_dataset, save_dataset
 from tpn2f.synthetic import make_micro_dataset
 from tpn2f.training import ConfigError, TrainConfig
 
@@ -38,6 +43,23 @@ def micro_file(tmp_path):
     path = tmp_path / "micro.jsonl"
     save_dataset(path, make_micro_dataset(12, seed=0))
     return path
+
+
+def test_quickstart_micro_dataset_script_writes_a_loadable_file(tmp_path):
+    """README's quickstart starts with scripts/make_micro_dataset.py."""
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(tpn2f.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = tmp_path / "micro.jsonl"
+    done = subprocess.run([sys.executable, str(repo / "scripts" / "make_micro_dataset.py"),
+                           "--out", str(out), "--n", "5"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("wrote 5 samples -> ")
+    save_dataset(tmp_path / "direct.jsonl", make_micro_dataset(5, seed=0))
+    loaded = load_dataset(out)
+    assert len(loaded) == 5 and loaded == load_dataset(tmp_path / "direct.jsonl")
 
 
 def test_exec_word_problem_prints_answer(capsys):
@@ -88,6 +110,17 @@ def test_eval_gold_with_a_nan_option_is_user_error(capsys, tmp_path):
     assert dispatch(["eval", "--pred", str(pred), "--gold", str(gold)]) == 1
     assert "record 1: field 'options' must be a list of finite numbers" in (
         capsys.readouterr().err)
+
+
+def test_eval_without_tests_reports_null_test_suite_rates(capsys, tmp_path):
+    """A wrong program on a record with no tests once read acc and p50_acc 1.0."""
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({"id": "r0", "text": "2 plus 3", "program": "(add,n0,n1)",
+                                "options": [4, 5, 6]}) + "\n")
+    pred.write_text(json.dumps({"id": "r0", "program": [["multiply", "n0", "n1"]]}) + "\n")
+    assert dispatch(["eval", "--pred", str(pred), "--gold", str(gold)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "op_acc": 0.0, "exec_acc": 0.0, "acc": None, "p50_acc": None, "m_acc": 0.0, "n": 1}
 
 
 def test_missing_config_file_exits_1(capsys, tmp_path):
@@ -170,8 +203,9 @@ def test_eval_identical_files_all_ones(capsys, micro_file, tmp_path):
     code = dispatch(["eval", "--pred", str(pred), "--gold", str(micro_file)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report == {"op_acc": 1.0, "exec_acc": 1.0, "acc": 1.0,
-                      "p50_acc": 1.0, "m_acc": 1.0, "n": 12}
+    # The micro records carry no tests, so the test-suite rates are null.
+    assert report == {"op_acc": 1.0, "exec_acc": 1.0, "acc": None,
+                      "p50_acc": None, "m_acc": 1.0, "n": 12}
 
 
 def test_load_config_presets(tmp_path):

@@ -353,8 +353,33 @@ def test_nearest_option():
 def test_metrics_all_perfect():
     gold = [parse_tuple_sequence("(add,n0,n1)"), parse_tuple_sequence("(sqrt,n0)")]
     report = evaluate_metrics(gold, gold)
-    assert report.to_dict() == {"op_acc": 1.0, "exec_acc": 1.0, "acc": 1.0,
-                                "p50_acc": 1.0, "m_acc": 1.0, "n": 2}
+    # No sample carries tests, so the test-suite rates have nothing to count.
+    assert report.to_dict() == {"op_acc": 1.0, "exec_acc": 1.0, "acc": None,
+                                "p50_acc": None, "m_acc": 1.0, "n": 2}
+
+
+def test_metrics_without_tests_report_null_not_a_vacuous_pass():
+    """A wrong program with no tests once scored acc and p50_acc 1.0."""
+    report = evaluate_metrics([parse_tuple_sequence("(multiply,n0,n1)")],
+                              [parse_tuple_sequence("(add,n0,n1)")],
+                              envs=[[2.0, 3.0]], options=[[4.0, 5.0, 6.0]])
+    assert report.to_dict() == {"op_acc": 0.0, "exec_acc": 0.0, "acc": None,
+                                "p50_acc": None, "m_acc": 0.0, "n": 1}
+    empty = evaluate_metrics([parse_tuple_sequence("(multiply,n0,n1)")],
+                             [parse_tuple_sequence("(add,n0,n1)")], test_suites=[[]])
+    assert empty.acc is None and empty.p50_acc is None
+
+
+def test_metrics_score_test_suites_over_the_samples_that_have_one():
+    """Of three samples, two carry suites (one all-pass, one half-pass): acc 0.5
+    and p50_acc 1.0 over those two, while op_acc counts all three."""
+    gold = parse_tuple_sequence("(+,a,1)")
+    half = parse_tuple_sequence("(+,a,2)")
+    suite_full = [({"a": i}, i + 1) for i in range(4)]
+    suite_half = [({"a": i}, i + 1) for i in range(2)] + [({"a": i}, i + 2) for i in range(2)]
+    report = evaluate_metrics([gold, half, half], [gold, gold, gold],
+                              test_suites=[suite_full, suite_half, None])
+    assert (report.op_acc, report.acc, report.p50_acc, report.n) == (1 / 3, 0.5, 1.0, 3)
 
 
 def test_metrics_semantic_vs_exact():

@@ -40,7 +40,7 @@ from tpn2f.tensor import (
     tanh,
     zeros,
 )
-from tpn2f.tpr import TupleTprConfig, bind3
+from tpn2f.tpr import dual_basis, unbind2
 from tpn2f.training import encode_sample, sample_loss, teacher_forced_logits
 
 MICRO = ModelDims(d_word=8, d_filler=5, n_fillers=7, d_role=4, n_roles=6,
@@ -97,6 +97,19 @@ def test_encoder_selections_are_convex_combinations():
     f = model.encoder.fillers.data @ a_f.data
     r = model.encoder.roles.data @ a_r.data
     assert np.allclose(binding.data, np.outer(f, r).reshape(-1), atol=1e-15)
+
+
+def test_encoder_binding_unbinds_to_its_filler_with_a_role_dual_vector():
+    """The encoder's binding flatten(f (x) r), read as a d_filler x d_role matrix,
+    gives back f when unbound with the vector dual to r (Smolensky 1990)."""
+    for seed in range(5):
+        model = micro_model(seed=seed)
+        binding, _, (a_f, a_r) = encoder_step(1 + seed % 4, zeros(20), zeros(40), model.encoder)
+        f = model.encoder.fillers.data @ a_f.data
+        r = model.encoder.roles.data @ a_r.data
+        u = dual_basis(r[:, None]).data[0]
+        recovered = unbind2(binding.data.reshape(MICRO.d_filler, MICRO.d_role), u).data
+        assert np.abs(recovered - f).max() < 1e-9
 
 
 def test_encoder_rejects_unknown_token_id():
@@ -299,6 +312,23 @@ def test_decoder_rejects_bad_ids():
         model.decode_step((99, 0, 0), zeros(MICRO.d_h), zeros(MICRO.d_h), projected)
 
 
+def _tuple_binding(a, r, q):
+    """The flat order-3 binding H = sum_k a_k (x) r (x) q_k of argument rows a,
+    relation r and position columns q, in the head's (d_arg, d_rel, d_pos) layout."""
+    return np.einsum("ki,j,pk->ijp", a, r, q).reshape(-1)
+
+
+def _rigged_head(q, a, rel_classifier, arg_classifier):
+    """A stand-in for the decoder's head fields that unbinding_module reads: the
+    position columns q unbind, and the dual map sends sum_k a_k (x) r to r."""
+    s = a.sum(axis=0)
+    d_rel = rel_classifier.shape[1]
+    return types.SimpleNamespace(
+        pos_unbind=[Tensor(q[:, k]) for k in range(q.shape[1])],
+        w_dual=Tensor(np.kron(s / (s @ s), np.eye(d_rel))),  # [k, j*d_rel + k] = u_j
+        rel_classifier=Tensor(rel_classifier), arg_classifier=Tensor(arg_classifier))
+
+
 def test_unbinding_round_trip_with_rigged_dual_map():
     """With orthonormal positions, unit relation vector, and the dual map set
     to reproduce it, the argument vectors come back exactly."""
@@ -307,11 +337,10 @@ def test_unbinding_round_trip_with_rigged_dual_map():
     model = micro_model(dims=dims)
     rng = np.random.default_rng(8)
     q, _ = np.linalg.qr(rng.standard_normal((dims.d_pos, 2)))
-    cfg = TupleTprConfig.from_positions(dims.d_arg, dims.d_rel, q)
     a1, a2 = rng.standard_normal(dims.d_arg), rng.standard_normal(dims.d_arg)
     r = rng.standard_normal(dims.d_rel)
     r /= np.linalg.norm(r)
-    hidden = Tensor(bind3(a1, a2, r, cfg).data.reshape(-1))
+    hidden = Tensor(_tuple_binding(np.stack([a1, a2]), r, q))
 
     dec = model.decoder
     for i in range(2):
@@ -339,13 +368,9 @@ def test_unbinding_round_trip_three_positions_at_algolisp_dims():
     a = rng.standard_normal((3, dims.d_arg))
     r = rng.standard_normal(dims.d_rel)
     r /= np.linalg.norm(r)
-    hidden = Tensor(np.einsum("ki,j,pk->ijp", a, r, q).reshape(-1))
-    s = a.sum(axis=0)
-    head = types.SimpleNamespace(  # unbinding_module reads only these fields
-        pos_unbind=[Tensor(q[:, k]) for k in range(3)],
-        w_dual=Tensor(np.kron(s / (s @ s), np.eye(dims.d_rel))),  # [k, j*d_rel + k] = u_j
-        rel_classifier=Tensor(rng.standard_normal((7, dims.d_rel))),
-        arg_classifier=Tensor(rng.standard_normal((9, dims.d_arg))))
+    hidden = Tensor(_tuple_binding(a, r, q))
+    head = _rigged_head(q, a, rng.standard_normal((7, dims.d_rel)),
+                        rng.standard_normal((9, dims.d_arg)))
 
     rel_logits, arg_logits, r_unbind = unbinding_module(hidden, head, dims)
     assert np.abs(r_unbind.data - r).max() < 1e-9
@@ -353,6 +378,85 @@ def test_unbinding_round_trip_three_positions_at_algolisp_dims():
     assert len(arg_logits) == 3
     for got, a_k in zip(arg_logits, a):
         assert np.abs(got.data - head.arg_classifier.data @ a_k).max() < 1e-9
+
+
+@pytest.mark.parametrize("positions", [2, 3])
+def test_unbinding_reads_basis_tuples_from_their_layout(positions):
+    """One-hot arguments e_i, relation e_1 and positions e_k set exactly the
+    entries (i, 1, k) of the flat binding; the head reads back e_1 and each e_i."""
+    dims = ModelDims(d_arg=4, d_rel=3, d_pos=4, positions=positions)
+    picks = [0, 2, 3][:positions]
+    a = np.eye(dims.d_arg)[picks]
+    r = np.eye(dims.d_rel)[1]
+    q = np.eye(dims.d_pos)[:, :positions]
+    hidden = _tuple_binding(a, r, q)
+    expected = np.zeros(dims.d_h)
+    for k, i in enumerate(picks):
+        expected[(i * dims.d_rel + 1) * dims.d_pos + k] = 1.0
+    assert np.array_equal(hidden, expected)
+
+    head = _rigged_head(q, a, np.eye(dims.d_rel), np.eye(dims.d_arg))
+    rel_logits, arg_logits, _ = unbinding_module(Tensor(hidden), head, dims)
+    assert np.abs(rel_logits.data - r).max() < 1e-12
+    assert len(arg_logits) == positions
+    for got, a_k in zip(arg_logits, a):
+        assert np.abs(got.data - a_k).max() < 1e-12
+
+
+@pytest.mark.parametrize("positions", [2, 3])
+def test_unbinding_zero_arguments_give_zero_logits(positions):
+    """Zero arguments bind to zero whatever the relation and positions, and the
+    model's own head reads zero logits from them."""
+    dims = ModelDims(d_word=8, d_filler=5, n_fillers=7, d_role=4, n_roles=6,
+                     d_rel=4, d_arg=3, d_pos=5, positions=positions, lstm_hidden=9)
+    model = micro_model(seed=2, dims=dims)
+    rng = np.random.default_rng(positions)
+    hidden = _tuple_binding(np.zeros((positions, dims.d_arg)), rng.standard_normal(dims.d_rel),
+                            rng.standard_normal((dims.d_pos, positions)))
+    assert np.array_equal(hidden, np.zeros(dims.d_h))
+    rel_logits, arg_logits, r_unbind = unbinding_module(Tensor(hidden), model.decoder, dims)
+    assert len(arg_logits) == positions
+    for logits in (rel_logits, r_unbind, *arg_logits):
+        assert np.array_equal(logits.data, np.zeros_like(logits.data))
+
+
+@pytest.mark.parametrize("positions", [2, 3])
+def test_unbinding_matches_loops_over_all_small_shapes(positions):
+    """The head's reshape and contractions equal the order-3 unbinding written
+    out index by index: slab_k[i, j] = sum_p H[i, j, p] q_k[p], r = W_dual
+    vec(sum_k slab_k), arg_k = C_arg (slab_k r)."""
+    rng = np.random.default_rng(11)
+    for d_arg in range(1, 4):
+        for d_rel in range(1, 4):
+            for d_pos in range(1, 4):
+                dims = ModelDims(d_arg=d_arg, d_rel=d_rel, d_pos=d_pos, positions=positions)
+                head = types.SimpleNamespace(
+                    pos_unbind=[Tensor(rng.standard_normal(d_pos)) for _ in range(positions)],
+                    w_dual=Tensor(rng.standard_normal((d_rel, d_arg * d_rel))),
+                    rel_classifier=Tensor(rng.standard_normal((5, d_rel))),
+                    arg_classifier=Tensor(rng.standard_normal((6, d_arg))))
+                hidden = rng.standard_normal(dims.d_h)
+                slabs = np.zeros((positions, d_arg, d_rel))
+                for k in range(positions):
+                    q_k = head.pos_unbind[k].data
+                    for i in range(d_arg):
+                        for j in range(d_rel):
+                            for p in range(d_pos):
+                                slabs[k, i, j] += hidden[(i * d_rel + j) * d_pos + p] * q_k[p]
+                total = slabs.sum(axis=0)
+                r = np.zeros(d_rel)
+                for out in range(d_rel):
+                    for i in range(d_arg):
+                        for j in range(d_rel):
+                            r[out] += head.w_dual.data[out, i * d_rel + j] * total[i, j]
+
+                rel_logits, arg_logits, r_unbind = unbinding_module(Tensor(hidden), head, dims)
+                assert np.abs(r_unbind.data - r).max() < 1e-12
+                assert np.abs(rel_logits.data - head.rel_classifier.data @ r).max() < 1e-12
+                for k, got in enumerate(arg_logits):
+                    want = head.arg_classifier.data @ np.array(
+                        [sum(slabs[k, i, j] * r[j] for j in range(d_rel)) for i in range(d_arg)])
+                    assert np.abs(got.data - want).max() < 1e-12
 
 
 def test_unbinding_zero_hidden_gives_zero_logits():

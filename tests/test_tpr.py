@@ -1,21 +1,12 @@
-"""Binding/unbinding algebra: recovery round-trips, dual bases, decomposition."""
+"""Order-2 binding/unbinding algebra: recovery round-trips, dual bases,
+decomposition.  The decoder's order-3 tuple unbinding is tested through
+``model.unbinding_module`` in ``test_model.py``."""
 
 import numpy as np
 import pytest
 
 from tpn2f.tensor import ShapeError, Tensor
-from tpn2f.tpr import (
-    ConsistencyError,
-    TprSpace,
-    TupleTprConfig,
-    bind2,
-    bind2_empty,
-    bind3,
-    decompose_residual,
-    dual_basis,
-    unbind2,
-    unbind3,
-)
+from tpn2f.tpr import ConsistencyError, TprSpace, bind2, decompose_residual, dual_basis, unbind2
 
 
 def test_bind2_orthonormal_basis_gives_identity():
@@ -27,10 +18,6 @@ def test_bind2_orthonormal_basis_gives_identity():
 def test_bind2_hand_value():
     out = bind2([[2.0, 0.0], [0.0, 3.0]], [[1.0, 0.0], [1.0, 1.0]])
     assert np.array_equal(out.data, [[2.0, 0.0], [3.0, 3.0]])
-
-
-def test_bind2_empty_sum_is_zero():
-    assert np.array_equal(bind2_empty(3, 4).data, np.zeros((3, 4)))
 
 
 def test_bind2_length_mismatch():
@@ -82,10 +69,11 @@ def test_dual_basis_overcomplete_matches_svd_pinv():
 def test_round_trip_full_rank_exact():
     rng = np.random.default_rng(7)
     space = TprSpace.random(rng, d_filler=30, n_fillers=150, d_role=40, n_roles=30)
-    fillers = [space.fillers[:, rng.integers(space.n_fillers)] for _ in range(space.n_roles)]
-    roles = [space.roles[:, j] for j in range(space.n_roles)]
+    n_fillers, n_roles = space.fillers.shape[1], space.roles.shape[1]
+    fillers = [space.fillers[:, rng.integers(n_fillers)] for _ in range(n_roles)]
+    roles = [space.roles[:, j] for j in range(n_roles)]
     bound = bind2(fillers, roles)
-    for j in range(space.n_roles):
+    for j in range(n_roles):
         rec = unbind2(bound, space.unbinding_vector(j)).data
         assert np.abs(rec - fillers[j]).max() < 1e-9
 
@@ -109,87 +97,6 @@ def test_approximate_recovery_beats_random_baseline():
     mean_rec, mean_rand = np.mean(recovered), np.mean(random_pairs)
     print(f"approximate recovery: mean cos {mean_rec:.3f} vs random {mean_rand:.3f}")
     assert mean_rec > mean_rand + 0.3
-
-
-# ---------------------------------------------------------------------------
-# order-3
-
-
-def _brute_bind3(a1, a2, r, p1, p2):
-    h = np.zeros((len(a1), len(r), len(p1)))
-    for i in range(len(a1)):
-        for j in range(len(r)):
-            for k in range(len(p1)):
-                h[i, j, k] = a1[i] * r[j] * p1[k] + a2[i] * r[j] * p2[k]
-    return h
-
-
-def _brute_unbind3(h, p, r):
-    d_a, d_r, d_p = h.shape
-    out = np.zeros(d_a)
-    for i in range(d_a):
-        acc = 0.0
-        for j in range(d_r):
-            for k in range(d_p):
-                acc += h[i, j, k] * p[k] * r[j]
-        out[i] = acc
-    return out
-
-
-def test_bind3_basis_construction():
-    cfg = TupleTprConfig.from_positions(2, 1, np.eye(2))
-    h = bind3([1.0, 0.0], [0.0, 1.0], [1.0], cfg)
-    expected = np.zeros((2, 1, 2))
-    expected[0, 0, 0] = 1.0
-    expected[1, 0, 1] = 1.0
-    assert np.array_equal(h.data, expected)
-
-
-def test_bind3_zero_arguments():
-    cfg = TupleTprConfig.random(np.random.default_rng(0), 3, 2, 4)
-    h = bind3(np.zeros(3), np.zeros(3), np.zeros(2), cfg)
-    assert np.array_equal(h.data, np.zeros((3, 2, 4)))
-
-
-def test_bind3_unbind3_match_brute_force_all_small_shapes():
-    rng = np.random.default_rng(11)
-    for d_a in range(1, 5):
-        for d_r in range(1, 5):
-            for d_p in range(2, 5):
-                cfg = TupleTprConfig.random(rng, d_a, d_r, d_p)
-                a1, a2 = rng.standard_normal(d_a), rng.standard_normal(d_a)
-                r = rng.standard_normal(d_r)
-                h = bind3(a1, a2, r, cfg)
-                brute = _brute_bind3(a1, a2, r, cfg.positions[:, 0], cfg.positions[:, 1])
-                assert np.abs(h.data - brute).max() < 1e-12
-                p_u = rng.standard_normal(d_p)
-                r_u = rng.standard_normal(d_r)
-                ours = unbind3(h, p_u, r_u).data
-                assert np.abs(ours - _brute_unbind3(h.data, p_u, r_u)).max() < 1e-12
-
-
-def test_unbind3_orthonormal_recovery():
-    cfg = TupleTprConfig.from_positions(2, 1, np.eye(2))
-    h = bind3([1.0, 0.0], [0.0, 1.0], [1.0], cfg)
-    rec = unbind3(h, [1.0, 0.0], [1.0])
-    assert np.array_equal(rec.data, [1.0, 0.0])
-
-
-def test_unbind3_random_round_trip():
-    rng = np.random.default_rng(5)
-    cfg = TupleTprConfig.from_positions(6, 4, np.linalg.qr(rng.standard_normal((5, 2)))[0])
-    a1, a2 = rng.standard_normal(6), rng.standard_normal(6)
-    r = rng.standard_normal(4)
-    r /= np.linalg.norm(r)
-    h = bind3(a1, a2, r, cfg)
-    for i, truth in ((0, a1), (1, a2)):
-        rec = unbind3(h, cfg.position_unbinding(i), r).data
-        assert np.abs(rec - truth).max() < 1e-10
-
-
-def test_unbind3_zero_tensor():
-    rec = unbind3(np.zeros((2, 3, 4)), np.ones(4), np.ones(3))
-    assert np.array_equal(rec.data, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

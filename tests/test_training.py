@@ -24,7 +24,7 @@ from tpn2f.data import build_vocabularies, preprocess_samples, save_dataset
 from tpn2f.formal_lang import RelationalTuple
 from tpn2f.model import LstmParams, ModelDims, ModelVariant, Tpn2fModel, build_model
 from tpn2f.synthetic import make_micro_dataset, micro_config
-from tpn2f.tensor import AdamState, GradientTape, Tensor, backward, cross_entropy
+from tpn2f.tensor import AdamState, GradientTape, StateError, Tensor, backward, cross_entropy
 from tpn2f.training import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -1181,6 +1181,30 @@ def test_failed_save_removes_temp_and_keeps_existing_file(tmp_path):
     with pytest.raises(ValueError):
         save_checkpoint(path, model, optimizer, cfg)
     assert path.read_bytes() == before and not tmp.exists()
+
+
+def test_save_with_moments_that_miss_a_parameter_raises_before_opening_a_file(
+        tmp_path, monkeypatch):
+    """Moments of all parameters but the last would make a file no load accepts:
+    the save raises StateError, opens no file, and an existing path keeps its bytes."""
+    cfg, model, optimizer = _fresh_state()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, optimizer, cfg)
+    before = path.read_bytes()
+    params = [t for _, t in model.parameters()]
+    short = AdamState.for_params(params[:-1], optimizer.learning_rate)
+
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"save opened {args[0]}")
+
+    monkeypatch.setattr(training_mod, "open", no_open, raising=False)
+    for bad in (short, replace(optimizer, v=optimizer.v[:-1])):
+        for target in (path, tmp_path / "new.ckpt"):
+            with pytest.raises(StateError, match="moments"):
+                save_checkpoint(target, model, bad, cfg)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 
 def test_checkpoint_shorter_than_its_header_promises(tmp_path, monkeypatch):
