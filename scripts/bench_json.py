@@ -8,8 +8,13 @@ Usage (from the root of a checkout):
         --checkout parent=../tpn2f-parent --checkout change=. \\
         --workloads micro-train,mathqa-train --seeds 0-9 --seconds 20
 
-Each run is ``python3 perfbench/run.py --workload W --seed S --seconds X
---trace 0`` in the checkout's root.  For every seed and workload the
+Each checkout is first copied into a fresh temporary directory: its
+``src/``, its ``perfbench/`` without ``out/`` and ``__pycache__`` and its
+``BENCHMARK.json`` (``plain_copy``).  Every run then uses that copy, so a
+repository checkout and a plain copy of the same files are measured alike;
+each checkout's commit is still read from its own path.  Each run is
+``python3 perfbench/run.py --workload W --seed S --seconds X --trace 0`` in
+the copy's root.  For every seed and workload the
 checkouts run back to back, their order flipped from one seed to the next,
 so that two checkouts form pairs of runs taken under the same conditions.
 The file holds, per checkout and workload, every run's result line and the
@@ -35,9 +40,11 @@ import contextlib
 import datetime
 import json
 import math
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -52,6 +59,32 @@ def parse_seeds(text: str) -> list[int]:
             raise ValueError(f"descending seed range {part!r}")
         seeds += range(first, last + 1)
     return seeds
+
+
+def plain_copy(root: Path, dest: Path) -> Path:
+    """Copy the files a benchmark run reads from checkout ``root`` into ``dest``:
+    ``src/``, ``perfbench/`` and ``BENCHMARK.json``, each where it exists, with no
+    ``__pycache__`` anywhere and no ``perfbench/out/``."""
+    dest.mkdir(parents=True)
+    for tree, skip in (("src", ("__pycache__",)), ("perfbench", ("__pycache__", "out"))):
+        if (root / tree).is_dir():
+            shutil.copytree(root / tree, dest / tree, ignore=shutil.ignore_patterns(*skip))
+    if (root / "BENCHMARK.json").is_file():
+        shutil.copy2(root / "BENCHMARK.json", dest / "BENCHMARK.json")
+    return dest
+
+
+def git_commit(root: Path) -> str | None:
+    """The commit checked out at ``root``; None unless ``root`` is the top of a
+    git work tree whose ``git rev-parse HEAD`` succeeds."""
+    if not (root / ".git").exists():
+        return None
+    try:
+        done = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                              capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -107,6 +140,35 @@ def compare(base: list[dict], other: list[dict], metrics: dict[str, dict]) -> di
     return out
 
 
+def sweep(checkouts: dict[str, Path], workloads: list[str], seeds: list[int], seconds: float
+          ) -> tuple[dict[str, dict[str, list[dict]]], list[dict], list[dict]]:
+    """Every seed's run of every workload on every checkout, the checkouts'
+    order flipped from one seed to the next: the results by checkout and
+    workload, the failed runs and the runs with failed checks."""
+    runs: dict[str, dict[str, list[dict]]] = {n: {w: [] for w in workloads} for n in checkouts}
+    failed_runs: list[dict] = []
+    failed_checks: list[dict] = []
+    for k, seed in enumerate(seeds):
+        for workload in workloads:
+            order = list(checkouts.items())
+            for name, root in order if k % 2 == 0 else order[::-1]:
+                result = run_perfbench(root, workload, seed, seconds)
+                if "exit_code" in result:
+                    failed_runs.append({"workload": workload, "checkout": name, **result})
+                    print(f"seed {seed} {workload:<13} {name:<10} FAILED "
+                          f"exit={result['exit_code']}", flush=True)
+                    continue
+                runs[name][workload].append(result)
+                if not result["correct"] or result["failed"]:
+                    failed_checks.append({"workload": workload, "checkout": name,
+                                          "seed": seed, "correct": result["correct"],
+                                          "failed": result["failed"]})
+                rate = result["metrics"].get("train_samples_per_s", {}).get("value", math.nan)
+                print(f"seed {seed} {workload:<13} {name:<10} correct={result['correct']} "
+                      f"failed={result['failed']} train_samples_per_s={rate:.6g}", flush=True)
+    return runs, failed_runs, failed_checks
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -134,28 +196,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         ap.error(f"--seeds {args.seeds!r}: {exc}")
 
-    runs: dict[str, dict[str, list[dict]]] = {n: {w: [] for w in workloads} for n in checkouts}
-    failed_runs: list[dict] = []
-    failed_checks: list[dict] = []
-    for k, seed in enumerate(seeds):
-        for workload in workloads:
-            order = list(checkouts.items())
-            for name, root in order if k % 2 == 0 else order[::-1]:
-                result = run_perfbench(root, workload, seed, args.seconds)
-                if "exit_code" in result:
-                    failed_runs.append({"workload": workload, "checkout": name, **result})
-                    print(f"seed {seed} {workload:<13} {name:<10} FAILED "
-                          f"exit={result['exit_code']}", flush=True)
-                    continue
-                runs[name][workload].append(result)
-                if not result["correct"] or result["failed"]:
-                    failed_checks.append({"workload": workload, "checkout": name,
-                                          "seed": seed, "correct": result["correct"],
-                                          "failed": result["failed"]})
-                rate = result["metrics"].get("train_samples_per_s", {}).get("value", math.nan)
-                print(f"seed {seed} {workload:<13} {name:<10} correct={result['correct']} "
-                      f"failed={result['failed']} train_samples_per_s={rate:.6g}", flush=True)
-
+    commits = {name: git_commit(root) for name, root in checkouts.items()}
+    with tempfile.TemporaryDirectory(prefix="bench_json_") as tmp:
+        copies = {name: plain_copy(root, Path(tmp) / name) for name, root in checkouts.items()}
+        runs, failed_runs, failed_checks = sweep(copies, workloads, seeds, args.seconds)
     report = {
         "label": args.label,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -187,7 +231,7 @@ def main(argv=None) -> int:
                                                                  end_to_end)
         env = envs[0] if envs else {}
         report["checkouts"][name] = {
-            "commit": env.get("git_commit"),
+            "commit": commits[name] or env.get("git_commit"),
             "src_lines": env.get("src_lines"),
             "environment": {k: v for k, v in env.items()
                             if k not in ("git_commit", "src_lines")},

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 PAD_SYMBOL = "PAD"
@@ -613,26 +613,26 @@ def nearest_option(value: float, options: Sequence[float]) -> int:
 
 @dataclass
 class MetricReport:
-    """Rates over ``n`` samples; ``acc`` and ``p50_acc`` are over the samples
-    with a non-empty test suite, and None when no sample has one."""
+    """Rates over ``n`` samples: ``exec_acc`` is over the ``n_exec`` samples
+    given numbers, ``acc`` and ``p50_acc`` over the ``n_tests`` samples with a
+    non-empty test suite; a rate is None when no sample supports it."""
 
     op_acc: float
-    exec_acc: float
+    exec_acc: float | None
     acc: float | None
     p50_acc: float | None
     m_acc: float
     n: int
+    n_exec: int
+    n_tests: int
 
     def to_dict(self) -> dict:
-        return {"op_acc": self.op_acc, "exec_acc": self.exec_acc, "acc": self.acc,
-                "p50_acc": self.p50_acc, "m_acc": self.m_acc, "n": self.n}
+        return asdict(self)
 
 
 def _exec_match(pred, gold, env_numbers, options) -> bool:
     if pred == gold:
         return True
-    if env_numbers is None:
-        return False
     try:
         pred_val = exec_mathqa(list(pred), ProgramEnv(numbers=list(env_numbers)))
         gold_val = exec_mathqa(list(gold), ProgramEnv(numbers=list(env_numbers)))
@@ -663,7 +663,8 @@ def evaluate_metrics(predictions: Sequence[Sequence[RelationalTuple]],
 
     - op_acc: exact tuple-sequence match rate; m_acc is AlgoLisp's name for it
     - exec_acc: executed-answer match (nearest option when options are given;
-      identical programs short-circuit to a match)
+      identical programs short-circuit to a match), over the samples whose
+      ``envs`` entry is not None; None when no sample has numbers
     - acc / p50_acc: all / at-least-half of the sample's I/O tests pass, over
       the samples with a non-empty suite; None when no sample has one
     """
@@ -674,23 +675,23 @@ def evaluate_metrics(predictions: Sequence[Sequence[RelationalTuple]],
         if extra is not None and len(extra) != n:
             raise ValueError(f"{name} has length {len(extra)}, expected {n}")
     if n == 0:
-        return MetricReport(0.0, 0.0, None, None, 0.0, 0)
+        return MetricReport(0.0, None, None, None, 0.0, 0, 0, 0)
 
-    exact = exec_ok = suites = full = half = 0
+    exact = executed = exec_ok = suites = full = half = 0
     for i in range(n):
         pred = [t for t in predictions[i]]
         gold = [t for t in golds[i]]
         if pred == gold:
             exact += 1
-        env_i = envs[i] if envs else None
-        opt_i = options[i] if options else None
-        if _exec_match(pred, gold, env_i, opt_i):
-            exec_ok += 1
+        if envs and envs[i] is not None:
+            executed += 1
+            exec_ok += _exec_match(pred, gold, envs[i], options[i] if options else None)
         if test_suites and test_suites[i]:
             suites += 1
             rate = _suite_pass_rate(pred, test_suites[i])
             full += rate == 1.0
             half += rate >= 0.5
-    return MetricReport(op_acc=exact / n, exec_acc=exec_ok / n,
+    return MetricReport(op_acc=exact / n, exec_acc=exec_ok / executed if executed else None,
                         acc=full / suites if suites else None,
-                        p50_acc=half / suites if suites else None, m_acc=exact / n, n=n)
+                        p50_acc=half / suites if suites else None, m_acc=exact / n, n=n,
+                        n_exec=executed, n_tests=suites)

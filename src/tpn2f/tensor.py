@@ -55,7 +55,7 @@ class Tensor:
     grad: ``source = (viewed, map)`` takes each grad sent to it to what it views.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "source")
+    __slots__ = ("data", "requires_grad", "grad", "source", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -93,8 +93,12 @@ class GradientTape:
     """Append-only record of executed ops, replayed in reverse by ``backward``.
 
     A tape and the tensors recorded on it form a single-threaded unit.
-    Record one loss per tape: a minibatch run in lockstep is one loss.  Leaf
-    parameter grads persist and add up across tapes.
+    Record one loss per tape and replay it once: ``backward`` frees each node
+    (its output, inputs and closure) as it replays it, so a step's activations
+    go during the reverse sweep, and a second ``backward`` on the tape is a
+    ``TapeError``.  Leaf parameter grads persist and add up across tapes, so
+    one optimizer step may follow several tapes: ``training.train_epoch`` runs
+    a long minibatch as chunks of rows, one tape each.
 
     A leaf's matmul grads are deferred to the end of ``backward`` (see the
     module docstring).  This is safe because a node's output grad is final
@@ -108,7 +112,9 @@ class GradientTape:
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        # A replayed node is set to None, so ``len`` still counts every node recorded.
+        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable] | None] = []
+        self._replayed = False
 
     def __enter__(self) -> "GradientTape":
         global _ACTIVE_TAPE
@@ -178,20 +184,30 @@ def backward(loss: Tensor) -> None:
     The factors ``matmul(W, X)`` sends to a leaf ``W`` are kept during the
     reverse sweep and added to ``W.grad`` after it as one ``G^T X`` product
     over the stacked rows of every step; all other grads, including those of
-    produced matrices and of views (not leaves), are added at once.  Training
-    runs one tape per optimizer step, so that product is ``W``'s first grad and
-    is stored as it is; a caller that runs several tapes before one step adds it
-    to the grad already there.
+    produced matrices and of views (not leaves), are added at once.  The first
+    tape of an optimizer step stores that product as ``W``'s grad; a later tape
+    of the same step, such as the next chunk of a long minibatch, adds it to
+    the grad already there.
+
+    Each node is freed as soon as it is replayed, so only the activations of
+    nodes still to be replayed (and the factors kept for leaves) stay alive.
+    The tape is then spent: a second call on it raises ``TapeError``.
     """
     tape = _ACTIVE_TAPE
     if tape is None:
         raise TapeError("backward() requires an active gradient tape")
     if loss.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
-    produced = {out for out, _, _ in tape._nodes}
+    if tape._replayed:
+        raise TapeError("backward() has already replayed this tape; record a new one")
+    tape._replayed = True
+    nodes = tape._nodes
+    produced = {id(out) for out, _, _ in nodes}   # ids: the tensors go during the sweep
     deferred: dict[Tensor, list[_OuterFactors]] = {}
     _accumulate(loss, np.ones_like(loss.data))
-    for out, inputs, backward_fn in reversed(tape._nodes):
+    for k in range(len(nodes) - 1, -1, -1):
+        out, inputs, backward_fn = nodes[k]
+        nodes[k] = None
         g = out.grad
         if g is None:
             continue
@@ -200,7 +216,7 @@ def backward(loss: Tensor) -> None:
             if type(gt) is _OuterFactors:
                 if not t.requires_grad:
                     continue
-                if t not in produced and t.source is None:
+                if id(t) not in produced and t.source is None:
                     deferred.setdefault(t, []).append(gt)
                     continue
                 gt = gt.g.T @ gt.x

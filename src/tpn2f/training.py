@@ -1,10 +1,13 @@
 """Teacher-forced training, greedy decoding, and bit-exact checkpoints.
 
-Every minibatch, one sample included, runs in lockstep on one gradient tape:
+Every minibatch, one sample included, runs in lockstep on gradient tapes:
 its samples are right-padded to the longest and stepped together as the rows
 of ``(B, d)`` activations, and teacher forcing scores all their steps in one
-head pass.  The tape's grads, scaled by ``1 / B`` (the mean of the per-sample
-losses), feed one Adam step.  All randomness flows through one seeded
+head pass.  A minibatch of at most ``CHUNK_ROWS`` rows is one tape; a longer
+one is sorted by token count and run as chunks of ``CHUNK_ROWS`` rows, one
+tape each, so that only one chunk's activations are alive at a time.  The
+grads, scaled by ``1 / B`` (the mean of the per-sample losses) and added up
+over the chunks, feed one Adam step.  All randomness flows through one seeded
 generator, so a fixed seed gives a bit-identical loss trajectory.
 """
 
@@ -275,12 +278,33 @@ def operation_accuracy(model: Tpn2fModel, encoded: Sequence[EncodedSample],
     return hits / len(encoded)
 
 
+# Rows per gradient tape: a longer minibatch trains as length-sorted chunks of this
+# many rows.  At the mathqa preset and batch 64 (scripts/preset_epoch.py, 2 cores),
+# 16-row chunks peaked at 648 MB and took 42 ms/sample, one 64-row tape 1,558 MB and
+# 50 ms; 8-row chunks took 56 ms/sample and 32-row chunks peaked at 888 MB.
+CHUNK_ROWS = 16
+
+
+def minibatch_chunks(batch: Sequence[EncodedSample]) -> list[Sequence[EncodedSample]]:
+    """``batch`` as it is when it has at most ``CHUNK_ROWS`` rows; otherwise its
+    samples sorted stably by token count, in chunks of ``CHUNK_ROWS`` (the last
+    may be shorter), so that each chunk pads its rows to similar lengths."""
+    if len(batch) <= CHUNK_ROWS:
+        return [batch]
+    rows = sorted(batch, key=lambda enc: len(enc.token_ids))
+    return [rows[lo:lo + CHUNK_ROWS] for lo in range(0, len(rows), CHUNK_ROWS)]
+
+
 def train_epoch(model: Tpn2fModel, encoded: Sequence[EncodedSample], optimizer: AdamState,
                 config: TrainConfig, rng: np.random.Generator, epoch: int = 0) -> EpochStats:
-    """One teacher-forced pass over the data; returns mean loss and train accuracy.  A
-    non-finite minibatch loss or global grad norm is a ``FloatingPointError`` naming the
-    epoch and samples, raised before the step's Adam update; numpy's float warnings are
-    silenced for the epoch, so that a diverging run prints that error alone."""
+    """One teacher-forced pass over the data; returns mean loss and train accuracy.
+
+    Each minibatch runs as ``minibatch_chunks``, one tape and one ``backward`` of
+    ``loss / B`` per chunk; the grads add up over the chunks, then the minibatch
+    takes one clip and one Adam step.  A non-finite chunk loss or global grad norm
+    is a ``FloatingPointError`` naming the epoch and samples, raised before the
+    step's Adam update; numpy's float warnings are silenced for the epoch, so that
+    a diverging run prints that error alone."""
     if not encoded:
         raise ValueError("empty training set")
     start = time.monotonic()
@@ -290,11 +314,12 @@ def train_epoch(model: Tpn2fModel, encoded: Sequence[EncodedSample], optimizer: 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, len(order), config.batch_size):
             batch = [encoded[i] for i in order[lo:lo + config.batch_size]]
-            with GradientTape():
-                loss = minibatch_loss(model, batch)
-                _require_finite("loss", loss.item(), epoch, batch)
-                backward(scale(loss, 1.0 / len(batch)))
-            total_loss += loss.item()
+            for chunk in minibatch_chunks(batch):
+                with GradientTape():
+                    loss = minibatch_loss(model, chunk)
+                    _require_finite("loss", loss.item(), epoch, chunk)
+                    backward(scale(loss, 1.0 / len(batch)))
+                total_loss += loss.item()
             for p in params:
                 if p.grad is None:
                     p.grad = np.zeros(p.shape)

@@ -204,3 +204,48 @@ def test_the_file_states_each_metrics_claim_and_bound_verdicts(tmp_path, monkeyp
     assert versus["latency_ms"]["wins"] == 0
     assert versus["latency_ms"]["claim_holds"] is False
     assert versus["latency_ms"]["within_bound"] is False
+
+
+def test_every_run_uses_a_plain_copy_and_keeps_the_checkouts_commit(tmp_path, monkeypatch):
+    """Checkout a is a git work tree with compiled files and perfbench output, b a
+    plain directory.  Each run's directory is a fresh copy holding src/, perfbench/
+    and BENCHMARK.json, without __pycache__ or perfbench/out/; a's commit is read
+    from a itself, b's is the one its run reports; the copies are gone afterwards."""
+    roots = {name: _checkout(tmp_path / name) for name in ("a", "b")}
+    for root in roots.values():
+        for rel in ("src/tpn2f/__init__.py", "src/tpn2f/__pycache__/m.pyc",
+                    "perfbench/__pycache__/run.pyc", "perfbench/out/model.ckpt"):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text("x")
+    git = ["git", "-C", str(roots["a"])]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "a"],
+                   check=True)
+    commit = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True,
+                            check=True).stdout.strip()
+    cwds, real_run = [], subprocess.run
+
+    def fake_run(cmd, cwd=None, **kwargs):
+        if cmd[0] == "git":
+            return real_run(cmd, **kwargs)
+        cwd = Path(cwd)
+        cwds.append(cwd)
+        assert cwd not in roots.values() and cwd.name in roots
+        files = sorted(str(p.relative_to(cwd)) for p in cwd.rglob("*") if p.is_file())
+        assert files == ["BENCHMARK.json", "perfbench/run.py", "src/tpn2f/__init__.py"]
+        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {
+            "train_samples_per_s": {"value": 1.0, "unit": "1/s"}}}
+        env = {"git_commit": "unknown (not a git checkout)", "src_lines": 1}
+        return subprocess.CompletedProcess(
+            cmd, 0, f"env {json.dumps(env)}\n{json.dumps(result)}\n", "")
+
+    monkeypatch.setattr(bench_json.subprocess, "run", fake_run)
+    assert bench_json.main(["--label", "p", "--checkout", f"a={roots['a']}", "--checkout",
+                            f"b={roots['b']}", "--workloads", "micro-train", "--seeds", "0-1",
+                            "--out-dir", str(tmp_path)]) == 0
+    assert len(cwds) == 4 and len(set(cwds)) == 2
+    assert not any(cwd.exists() for cwd in cwds)
+    checkouts = json.loads((tmp_path / "BENCH_p.json").read_text())["checkouts"]
+    assert checkouts["a"]["commit"] == commit
+    assert checkouts["b"]["commit"] == "unknown (not a git checkout)"

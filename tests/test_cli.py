@@ -120,7 +120,29 @@ def test_eval_without_tests_reports_null_test_suite_rates(capsys, tmp_path):
     pred.write_text(json.dumps({"id": "r0", "program": [["multiply", "n0", "n1"]]}) + "\n")
     assert dispatch(["eval", "--pred", str(pred), "--gold", str(gold)]) == 0
     assert json.loads(capsys.readouterr().out) == {
-        "op_acc": 0.0, "exec_acc": 0.0, "acc": None, "p50_acc": None, "m_acc": 0.0, "n": 1}
+        "op_acc": 0.0, "exec_acc": 0.0, "acc": None, "p50_acc": None, "m_acc": 0.0, "n": 1,
+        "n_exec": 1, "n_tests": 0}
+
+
+def test_eval_scores_each_metric_over_the_records_that_carry_its_data(capsys, tmp_path):
+    """Three records: the first has numbers and options, the second tests, the
+    third neither.  exec_acc is over the first alone, acc and p50_acc over the
+    second alone, and op_acc over all three."""
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    records = [
+        {"id": "q", "text": "2 plus 3", "program": "(add,n0,n1)", "options": [4, 5, 6]},
+        {"id": "t", "text": "a plus one", "program": "(+,a,1)",
+         "tests": [{"input": {"a": 1}, "output": 2}, {"input": {"a": 2}, "output": 4}]},
+        {"id": "w", "text": "nothing here", "program": "(add,n0,n1)"},
+    ]
+    gold.write_text("".join(json.dumps(r) + "\n" for r in records))
+    predictions = {"q": [["add", "n1", "n0"]], "t": [["+", "a", "1"]], "w": [["add", "n1", "n0"]]}
+    pred.write_text("".join(json.dumps({"id": k, "program": v}) + "\n"
+                            for k, v in predictions.items()))
+    assert dispatch(["eval", "--pred", str(pred), "--gold", str(gold)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "op_acc": 1 / 3, "exec_acc": 1.0, "acc": 0.0, "p50_acc": 1.0, "m_acc": 1 / 3, "n": 3,
+        "n_exec": 1, "n_tests": 1}
 
 
 def test_missing_config_file_exits_1(capsys, tmp_path):
@@ -203,9 +225,10 @@ def test_eval_identical_files_all_ones(capsys, micro_file, tmp_path):
     code = dispatch(["eval", "--pred", str(pred), "--gold", str(micro_file)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    # The micro records carry no tests, so the test-suite rates are null.
-    assert report == {"op_acc": 1.0, "exec_acc": 1.0, "acc": None,
-                      "p50_acc": None, "m_acc": 1.0, "n": 12}
+    # The micro records carry no numbers and no tests, so exec_acc and the
+    # test-suite rates are null.
+    assert report == {"op_acc": 1.0, "exec_acc": None, "acc": None,
+                      "p50_acc": None, "m_acc": 1.0, "n": 12, "n_exec": 0, "n_tests": 0}
 
 
 def test_load_config_presets(tmp_path):

@@ -353,9 +353,11 @@ def test_nearest_option():
 def test_metrics_all_perfect():
     gold = [parse_tuple_sequence("(add,n0,n1)"), parse_tuple_sequence("(sqrt,n0)")]
     report = evaluate_metrics(gold, gold)
-    # No sample carries tests, so the test-suite rates have nothing to count.
-    assert report.to_dict() == {"op_acc": 1.0, "exec_acc": 1.0, "acc": None,
-                                "p50_acc": None, "m_acc": 1.0, "n": 2}
+    # No sample carries numbers or tests, so execution and the test-suite rates
+    # have nothing to count.
+    assert report.to_dict() == {"op_acc": 1.0, "exec_acc": None, "acc": None,
+                                "p50_acc": None, "m_acc": 1.0, "n": 2, "n_exec": 0,
+                                "n_tests": 0}
 
 
 def test_metrics_without_tests_report_null_not_a_vacuous_pass():
@@ -364,7 +366,8 @@ def test_metrics_without_tests_report_null_not_a_vacuous_pass():
                               [parse_tuple_sequence("(add,n0,n1)")],
                               envs=[[2.0, 3.0]], options=[[4.0, 5.0, 6.0]])
     assert report.to_dict() == {"op_acc": 0.0, "exec_acc": 0.0, "acc": None,
-                                "p50_acc": None, "m_acc": 0.0, "n": 1}
+                                "p50_acc": None, "m_acc": 0.0, "n": 1, "n_exec": 1,
+                                "n_tests": 0}
     empty = evaluate_metrics([parse_tuple_sequence("(multiply,n0,n1)")],
                              [parse_tuple_sequence("(add,n0,n1)")], test_suites=[[]])
     assert empty.acc is None and empty.p50_acc is None
@@ -379,7 +382,27 @@ def test_metrics_score_test_suites_over_the_samples_that_have_one():
     suite_half = [({"a": i}, i + 1) for i in range(2)] + [({"a": i}, i + 2) for i in range(2)]
     report = evaluate_metrics([gold, half, half], [gold, gold, gold],
                               test_suites=[suite_full, suite_half, None])
-    assert (report.op_acc, report.acc, report.p50_acc, report.n) == (1 / 3, 0.5, 1.0, 3)
+    assert (report.op_acc, report.acc, report.p50_acc, report.n, report.n_tests) == (
+        1 / 3, 0.5, 1.0, 3, 2)
+
+
+def test_exec_acc_without_numbers_is_null_not_exact_match_again():
+    """A reordered program with no numbers once read exec_acc 0.0, op_acc again."""
+    report = evaluate_metrics([parse_tuple_sequence("(add,n1,n0)")],
+                              [parse_tuple_sequence("(add,n0,n1)")])
+    assert (report.op_acc, report.exec_acc, report.n_exec) == (0.0, None, 0)
+    assert evaluate_metrics([], []).exec_acc is None
+
+
+def test_exec_acc_counts_only_the_samples_given_numbers():
+    """Of three samples, two carry numbers: the reordered one executes to the
+    same answer and the wrong one does not, so exec_acc is 1/2 over those two;
+    the sample without numbers counts in op_acc only."""
+    gold = parse_tuple_sequence("(add,n0,n1)")
+    preds = [parse_tuple_sequence("(add,n1,n0)"), parse_tuple_sequence("(multiply,n0,n1)"),
+             gold]
+    report = evaluate_metrics(preds, [gold] * 3, envs=[[2.0, 3.0], [2.0, 3.0], None])
+    assert (report.op_acc, report.exec_acc, report.n, report.n_exec) == (1 / 3, 0.5, 3, 2)
 
 
 def test_metrics_semantic_vs_exact():

@@ -1,6 +1,7 @@
 """Tensor op examples, gradient checks against finite differences, Adam."""
 
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -609,6 +610,38 @@ def test_matmul_weight_grad_accumulates_across_tapes():
     for x in xs:
         run(x)
     assert np.allclose(w.grad, alone[0] + alone[1], rtol=1e-12, atol=0.0)
+
+
+def test_backward_frees_each_nodes_activations_as_it_replays_them():
+    """An intermediate tensor the caller no longer holds is gone, data and all,
+    when ``backward`` returns, with the tape still active; ``len`` still counts
+    every node recorded."""
+    rng = np.random.default_rng(6)
+    w = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+    with GradientTape() as tape:
+        h = tanh(matmul(w, Tensor(rng.uniform(-1, 1, (5, 4)))))
+        refs = [weakref.ref(h), weakref.ref(h.data)]
+        loss = sum_all(mul(h, h))
+        del h
+        assert all(ref() is not None for ref in refs)
+        backward(loss)
+        assert all(ref() is None for ref in refs)
+        assert len(tape) == 4
+    assert w.grad is not None
+
+
+def test_a_second_backward_on_one_tape_is_a_tape_error():
+    """A second ``backward`` in one tape block once added every leaf grad again
+    (a 2x3 matmul weight's grad doubled); now it raises and changes no grad."""
+    rng = np.random.default_rng(8)
+    w = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    with GradientTape():
+        loss = sum_all(matmul(w, Tensor(rng.uniform(-1, 1, 3))))
+        backward(loss)
+        first = w.grad.copy()
+        with pytest.raises(TapeError, match="already replayed"):
+            backward(loss)
+    assert np.array_equal(w.grad, first)
 
 
 def _outer_per_step_matmul(a: Tensor, b: Tensor) -> Tensor:

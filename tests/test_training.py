@@ -24,9 +24,18 @@ from tpn2f.data import build_vocabularies, preprocess_samples, save_dataset
 from tpn2f.formal_lang import RelationalTuple
 from tpn2f.model import LstmParams, ModelDims, ModelVariant, Tpn2fModel, build_model
 from tpn2f.synthetic import make_micro_dataset, micro_config
-from tpn2f.tensor import AdamState, GradientTape, StateError, Tensor, backward, cross_entropy
+from tpn2f.tensor import (
+    AdamState,
+    GradientTape,
+    StateError,
+    Tensor,
+    backward,
+    cross_entropy,
+    scale,
+)
 from tpn2f.training import (
     CHECKPOINT_VERSION,
+    CHUNK_ROWS,
     CheckpointError,
     ConfigError,
     EpochStats,
@@ -38,6 +47,7 @@ from tpn2f.training import (
     load_checkpoint,
     lockstep_targets,
     mathqa_preset,
+    minibatch_chunks,
     minibatch_loss,
     save_checkpoint,
     sequence_loss,
@@ -432,6 +442,72 @@ def test_each_minibatch_is_one_minibatch_loss_call(monkeypatch):
     optimizer = AdamState.for_params([t for _, t in model.parameters()], cfg.learning_rate)
     train_epoch(model, encoded, optimizer, cfg, rng)
     assert sizes == [10, 2]
+
+
+def test_a_minibatch_over_chunk_rows_trains_as_length_sorted_chunks(monkeypatch):
+    """A 40-sample minibatch makes three ``minibatch_loss`` calls and three
+    ``backward`` calls, of 16, 16 and 8 rows sorted by token count, then one clip
+    and one Adam step; a minibatch of ``CHUNK_ROWS`` rows is one chunk, as given."""
+    assert CHUNK_ROWS == 16
+    cfg, samples, vocab, model, rng = micro_setup(n=40)
+    cfg = replace(cfg, batch_size=40)
+    encoded = encode_samples(samples, vocab, cfg.positions)
+    head = encoded[:CHUNK_ROWS]
+    assert minibatch_chunks(head) == [head] and minibatch_chunks(head)[0] is head
+    calls, lengths = [], []
+
+    def spy(name):
+        real = getattr(training_mod, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            if name == "minibatch_loss":
+                lengths.append([len(e.token_ids) for e in args[1]])
+            return real(*args)
+        monkeypatch.setattr(training_mod, name, wrapper)
+
+    for name in ("minibatch_loss", "backward", "clip_gradients", "adam_step"):
+        spy(name)
+    optimizer = AdamState.for_params([t for _, t in model.parameters()], cfg.learning_rate)
+    train_epoch(model, encoded, optimizer, cfg, rng)
+    assert calls == ["minibatch_loss", "backward"] * 3 + ["clip_gradients", "adam_step"]
+    assert [len(rows) for rows in lengths] == [16, 16, 8]
+    flat = [n for rows in lengths for n in rows]
+    assert flat == sorted(len(e.token_ids) for e in encoded) and len(set(flat)) > 1
+
+
+@pytest.mark.parametrize("setting", ["tpr-tpr", "tpr-lstm", "lstm-tpr", "lstm-lstm", "mathqa"])
+def test_chunked_minibatch_loss_and_grads_equal_one_tape(setting, monkeypatch):
+    """A 40-sample minibatch trained as length-sorted chunks gives the loss and
+    every parameter grad of one tape over the whole minibatch, within 1e-10
+    relative: the four variants at micro dims, and the published dims with
+    ``d_word`` 16 (as acceptance 3 runs them)."""
+    if setting == "mathqa":
+        cfg = replace(mathqa_preset(), d_word=16)
+    else:
+        cfg = micro_config()
+        cfg.encoder, cfg.decoder = setting.split("-")
+    cfg = replace(cfg, batch_size=40, grad_clip=None)
+    samples = preprocess_samples(make_micro_dataset(40, seed=0), positions=cfg.positions)
+    vocab = build_vocabularies(samples)
+    model = build_model(cfg.variant(), cfg.dims(), vocab, np.random.default_rng(1))
+    encoded = encode_samples(samples, vocab, cfg.positions)
+    params = [t for _, t in model.parameters()]
+    with GradientTape():
+        loss = minibatch_loss(model, encoded)
+        backward(scale(loss, 1.0 / len(encoded)))
+    want = [np.zeros(p.shape) if p.grad is None else p.grad for p in params]
+    for p in params:
+        p.grad = None
+    got = []
+    monkeypatch.setattr(training_mod, "adam_step",
+                        lambda ps, opt: got.extend(p.grad for p in ps))
+    monkeypatch.setattr(training_mod, "operation_accuracy", lambda *args: 0.0)
+    stats = train_epoch(model, encoded, AdamState.for_params(params, 1e-3), cfg,
+                        np.random.default_rng(0))
+    assert abs(stats.mean_loss * len(encoded) - loss.item()) <= 1e-10 * loss.item()
+    for (name, _), g, w in zip(model.parameters(), got, want, strict=True):
+        assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max(), name
 
 
 def test_a_non_finite_minibatch_loss_is_named_before_its_optimizer_step(monkeypatch):
