@@ -22,7 +22,9 @@ median and quartiles of each end-to-end metric, with the environment the
 runs reported (commit, ``src/`` line count, BLAS and thread count); with two
 or more checkouts, it also compares each one with the first, pair by pair,
 and states for each metric whether a claimed gain holds and whether the
-metric stays within its ``BENCHMARK.json`` bound (see ``compare``).
+metric stays within its ``BENCHMARK.json`` bound (see ``compare``).  The
+sweep ends by printing those verdicts, one line per workload and metric
+(``verdict_lines``), so that its log shows the outcome.
 
 A run that exits non-zero, or prints no result, is listed under
 ``failed_runs`` with its seed, workload, checkout, exit code and the tail of
@@ -169,6 +171,24 @@ def sweep(checkouts: dict[str, Path], workloads: list[str], seeds: list[int], se
     return runs, failed_runs, failed_checks
 
 
+def verdict_lines(report: dict) -> list[str]:
+    """One line per workload and end-to-end metric for each checkout after the
+    first: the median of each checkout's runs, the pairs won and the
+    ``claim_holds`` and ``within_bound`` verdicts of ``compare``."""
+    base_name, *others = report["checkouts"]
+    base = report["checkouts"][base_name]["workloads"]
+    lines = []
+    for name in others:
+        for workload, results in report["checkouts"][name]["workloads"].items():
+            for metric, v in results["versus_" + base_name].items():
+                lines.append(
+                    f"{workload} {metric}: {base_name} "
+                    f"{base[workload]['metrics'][metric]['median']:.6g} {name} "
+                    f"{results['metrics'][metric]['median']:.6g} wins {v['wins']}/{v['pairs']} "
+                    f"claim_holds={v['claim_holds']} within_bound={v['within_bound']}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -240,6 +260,8 @@ def main(argv=None) -> int:
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
+    for line in verdict_lines(report):
+        print(line)
     for run in failed_checks:
         print(f"seed {run['seed']} {run['workload']} {run['checkout']}: correct="
               f"{run['correct']} failed={run['failed']}", file=sys.stderr)

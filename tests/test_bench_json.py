@@ -249,3 +249,33 @@ def test_every_run_uses_a_plain_copy_and_keeps_the_checkouts_commit(tmp_path, mo
     checkouts = json.loads((tmp_path / "BENCH_p.json").read_text())["checkouts"]
     assert checkouts["a"]["commit"] == commit
     assert checkouts["b"]["commit"] == "unknown (not a git checkout)"
+
+
+def test_the_sweep_ends_with_one_verdict_line_per_workload_and_metric(tmp_path, monkeypatch,
+                                                                       capsys):
+    """b's rate is 1.5x a's on every seed and its latency 1.5x a's: the log's
+    last lines give both medians, the pairs won and the two verdicts."""
+    metrics = (("rate", "higher"), ("latency_ms", "lower"))
+    roots = {name: _checkout(tmp_path / name, metrics) for name in ("a", "b")}
+
+    def fake_run(cmd, cwd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        scale = 1.5 if Path(cwd).name == "b" else 1.0
+        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {
+            "rate": {"value": scale * (10.0 + seed % 3), "unit": "1/s"},
+            "latency_ms": {"value": scale * 4.0, "unit": "ms"}}}
+        return subprocess.CompletedProcess(
+            cmd, 0, f"env {json.dumps({'git_commit': 'x'})}\n{json.dumps(result)}\n", "")
+
+    monkeypatch.setattr(bench_json.subprocess, "run", fake_run)
+    assert bench_json.main(["--label", "l", "--checkout", f"a={roots['a']}",
+                            "--checkout", f"b={roots['b']}", "--workloads",
+                            "micro-train,mathqa-infer", "--seeds", "0-9",
+                            "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-5] == f"wrote {tmp_path / 'BENCH_l.json'}"
+    for workload in ("micro-train", "mathqa-infer"):
+        assert (f"{workload} rate: a 11 b 16.5 wins 10/10 claim_holds=True within_bound=True"
+                in out[-4:])
+        assert (f"{workload} latency_ms: a 4 b 6 wins 0/10 claim_holds=False "
+                f"within_bound=False" in out[-4:])

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 import types
 import warnings
@@ -49,6 +51,7 @@ from tpn2f.training import (
     mathqa_preset,
     minibatch_chunks,
     minibatch_loss,
+    operation_accuracy,
     save_checkpoint,
     sequence_loss,
     teacher_forced_logits,
@@ -704,6 +707,66 @@ def test_greedy_rejects_bad_max_len():
         greedy_decode(model, [0], max_len=0)
 
 
+def test_capped_eval_decodes_give_the_uncapped_operation_accuracy():
+    """The reference is each sample's full ``max_len`` decode compared with gold.
+    The micro golds are 1 or 2 tuples long, so ``max_len`` 1 to 4 and 30 cover
+    gold longer than, as long as and shorter than the cap; untrained models
+    decode past gold, and trained ones hit it."""
+    hits = overruns = 0
+    for setting in ("tpr-tpr", "tpr-lstm", "lstm-tpr", "lstm-lstm"):
+        cfg = micro_config()
+        cfg.encoder, cfg.decoder = setting.split("-")
+        samples = preprocess_samples(make_micro_dataset(20, seed=0), positions=cfg.positions)
+        vocab = build_vocabularies(samples)
+        model = build_model(cfg.variant(), cfg.dims(), vocab, np.random.default_rng(0))
+        encoded = encode_samples(samples, vocab, cfg.positions)
+        optimizer = AdamState.for_params([t for _, t in model.parameters()], cfg.learning_rate)
+        rng = np.random.default_rng(0)
+        for epochs in (0, 10, 30):   # epochs trained before each stage's check
+            for epoch in range(epochs):
+                train_epoch(model, encoded, optimizer, cfg, rng, epoch)
+            for max_len in (1, 2, 3, 4, 30):
+                full = [greedy_decode(model, enc.token_ids, max_len) for enc in encoded]
+                matches = [out == enc.gold for out, enc in zip(full, encoded)]
+                assert operation_accuracy(model, encoded, max_len) == sum(matches) / len(encoded)
+                hits += sum(matches)
+                overruns += sum(len(out) > len(enc.gold) for out, enc in zip(full, encoded))
+    assert hits > 0 and overruns > 0
+
+
+@pytest.mark.parametrize("script, hit", [(["add", "EOS"], True), (["add", "add", "EOS"], False),
+                                         (["add"], False)])
+def test_a_decode_that_equals_gold_only_up_to_its_length_is_a_miss(script, hit):
+    """Gold is one tuple, the decode's first: the sample is a hit only if the
+    decode's next step emits EOS, which the cap of len(gold) + 1 steps reaches."""
+    cfg, samples, vocab, _, _ = micro_setup()
+    arg = vocab.arguments[0]   # the rigged argument heads always pick id 0
+    rigged = _RiggedDecoder(vocab, cfg.positions, [vocab.relation_id(r) for r in script])
+    enc = training_mod.EncodedSample("s", [0], [], [T("add", *[arg] * cfg.positions)])
+    assert operation_accuracy(rigged, [enc], 30) == float(hit)
+
+
+def test_operation_accuracy_makes_one_capped_greedy_decode_call_per_sample(monkeypatch):
+    """perfbench times and traces ``training.greedy_decode(model, ids, max_len)``
+    inside ``operation_accuracy``, one call per sample, looked up on the module."""
+    cfg, samples, vocab, model, _ = micro_setup(n=12)
+    encoded = encode_samples(samples, vocab, cfg.positions)
+    calls = []
+    decode = training_mod.greedy_decode
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(training_mod, "greedy_decode", counting)
+    operation_accuracy(model, encoded, 30)
+    assert len(calls) == len(encoded)
+    for (args, kwargs), enc in zip(calls, encoded):
+        assert kwargs == {} and len(args) == 3
+        assert args[0] is model and args[1] is enc.token_ids
+        assert args[2] == len(enc.gold) + 1 <= 30
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -1242,8 +1305,8 @@ def test_failed_save_removes_temp_and_keeps_existing_file(tmp_path):
     cfg, model, optimizer = _fresh_state()
     path = tmp_path / "m.ckpt"
     tmp = tmp_path / "m.ckpt.tmp"
-    # The second tensor cannot be converted to float64, so the write fails
-    # after the first tensor's bytes are in the temp file.
+    # The second tensor cannot be converted to float64, so the save fails
+    # before it opens the temp file.
     second = model.parameters()[1][1]
     good = second.data
     second.data = np.full(good.shape, "not a number", dtype=object)
@@ -1257,6 +1320,65 @@ def test_failed_save_removes_temp_and_keeps_existing_file(tmp_path):
     with pytest.raises(ValueError):
         save_checkpoint(path, model, optimizer, cfg)
     assert path.read_bytes() == before and not tmp.exists()
+
+
+class _FailingThirdWrite:
+    """A file whose third ``write`` raises ``OSError``, as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+
+def test_a_write_error_mid_save_joins_the_crc_thread_and_keeps_the_existing_file(
+        tmp_path, monkeypatch):
+    """The CRC is slowed down so that its thread is still running when the
+    write fails: the save must join it before the error leaves."""
+    cfg, model, optimizer = _fresh_state()
+    path, tmp = tmp_path / "m.ckpt", tmp_path / "m.ckpt.tmp"
+    save_checkpoint(path, model, optimizer, cfg)
+    before = path.read_bytes()
+    crc32 = training_mod.zlib.crc32
+
+    def slow_crc32(*args):
+        time.sleep(0.02)
+        return crc32(*args)
+
+    monkeypatch.setattr(training_mod.zlib, "crc32", slow_crc32)
+    monkeypatch.setattr(training_mod, "open", lambda name, mode: _FailingThirdWrite(
+        open(name, mode)), raising=False)
+    threads = threading.active_count()
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, model, optimizer, cfg)
+    assert threading.active_count() == threads
+    assert path.read_bytes() == before and not tmp.exists()
+
+
+def test_an_error_in_the_crc_thread_is_raised_and_no_file_is_renamed(tmp_path, monkeypatch):
+    cfg, model, optimizer = _fresh_state()
+    path, tmp = tmp_path / "m.ckpt", tmp_path / "m.ckpt.tmp"
+    failed_in = []
+
+    def failing_crc32(*args):
+        failed_in.append(threading.current_thread())
+        raise RuntimeError("crc failed")
+
+    monkeypatch.setattr(training_mod.zlib, "crc32", failing_crc32)
+    with pytest.raises(RuntimeError, match="crc failed"):
+        save_checkpoint(path, model, optimizer, cfg)
+    assert failed_in and threading.main_thread() not in failed_in
+    assert not path.exists() and not tmp.exists()
 
 
 def test_save_with_moments_that_miss_a_parameter_raises_before_opening_a_file(
