@@ -52,9 +52,7 @@ class Tensor:
     A leaf's ``grad`` is allocated lazily by ``backward`` and accumulates
     additively; it is cleared by ``adam_step``, never implicitly.  A produced
     tensor's grad lives only while ``backward`` passes it on.  A view holds no
-    grad: ``source = (viewed, link)`` takes each grad sent to it to what it
-    views, where ``link`` is a map of the grad or, for a ``split`` piece, the
-    slice of the viewed tensor's last axis that the piece is.
+    grad: ``source = (viewed, map)`` takes each grad sent to it to what it views.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "source", "__weakref__")
@@ -63,7 +61,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.source: tuple[Tensor, Callable | slice] | None = None
+        self.source: tuple[Tensor, Callable] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -147,40 +145,19 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> T
     return out
 
 
-def _view(t: Tensor, data: np.ndarray, link: Callable | slice) -> Tensor:
-    """``data``, a view of ``t``'s, whose grad reaches ``t`` through ``link``:
-    a map of the grad, or the slice of ``t``'s last axis that ``data`` is."""
+def _view(t: Tensor, data: np.ndarray, grad_map: Callable) -> Tensor:
+    """``data``, a view of ``t``'s, whose grad reaches ``t`` through ``grad_map``."""
     out = Tensor(data, _ACTIVE_TAPE is not None and t.requires_grad)
-    out.source = (t, link)
+    out.source = (t, grad_map)
     return out
-
-
-def _scattered(shape: tuple[int, ...], part: slice, g: np.ndarray) -> np.ndarray:
-    gt = np.zeros(shape)
-    gt[..., part] = g
-    return gt
 
 
 def _accumulate(t: Tensor, g: np.ndarray | None) -> None:
     if g is None or not t.requires_grad:
         return
-    part = None   # the slice of t's last axis that g is the grad of; None: all of t
     while t.source is not None:   # a view: pass the grad on to what it views
-        viewed, link = t.source
-        if type(link) is slice:   # a split piece, maybe of a piece: the offsets add
-            part = link if part is None else slice(link.start + part.start,
-                                                   link.start + part.stop)
-        else:
-            if part is not None:   # a map takes the whole grad
-                g, part = _scattered(t.shape, part, g), None
-            g = link(g)
-        t = viewed
-    if part is not None:   # add into the slice; the grad is allocated once
-        if t.grad is None:
-            t.grad = _scattered(t.shape, part, g)
-        else:
-            t.grad[..., part] += g
-    elif t.grad is None:
+        t, g = t.source[0], t.source[1](g)
+    if t.grad is None:
         # Copy: backward fns may hand out views or share one array.
         t.grad = np.array(g, dtype=np.float64)
     else:
@@ -462,15 +439,23 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 def split(t: Tensor, n: int) -> list[Tensor]:
     """The ``n`` equal consecutive pieces of the last axis, each a view of ``t``
-    whose grad adds into its slice of ``t``'s grad."""
+    whose grad is scattered into a zero array the shape of ``t``."""
     if t.ndim < 1:
         raise RankError(f"split expects a vector or rows, got {t.shape}")
     total = t.shape[-1]
     if n < 1 or total % n:
         raise ShapeError(f"cannot split {total} entries into {n} equal pieces")
+    shape = t.shape
     size = total // n
-    return [_view(t, t.data[..., lo:lo + size], slice(lo, lo + size))
-            for lo in range(0, total, size)]
+    pieces = []
+    for lo in range(0, total, size):
+        def scatter(g, lo=lo):
+            gt = np.zeros(shape)
+            gt[..., lo:lo + size] = g
+            return gt
+
+        pieces.append(_view(t, t.data[..., lo:lo + size], scatter))
+    return pieces
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:

@@ -17,7 +17,6 @@ import contextlib
 import json
 import math
 import os
-import threading
 import time
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -461,10 +460,8 @@ def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: Train
     first Adam moment, then every second one, each in table order.  The write
     is atomic (temp file + rename) and byte-stable: saving a loaded checkpoint
     reproduces the file exactly.  Each weight's and each moment block's bytes go
-    straight from its array to the file, so the save holds no copy of the
-    tensor bytes; a second thread (``_Crc32``) folds the same arrays into the
-    CRC while they are written, and is joined before the CRC is written or any
-    error leaves the save.  Moments that do not match the
+    straight from its array to the file and into the running CRC, so the save
+    holds no copy of the tensor bytes.  Moments that do not match the
     parameters raise ``StateError`` before any file is opened.  On any failure
     the temp file is removed and an existing ``path`` is left untouched.
     """
@@ -483,48 +480,21 @@ def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: Train
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     prefix = CHECKPOINT_MAGIC + len(head).to_bytes(8, "little") + head
-    raws = [np.ascontiguousarray(arr, dtype="<f8") for arr in arrays]
     tmp = str(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            crc = _Crc32([prefix, *raws])
-            crc.start()
-            try:
-                fh.write(prefix)
-                for raw in raws:
-                    fh.write(raw)
-            finally:
-                crc.join()
-            fh.write(crc.value().to_bytes(4, "little"))
+            fh.write(prefix)
+            crc = zlib.crc32(prefix)
+            for arr in arrays:
+                raw = np.ascontiguousarray(arr, dtype="<f8")
+                fh.write(raw)
+                crc = zlib.crc32(raw, crc)
+            fh.write(crc.to_bytes(4, "little"))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
-
-
-class _Crc32(threading.Thread):
-    """The CRC32 of ``buffers``, one after another, folded on a thread of its
-    own while the caller writes them; ``zlib.crc32`` releases the GIL on large
-    buffers, so the two run side by side.  ``value`` re-raises any exception
-    the thread met."""
-
-    def __init__(self, buffers: list):
-        super().__init__(name="checkpoint-crc32")
-        self._buffers, self._crc, self._error = buffers, 0, None
-
-    def run(self) -> None:
-        try:
-            for buf in self._buffers:
-                self._crc = zlib.crc32(buf, self._crc)
-        except BaseException as exc:   # re-raised by value(), in the caller's thread
-            self._error = exc
-
-    def value(self) -> int:
-        """The CRC, once ``join`` has returned."""
-        if self._error is not None:
-            raise self._error
-        return self._crc
 
 
 def _is_count(value) -> bool:

@@ -6,8 +6,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
-import time
 import tracemalloc
 import types
 import warnings
@@ -1301,27 +1299,6 @@ def test_streamed_checkpoint_matches_joined_writer(tmp_path):
         model, optimizer, ckpt.config, ckpt.rng_state, ckpt.epoch)
 
 
-def test_failed_save_removes_temp_and_keeps_existing_file(tmp_path):
-    cfg, model, optimizer = _fresh_state()
-    path = tmp_path / "m.ckpt"
-    tmp = tmp_path / "m.ckpt.tmp"
-    # The second tensor cannot be converted to float64, so the save fails
-    # before it opens the temp file.
-    second = model.parameters()[1][1]
-    good = second.data
-    second.data = np.full(good.shape, "not a number", dtype=object)
-    with pytest.raises(ValueError):
-        save_checkpoint(path, model, optimizer, cfg)
-    assert not path.exists() and not tmp.exists()
-    second.data = good
-    save_checkpoint(path, model, optimizer, cfg)
-    before = path.read_bytes()
-    second.data = np.full(good.shape, "not a number", dtype=object)
-    with pytest.raises(ValueError):
-        save_checkpoint(path, model, optimizer, cfg)
-    assert path.read_bytes() == before and not tmp.exists()
-
-
 class _FailingThirdWrite:
     """A file whose third ``write`` raises ``OSError``, as a full disk would."""
 
@@ -1341,44 +1318,35 @@ class _FailingThirdWrite:
         return self.fh.write(data)
 
 
-def test_a_write_error_mid_save_joins_the_crc_thread_and_keeps_the_existing_file(
-        tmp_path, monkeypatch):
-    """The CRC is slowed down so that its thread is still running when the
-    write fails: the save must join it before the error leaves."""
-    cfg, model, optimizer = _fresh_state()
-    path, tmp = tmp_path / "m.ckpt", tmp_path / "m.ckpt.tmp"
-    save_checkpoint(path, model, optimizer, cfg)
-    before = path.read_bytes()
-    crc32 = training_mod.zlib.crc32
+def _unconvertible_second_tensor(model, monkeypatch):
+    """The second tensor cannot be converted to float64, so the save fails
+    after the first tensor's bytes are in the temp file."""
+    second = model.parameters()[1][1]
+    monkeypatch.setattr(second, "data", np.full(second.shape, "not a number", dtype=object))
+    return ValueError
 
-    def slow_crc32(*args):
-        time.sleep(0.02)
-        return crc32(*args)
 
-    monkeypatch.setattr(training_mod.zlib, "crc32", slow_crc32)
+def _full_disk_on_third_write(model, monkeypatch):
+    """The temp file takes the prefix and the first tensor, then the disk is full."""
     monkeypatch.setattr(training_mod, "open", lambda name, mode: _FailingThirdWrite(
         open(name, mode)), raising=False)
-    threads = threading.active_count()
-    with pytest.raises(OSError, match="No space left"):
-        save_checkpoint(path, model, optimizer, cfg)
-    assert threading.active_count() == threads
-    assert path.read_bytes() == before and not tmp.exists()
+    return OSError
 
 
-def test_an_error_in_the_crc_thread_is_raised_and_no_file_is_renamed(tmp_path, monkeypatch):
+def test_failed_save_removes_temp_and_keeps_existing_file(tmp_path, monkeypatch):
     cfg, model, optimizer = _fresh_state()
-    path, tmp = tmp_path / "m.ckpt", tmp_path / "m.ckpt.tmp"
-    failed_in = []
-
-    def failing_crc32(*args):
-        failed_in.append(threading.current_thread())
-        raise RuntimeError("crc failed")
-
-    monkeypatch.setattr(training_mod.zlib, "crc32", failing_crc32)
-    with pytest.raises(RuntimeError, match="crc failed"):
+    path = tmp_path / "m.ckpt"
+    tmp = tmp_path / "m.ckpt.tmp"
+    for fail in (_unconvertible_second_tensor, _full_disk_on_third_write):
+        path.unlink(missing_ok=True)
+        with monkeypatch.context() as patch, pytest.raises(fail(model, patch)):
+            save_checkpoint(path, model, optimizer, cfg)
+        assert not path.exists() and not tmp.exists()
         save_checkpoint(path, model, optimizer, cfg)
-    assert failed_in and threading.main_thread() not in failed_in
-    assert not path.exists() and not tmp.exists()
+        before = path.read_bytes()
+        with monkeypatch.context() as patch, pytest.raises(fail(model, patch)):
+            save_checkpoint(path, model, optimizer, cfg)
+        assert path.read_bytes() == before and not tmp.exists()
 
 
 def test_save_with_moments_that_miss_a_parameter_raises_before_opening_a_file(
