@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Tpn2fModel, encoder_step
+from .model import Tpn2fModel, _encoder_positions
 from .training import greedy_decode_with_vectors
 
 SCORE_THRESHOLD = 0.1
@@ -55,17 +55,10 @@ def extract_assignments(model: Tpn2fModel, tokens: Sequence[str]) -> list[Assign
     """Run the binding encoder and record each token's surviving scores."""
     if model.variant.encoder != "tpr":
         raise ValueError("assignment extraction needs the binding encoder")
-    params = model.encoder
-    token_ids = model.vocab.encode_text(tokens)
-    binding, cell = params.lstm.zero_state()
-    records = []
-    for pos, (tok, tid) in enumerate(zip(tokens, token_ids)):
-        binding, cell, (a_f, a_r) = encoder_step(tid, binding, cell, params)
-        records.append(AssignmentRecord(
-            token=tok, position=pos,
-            kept_fillers=threshold_scores(a_f.data),
-            kept_roles=threshold_scores(a_r.data)))
-    return records
+    _, scores, _ = _encoder_positions(model.vocab.encode_text(tokens), model.encoder)
+    return [AssignmentRecord(token=tok, position=pos, kept_fillers=threshold_scores(a_f.data),
+                             kept_roles=threshold_scores(a_r.data))
+            for pos, (tok, (a_f, a_r)) in enumerate(zip(tokens, scores))]
 
 
 def collect_relation_vectors(model: Tpn2fModel, samples, max_len: int) -> list[RelationVectorStats]:

@@ -266,10 +266,12 @@ class LstmParams:
         return cls(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True), cells)
 
 
-def lstm_cell(p: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """One step: all four gate pre-activations from one matrix-vector product,
-    and the gates' update of ``(h, c)`` as one op."""
-    h, c = split(lstm_gates(add(matmul(p.w, concat([x, h_prev])), p.b), c_prev), 2)
+def lstm_cell(p: LstmParams, x_parts: Sequence[Tensor], h_prev: Tensor, c_prev: Tensor
+              ) -> tuple[Tensor, Tensor]:
+    """One step: the input parts and ``h_prev`` joined by one concat, all four
+    gate pre-activations from one biased matrix-vector product, and the gates'
+    update of ``(h, c)`` as one op."""
+    h, c = split(lstm_gates(matmul(p.w, concat([*x_parts, h_prev]), p.b), c_prev), 2)
     return h, c
 
 
@@ -350,7 +352,7 @@ def encoder_step(token_id, prev: Tensor, cell: Tensor,
     scores.  For the binding encoder that vector is the binding ``flatten(f (x)
     r)`` and the cell state ``[c_f | c_r]``; for the LSTM encoder it is ``h``,
     with no scores.  Token ids of B rows with ``(B, ...)`` states step at once."""
-    h, cell = lstm_cell(params.lstm, _embed(params.embed, token_id, "token"), prev, cell)
+    h, cell = lstm_cell(params.lstm, [_embed(params.embed, token_id, "token")], prev, cell)
     if isinstance(params, LstmEncoderParams):
         return h, cell, None
     h_f, h_r = split(h, 2)
@@ -361,27 +363,38 @@ def encoder_step(token_id, prev: Tensor, cell: Tensor,
     return flatten(outer_product(f, r), f.ndim - 1), cell, (a_f, a_r)
 
 
-def _pool(contexts: list[Tensor], pooling: str, lengths: np.ndarray | None) -> Tensor:
-    """The sum of each row's valid contexts (``sum_tprs``) or its last valid one
-    (``last_state``), as one product of the stacked contexts with 0/1 weights;
-    with no ``lengths``, every context is valid."""
-    positions = np.arange(len(contexts))
-    ends = np.asarray(len(contexts) if lengths is None else lengths)[..., None]
+def _pool(memory: Tensor, pooling: str, lengths: np.ndarray | None) -> Tensor:
+    """The sum of each row's valid positions of ``memory`` (``sum_tprs``) or its
+    last valid one (``last_state``), as one product with 0/1 weights; with no
+    ``lengths``, every position is valid."""
+    positions = np.arange(memory.shape[-2])
+    ends = np.asarray(positions.size if lengths is None else lengths)[..., None]
     keep = positions == ends - 1 if pooling == "last_state" else positions < ends
-    return contract_last(transpose(stack_rows(contexts)), Tensor(keep.astype(np.float64)))
+    return contract_last(transpose(memory), Tensor(keep.astype(np.float64)))
+
+
+def _encoder_positions(token_ids, params: EncoderParams | LstmEncoderParams
+                       ) -> tuple[list[Tensor], list, np.ndarray | None]:
+    """The encoder recurrence over ``_id_rows(token_ids)``: every position's vector and
+    selection scores (None for the LSTM encoder), and each row's length."""
+    ids, lengths = _id_rows(token_ids)
+    context, cell = params.lstm.zero_state(ids.shape[:-1])
+    contexts, scores = [], []
+    for step_ids in ids.T:   # one id, or one per row
+        context, cell, selections = encoder_step(step_ids, context, cell, params)
+        contexts.append(context)
+        scores.append(selections)
+    return contexts, scores, lengths
 
 
 def encode_sequence(token_ids, params: EncoderParams | LstmEncoderParams,
-                    pooling: str = "sum_tprs") -> tuple[Tensor, list[Tensor]]:
+                    pooling: str = "sum_tprs") -> tuple[Tensor, Tensor]:
     """Run either encoder over one sample's token ids, or over a list of
-    samples' in lockstep; returns (pooled context, per-position contexts)."""
-    ids, lengths = _id_rows(token_ids)
-    context, cell = params.lstm.zero_state(ids.shape[:-1])
-    contexts: list[Tensor] = []
-    for step_ids in ids.T:   # one id, or one per row
-        context, cell, _ = encoder_step(step_ids, context, cell, params)
-        contexts.append(context)
-    return _pool(contexts, pooling, lengths), contexts
+    samples' in lockstep; returns the pooled context and the memory, every
+    position's vector stacked once, ``(T, d)`` or ``(B, T, d)``."""
+    contexts, _, lengths = _encoder_positions(token_ids, params)
+    memory = stack_rows(contexts)
+    return _pool(memory, pooling, lengths), memory
 
 
 def bag_of_embeddings(token_ids: Sequence[int], embed: Tensor) -> Tensor:
@@ -422,7 +435,7 @@ class ReasoningParams:
 def reasoning_map(pooled: Tensor, params: ReasoningParams) -> Tensor:
     x = pooled
     for w, b in zip(params.weights, params.biases):
-        x = tanh(add(matmul(w, x), b))
+        x = tanh(matmul(w, x, b))
     return x
 
 
@@ -487,15 +500,6 @@ class LstmDecoderParams:
         )
 
 
-def project_contexts(contexts: Sequence[Tensor],
-                     params: DecoderParams | LstmDecoderParams) -> Tensor:
-    """Attention memory: row t is ``w_context @ contexts[t]``, all rows from one
-    product; ``(B, d)`` contexts give a ``(B, T, d_h)`` memory."""
-    if not contexts:
-        raise ValueError("attention needs a non-empty context")
-    return matmul(params.w_context, stack_rows(contexts))
-
-
 def _attend(h_input: Tensor, projected: Tensor, params: DecoderParams | LstmDecoderParams,
             mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Dot-product attention over the memory's rows, then a tanh combining layer;
@@ -507,11 +511,11 @@ def _attend(h_input: Tensor, projected: Tensor, params: DecoderParams | LstmDeco
     return tanh(combined), weights
 
 
-def _embed_tuple(prev_ids, params: DecoderParams | LstmDecoderParams) -> Tensor:
-    """The embedded ``(relation, *arguments)`` ids of one tuple; for a minibatch,
-    each slot holds one id per row."""
-    return concat([_embed(params.rel_embed, prev_ids[0], "relation")]
-                  + [_embed(params.arg_embed, ids, "argument") for ids in prev_ids[1:]])
+def _embed_tuple(prev_ids, params: DecoderParams | LstmDecoderParams) -> list[Tensor]:
+    """The embedded ``(relation, *arguments)`` ids of one tuple, the decoder cell's
+    input parts; for a minibatch, each slot holds one id per row."""
+    return ([_embed(params.rel_embed, prev_ids[0], "relation")]
+            + [_embed(params.arg_embed, ids, "argument") for ids in prev_ids[1:]])
 
 
 def unbinding_module(hidden: Tensor, params: DecoderParams, dims: ModelDims
@@ -559,7 +563,7 @@ class Tpn2fModel:
         return [named for part in ("encoder", "reasoning", "decoder")
                 for named in named_tensors(getattr(self, part), part)]
 
-    def encode(self, token_ids) -> tuple[Tensor, list[Tensor]]:
+    def encode(self, token_ids) -> tuple[Tensor, Tensor]:
         """Encode one sample's token ids, or a list of samples' in lockstep."""
         return encode_sequence(token_ids, self.encoder, self.variant.pooling)
 
@@ -567,8 +571,9 @@ class Tpn2fModel:
         hidden = reasoning_map(pooled, self.reasoning)
         return hidden, zeros(hidden.shape)
 
-    def project_contexts(self, contexts: Sequence[Tensor]) -> Tensor:
-        return project_contexts(contexts, self.decoder)
+    def project_contexts(self, memory: Tensor) -> Tensor:
+        """The attention memory: ``w_context`` times every position, in one product."""
+        return matmul(self.decoder.w_context, memory)
 
     def decode_step(self, prev_ids, hidden: Tensor, cell: Tensor, projected: Tensor,
                     mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:

@@ -234,20 +234,27 @@ def backward(loss: Tensor) -> None:
 # ops
 
 
-def matmul(w: Tensor, x: Tensor) -> Tensor:
+def matmul(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
     """``w @ x`` for a vector ``x``; for rows ``x`` of shape ``(..., k)``,
-    ``x @ w.T``: ``w`` times each row."""
+    ``x @ w.T``: ``w`` times each row.  A bias vector ``b`` is added to every
+    row of the product in the same node, and gets the rows' summed grad."""
     if w.ndim != 2 or x.ndim < 1:
         raise RankError(f"matmul expects a matrix and a vector or rows, got {w.shape} @ {x.shape}")
     if w.shape[1] != x.shape[-1]:
         raise ShapeError(f"matmul inner extents differ: {w.shape} @ {x.shape}")
+    if b is not None and b.shape != w.shape[:1]:
+        raise ShapeError(f"matmul bias {b.shape} does not match {w.shape[0]} output rows")
     wd, xd = w.data, x.data
     out = Tensor(xd @ wd.T)   # for a vector, bit-identical to wd @ xd
+    if b is not None:
+        out.data += b.data
 
     def bw(g):
-        return _OuterFactors(g.reshape(-1, wd.shape[0]), xd.reshape(-1, wd.shape[1])), g @ wd
+        rows = g.reshape(-1, wd.shape[0])
+        grads = _OuterFactors(rows, xd.reshape(-1, wd.shape[1])), g @ wd
+        return grads if b is None else (*grads, rows.sum(axis=0))
 
-    return _record(out, (w, x), bw)
+    return _record(out, (w, x) if b is None else (w, x, b), bw)
 
 
 def outer_product(a: Tensor, b: Tensor) -> Tensor:
@@ -369,16 +376,10 @@ def lstm_gates(z: Tensor, c_prev: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b, of equal shapes, or rows ``a`` plus one vector ``b`` (a bias)."""
-    per_row = a.shape != b.shape
-    if per_row and (b.ndim != 1 or a.shape[-1:] != b.shape):
+    """a + b, of equal shapes; a bias is added by ``matmul``."""
+    if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data)
-
-    def bw(g):
-        return g, (g.reshape(-1, b.size).sum(axis=0) if per_row else g)
-
-    return _record(out, (a, b), bw)
+    return _record(Tensor(a.data + b.data), (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -170,16 +170,16 @@ def teacher_forced_logits(model: Tpn2fModel, token_ids, target_ids) -> list[Tens
     minibatch in lockstep, ``token_ids`` lists each sample's ids and ``target_ids``
     is ``pad_rows``' ``(B, steps, 1 + positions)``; the logits are then
     ``(B, steps, n)``, and attention skips each row's padded positions."""
-    pooled, contexts = model.encode(token_ids)
+    pooled, memory = model.encode(token_ids)
     hidden, cell = model.initial_decoder_state(pooled)
-    projected = model.project_contexts(contexts)
+    projected = model.project_contexts(memory)
     gold = np.asarray(target_ids)
     go = np.broadcast_to(go_tuple_ids(model.vocab, model.dims.positions),
                          gold.shape[:-2] + (1, gold.shape[-1]))
     inputs = np.concatenate([go, gold[..., :-1, :]], axis=-2)
     mask = None
     if hidden.ndim > 1:   # a minibatch: attention skips each row's padding
-        mask = np.arange(len(contexts)) < np.array([len(ids) for ids in token_ids])[:, None]
+        mask = np.arange(memory.shape[-2]) < np.array([len(ids) for ids in token_ids])[:, None]
     states = []
     for step in range(inputs.shape[-2]):   # each slot's ids, one per row
         hidden, cell = model.decode_step(inputs[..., step, :].T, hidden, cell, projected, mask)
@@ -235,9 +235,9 @@ def greedy_decode_with_vectors(model, token_ids: Sequence[int], max_len: int
         raise ValueError("max_len must be >= 1")
     vocab = model.vocab
     eos = vocab.relation_id(EOS_SYMBOL)
-    pooled, contexts = model.encode(token_ids)
+    pooled, memory = model.encode(token_ids)
     hidden, cell = model.initial_decoder_state(pooled)
-    projected = model.project_contexts(contexts)
+    projected = model.project_contexts(memory)
     prev = go_tuple_ids(vocab, model.dims.positions)
     out: list[RelationalTuple] = []
     vectors: list[np.ndarray] = []

@@ -15,7 +15,7 @@ from tpn2f.analysis import (
     threshold_scores,
 )
 from tpn2f.data import build_vocabularies, preprocess_samples
-from tpn2f.model import ModelDims, build_model
+from tpn2f.model import ModelDims, build_model, encode_sequence, encoder_step
 from tpn2f.synthetic import make_micro_dataset, micro_config
 from tpn2f.tensor import Tensor
 
@@ -50,6 +50,29 @@ def test_extract_assignments_scores_sum_to_one():
         assert rec.token in samples[0].text
 
 
+def test_extract_assignments_reads_the_scores_of_the_encoders_own_steps():
+    """The records keep the scores of a step-by-step ``encoder_step`` loop from
+    a zero state, exactly, and the binding they belong to is the memory row
+    ``encode_sequence`` gives that position."""
+    cfg = micro_config()
+    samples = preprocess_samples(make_micro_dataset(8, seed=1), positions=2)
+    vocab = build_vocabularies(samples)
+    model = build_model(cfg.variant(), cfg.dims(), vocab, np.random.default_rng(4))
+    for sample in samples[:4]:
+        ids = vocab.encode_text(sample.text)
+        binding, cell = model.encoder.lstm.zero_state()
+        bindings, want = [], []
+        for tid in ids:
+            binding, cell, (a_f, a_r) = encoder_step(tid, binding, cell, model.encoder)
+            bindings.append(binding.data)
+            want.append((threshold_scores(a_f.data), threshold_scores(a_r.data)))
+        records = extract_assignments(model, sample.text)
+        assert [(r.kept_fillers, r.kept_roles) for r in records] == want
+        assert [r.position for r in records] == list(range(len(ids)))
+        _, memory = encode_sequence(ids, model.encoder)
+        assert np.array_equal(memory.data, np.stack(bindings))
+
+
 # ---------------------------------------------------------------------------
 # relation-vector collection
 
@@ -65,12 +88,12 @@ class _ScriptedModel:
 
     def encode(self, ids):
         self.step = 0
-        return Tensor(np.zeros(2)), [Tensor(np.zeros(2))]
+        return Tensor(np.zeros(2)), Tensor(np.zeros((1, 2)))
 
     def initial_decoder_state(self, pooled):
         return Tensor(np.zeros(2)), Tensor(np.zeros(2))
 
-    def project_contexts(self, ctx):
+    def project_contexts(self, memory):
         return Tensor(np.zeros((1, 2)))
 
     def decode_step(self, prev, h, c, proj):

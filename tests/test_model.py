@@ -15,6 +15,7 @@ from tpn2f.model import (
     LstmParams,
     ModelDims,
     ModelVariant,
+    Tpn2fModel,
     VocabError,
     bag_of_embeddings,
     build_model,
@@ -22,7 +23,6 @@ from tpn2f.model import (
     encoder_step,
     lstm_cell,
     named_tensors,
-    project_contexts,
     reasoning_map,
     unbinding_module,
     _attend,
@@ -120,21 +120,42 @@ def test_encoder_rejects_unknown_token_id():
 
 def test_encode_sequence_singleton_equals_context():
     model = micro_model()
-    pooled, contexts = encode_sequence([1], model.encoder)
-    assert len(contexts) == 1
-    assert np.array_equal(pooled.data, contexts[0].data)
+    pooled, memory = encode_sequence([1], model.encoder)
+    assert memory.shape == (1, MICRO.d_t)
+    assert np.array_equal(pooled.data, memory.data[0])
 
 
 def test_encode_sequence_sum_of_two():
     model = micro_model()
-    pooled, contexts = encode_sequence([1, 2], model.encoder)
-    assert np.abs(pooled.data - (contexts[0].data + contexts[1].data)).max() <= 1e-12
+    pooled, memory = encode_sequence([1, 2], model.encoder)
+    assert np.abs(pooled.data - (memory.data[0] + memory.data[1])).max() <= 1e-12
 
 
 def test_encode_sequence_last_state_pooling():
     model = micro_model()
-    pooled, contexts = encode_sequence([1, 2, 3], model.encoder, pooling="last_state")
-    assert np.array_equal(pooled.data, contexts[2].data)
+    pooled, memory = encode_sequence([1, 2, 3], model.encoder, pooling="last_state")
+    assert np.array_equal(pooled.data, memory.data[2])
+
+
+@pytest.mark.parametrize("encoder", ["tpr", "lstm"])
+def test_encode_sequence_stacks_the_positions_once(encoder):
+    """One ``encode_sequence`` call, of one sample or of a padded minibatch,
+    records one ``stack_rows`` node: pooling and the attention memory read the
+    same ``(..., T, d)`` memory, whose rows are the positions' vectors.  A
+    teacher-forced pass adds only the stack of its decoder states."""
+    model = micro_model(variant=ModelVariant(encoder, "tpr"))
+    d = model.encoder.lstm.recurrent
+
+    def stacks(run):
+        with GradientTape() as tape:
+            out = run()
+        return [fn.__qualname__ for _, _, fn in tape._nodes].count("stack_rows.<locals>.bw"), out
+
+    for token_ids, shape in (([1, 2, 3], (3, d)), ([[1, 2, 3], [4, 1]], (2, 3, d))):
+        count, (_, memory) = stacks(lambda: encode_sequence(token_ids, model.encoder))
+        assert count == 1 and memory.shape == shape
+        targets = np.full(shape[:-2] + (2, 3), 4)
+        assert stacks(lambda: teacher_forced_logits(model, token_ids, targets))[0] == 2
 
 
 def test_encode_sequence_rejects_empty():
@@ -195,10 +216,10 @@ def test_attention_single_context_weight_one():
     model = micro_model()
     rng = np.random.default_rng(1)
     h = Tensor(rng.standard_normal(MICRO.d_h))
-    ctx = [Tensor(rng.standard_normal(20))]
-    out, weights = _attend(h, project_contexts(ctx, model.decoder), model.decoder)
+    memory = Tensor(rng.standard_normal((1, 20)))
+    out, weights = _attend(h, model.project_contexts(memory), model.decoder)
     assert np.array_equal(weights.data, [1.0])
-    proj = model.decoder.w_context.data @ ctx[0].data
+    proj = model.decoder.w_context.data @ memory.data[0]
     manual = np.tanh(model.decoder.attn_combine.data @ np.concatenate([h.data, proj]))
     assert np.allclose(out.data, manual, atol=1e-15)
 
@@ -207,8 +228,8 @@ def test_attention_identical_contexts_split_evenly():
     model = micro_model()
     rng = np.random.default_rng(2)
     h = Tensor(rng.standard_normal(MICRO.d_h))
-    c = Tensor(rng.standard_normal(20))
-    _, weights = _attend(h, project_contexts([c, c], model.decoder), model.decoder)
+    c = rng.standard_normal(20)
+    _, weights = _attend(h, model.project_contexts(Tensor(np.stack([c, c]))), model.decoder)
     assert np.allclose(weights.data, [0.5, 0.5], atol=1e-15)
 
 
@@ -216,20 +237,21 @@ def test_attention_weights_sum_to_one():
     model = micro_model()
     rng = np.random.default_rng(3)
     h = Tensor(rng.standard_normal(MICRO.d_h))
-    ctx = [Tensor(rng.standard_normal(20)) for _ in range(6)]
-    _, weights = _attend(h, project_contexts(ctx, model.decoder), model.decoder)
+    memory = Tensor(rng.standard_normal((6, 20)))
+    _, weights = _attend(h, model.project_contexts(memory), model.decoder)
     assert abs(weights.data.sum() - 1.0) <= 1e-12
-
-
-def test_attention_rejects_empty_context():
-    model = micro_model()
-    with pytest.raises(ValueError):
-        _attend(Tensor(np.zeros(MICRO.d_h)), project_contexts([], model.decoder), model.decoder)
 
 
 def _per_row_memory(contexts, params):
     """The former attention memory: one matrix-vector product per position."""
     return stack_rows([matmul(params.w_context, t) for t in contexts])
+
+
+def _one_product_memory(contexts, params):
+    """The model's attention memory: ``w_context`` times the stacked positions,
+    as ``Tpn2fModel.project_contexts`` forms it from ``encode``'s memory."""
+    decoder_only = types.SimpleNamespace(decoder=params)
+    return Tpn2fModel.project_contexts(decoder_only, stack_rows(contexts))
 
 
 @pytest.mark.parametrize("d_h, d_t, steps", [(MICRO.d_h, MICRO.d_t, 3), (1000, 600, 40)],
@@ -251,7 +273,7 @@ def test_project_contexts_matches_per_row_products(d_h, d_t, steps):
             backward(sum_all(mul(memory, weights)))
         return [memory.data, params.w_context.grad] + [c.grad for c in contexts]
 
-    for got, want in zip(run(project_contexts), run(_per_row_memory), strict=True):
+    for got, want in zip(run(_one_product_memory), run(_per_row_memory), strict=True):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -269,7 +291,7 @@ def test_project_contexts_backward_holds_only_leaf_grads_and_activations():
     try:
         base = tracemalloc.get_traced_memory()[0]
         with GradientTape():
-            memory = project_contexts(contexts, params)
+            memory = _one_product_memory(contexts, params)
             product = mul(memory, weights)
             backward(sum_all(product))
             held = tracemalloc.get_traced_memory()[0] - base
@@ -289,16 +311,14 @@ def test_decoder_step_shapes_at_published_dims():
     model = micro_model(dims=MATHQA)
     assert MATHQA.d_h == 1000
     assert MATHQA.d_dec == 40  # 20 + 2*10
-    ctx = [Tensor(np.random.default_rng(0).standard_normal(600))]
-    projected = model.project_contexts(ctx)
+    projected = model.project_contexts(Tensor(np.random.default_rng(0).standard_normal((1, 600))))
     h, c = model.decode_step((2, 0, 0), zeros(1000), zeros(1000), projected)
     assert h.shape == (1000,) and c.shape == (1000,)
 
 
 def test_decoder_step_deterministic():
     model = micro_model()
-    ctx = [Tensor(np.random.default_rng(0).standard_normal(20))]
-    projected = model.project_contexts(ctx)
+    projected = model.project_contexts(Tensor(np.random.default_rng(0).standard_normal((1, 20))))
     runs = [model.decode_step((2, 0, 0), zeros(MICRO.d_h), zeros(MICRO.d_h), projected)
             for _ in range(2)]
     assert np.array_equal(runs[0][0].data, runs[1][0].data)
@@ -307,7 +327,7 @@ def test_decoder_step_deterministic():
 
 def test_decoder_rejects_bad_ids():
     model = micro_model()
-    projected = model.project_contexts([Tensor(np.zeros(20))])
+    projected = model.project_contexts(Tensor(np.zeros((1, 20))))
     with pytest.raises(VocabError):
         model.decode_step((99, 0, 0), zeros(MICRO.d_h), zeros(MICRO.d_h), projected)
 
@@ -640,10 +660,10 @@ def _unstacked(cell: LstmParams) -> list[LstmParams]:
 
 def _four_gate_cell(p, x, h_prev, c_prev):
     """The former cell: eight matrix-vector products over 12 per-gate tensors."""
-    f = sigmoid(add(add(matmul(p["u_f"], x), matmul(p["v_f"], h_prev)), p["b_f"]))
-    g = tanh(add(add(matmul(p["u_g"], x), matmul(p["v_g"], h_prev)), p["b_g"]))
-    i = sigmoid(add(add(matmul(p["u_i"], x), matmul(p["v_i"], h_prev)), p["b_i"]))
-    o = sigmoid(add(add(matmul(p["u_o"], x), matmul(p["v_o"], h_prev)), p["b_o"]))
+    def gate(k):
+        return add(matmul(p[f"u_{k}"], x), matmul(p[f"v_{k}"], h_prev, p[f"b_{k}"]))
+
+    f, g, i, o = sigmoid(gate("f")), tanh(gate("g")), sigmoid(gate("i")), sigmoid(gate("o"))
     c = add(mul(f, c_prev), mul(i, g))
     h = mul(o, tanh(c))
     return h, c
@@ -668,7 +688,7 @@ def test_fused_cell_matches_four_gate_maths(in_dim, hidden):
             backward(add(sum_all(mul(h, Tensor(weights_h))), sum_all(mul(c, Tensor(weights_c)))))
         return h.data, c.data, [x.grad for x in xs]
 
-    fused = run(lambda x, h, c: lstm_cell(cell, x, h, c))
+    fused = run(lambda x, h, c: lstm_cell(cell, [x], h, c))
     old = run(lambda x, h, c: _four_gate_cell(gates, x, h, c))
     pairs = [(fused[0], old[0]), (fused[1], old[1])] + list(zip(fused[2], old[2]))
     for n in GATE_NAMES:
@@ -715,7 +735,7 @@ def test_stacked_cell_is_the_two_cell_maths(lead):
     cell = LstmParams.random(rng, 8, 6, cells=2)
     x, prev = rng.uniform(-1, 1, lead + (8,)), rng.uniform(-1, 1, lead + (6,))
     cells = rng.uniform(-1, 1, lead + (12,))
-    h, c = lstm_cell(cell, Tensor(x), Tensor(prev), Tensor(cells))
+    h, c = lstm_cell(cell, [Tensor(x)], Tensor(prev), Tensor(cells))
     for j, part in enumerate(_unstacked(cell)):
         gates = {n: Tensor(getattr(part, n)) for n in GATE_NAMES}
         own = slice(j * 6, (j + 1) * 6)
@@ -736,12 +756,13 @@ def test_stacked_cell_draws_two_cells_in_turn():
     assert [n for n, _ in named_tensors(stacked, "x")] == ["x.w", "x.b"]
 
 
-@pytest.mark.parametrize("encoder, nodes", [("tpr", 12), ("lstm", 5)])
+@pytest.mark.parametrize("encoder, nodes", [("tpr", 11), ("lstm", 4)])
 def test_tape_nodes_per_encoder_position(encoder, nodes):
-    """One more token costs the binding encoder 12 tape nodes (the embedding, 4
-    for the stacked cell, 7 for the selections and the binding) and the LSTM
-    encoder 5; the views (the cell's ``h``/``c`` split, the ``h_f``/``h_r``
-    split and the flattened binding) record none."""
+    """One more token costs the binding encoder 11 tape nodes (the embedding, 3
+    for the stacked cell: its concat, its biased product and its gates, and 7
+    for the selections and the binding) and the LSTM encoder 4; the views (the
+    cell's ``h``/``c`` split, the ``h_f``/``h_r`` split and the flattened
+    binding) record none."""
     model = micro_model(variant=ModelVariant(encoder, "tpr"))
     counts = []
     for ids in ([1, 2, 3], [1, 2, 3, 4]):
@@ -753,17 +774,18 @@ def test_tape_nodes_per_encoder_position(encoder, nodes):
 
 @pytest.mark.parametrize("decoder", ["tpr", "lstm"])
 def test_tape_nodes_per_teacher_forced_decoder_step(decoder):
-    """One more target tuple costs either decoder 14 tape nodes at 2 argument
-    positions: 3 embeddings and their concat, 4 for the cell and 6 for the
-    attention; the cell's ``h``/``c`` split and the memory's transpose are views
-    and record none, and the heads score every step in one pass."""
+    """One more target tuple costs either decoder 12 tape nodes at 2 argument
+    positions: 3 embeddings, one concat of them with the state, the cell's
+    biased product and gates, and 6 for the attention; the cell's ``h``/``c``
+    split and the memory's transpose are views and record none, and the heads
+    score every step in one pass."""
     model = micro_model(variant=ModelVariant("tpr", decoder))
     counts = []
     for steps in (2, 3):
         with GradientTape() as tape:
             teacher_forced_logits(model, [1, 2, 3], np.full((steps, 3), 4))
         counts.append(len(tape))
-    assert counts[1] - counts[0] == 14
+    assert counts[1] - counts[0] == 12
 
 
 @pytest.mark.parametrize("encoder,decoder", [("tpr", "tpr"), ("lstm", "lstm")])

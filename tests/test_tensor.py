@@ -206,6 +206,43 @@ def test_binary_ops_require_equal_shapes():
         mul(Tensor(np.ones((2, 2))), Tensor(np.ones(4)))
 
 
+def test_add_of_rows_and_a_vector_is_a_shape_error():
+    """``add`` has one shape rule; a bias is added by ``matmul``."""
+    with pytest.raises(ShapeError):
+        add(Tensor(np.ones((3, 2))), Tensor(np.ones(2)))
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(np.ones(3)))
+
+
+def _former_bias_add(a: Tensor, b: Tensor) -> Tensor:
+    """Reference: the former ``add`` of rows ``a`` and a bias vector ``b``, a node of its own."""
+    return tensor_mod._record(Tensor(a.data + b.data), (a, b),
+                              lambda g: (g, g.reshape(-1, b.size).sum(axis=0)))
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)], ids=["vector", "rows"])
+def test_matmul_bias_equals_a_separate_add_bit_for_bit(lead):
+    """``matmul(w, x, b)`` gives the values and the grads of ``w``, ``x`` and ``b``
+    of a product followed by a bias add, bit for bit, in one tape node instead of two."""
+    rng = np.random.default_rng(17)
+    arrays = rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, lead + (5,)), rng.uniform(-1, 1, 4)
+    weights = Tensor(rng.uniform(-1, 1, lead + (4,)))
+
+    def run(affine):
+        w, x, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        with GradientTape() as tape:
+            y = affine(w, x, b)
+            backward(sum_all(mul(tanh(y), weights)))
+        return [y.data, w.grad, x.grad, b.grad], len(tape)
+
+    bias_add = _former_bias_add if lead else add
+    (fused, nodes), (separate, separate_nodes) = run(matmul), run(
+        lambda w, x, b: bias_add(matmul(w, x), b))
+    for got, want in zip(fused, separate, strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert nodes == separate_nodes - 1
+
+
 def test_cross_entropy_examples():
     assert cross_entropy(Tensor([100.0, 0.0]), 0).item() == pytest.approx(0.0, abs=1e-12)
     assert cross_entropy(Tensor([0.3, 0.3, 0.3, 0.3]), 2).item() == pytest.approx(
@@ -342,7 +379,8 @@ def test_tape_determinism():
     "tanh", "add", "mul", "cross_entropy", "reshape", "transpose", "concat",
     "stack", "embed", "scale", "matmul_recurrent", "matmul_produced", "matmul_mixed",
     "split", "split_partial",
-    "matmul_rows_recurrent", "matmul_rows3", "bias_rows", "outer_rows", "contract_rows",
+    "matmul_rows_recurrent", "matmul_rows3", "bias_vec", "bias_rows", "outer_rows",
+    "contract_rows",
     "contract_rows4",
     "softmax_masked", "cross_entropy_rows", "embed_ids", "concat_split_rows", "stack_rows3",
     "transpose_rows", "split_of_piece", "reshape_transpose_of_piece", "view_two_consumers",
@@ -374,7 +412,8 @@ def test_gradient_check_all_ops(name):
         "split_partial": [(9,)],
         "matmul_rows_recurrent": [(4, 4), (3, 4), (3, 4), (3, 4)],
         "matmul_rows3": [(3, 4), (2, 5, 4)],
-        "bias_rows": [(3, 4), (4,)],
+        "bias_vec": [(3, 4), (4,), (3,)],
+        "bias_rows": [(3, 4), (2, 5, 4), (3,)],
         "outer_rows": [(2, 3), (2, 4)],
         "contract_rows": [(2, 3, 4), (2, 4)],
         "contract_rows4": [(2, 3, 4, 5), (2, 3, 5)],
@@ -448,8 +487,8 @@ def test_gradient_check_all_ops(name):
             return sum_all(h)
         if name == "matmul_rows3":
             return sum_all(tanh(matmul(xs[0], xs[1])))
-        if name == "bias_rows":
-            return sum_all(tanh(add(xs[0], xs[1])))
+        if name in ("bias_vec", "bias_rows"):   # the bias's grad sums the rows'
+            return sum_all(tanh(matmul(xs[0], xs[1], xs[2])))
         if name == "outer_rows":
             return sum_all(tanh(outer_product(xs[0], xs[1])))
         if name in ("contract_rows", "contract_rows4"):
@@ -644,18 +683,20 @@ def test_a_second_backward_on_one_tape_is_a_tape_error():
     assert np.array_equal(w.grad, first)
 
 
-def _outer_per_step_matmul(a: Tensor, b: Tensor) -> Tensor:
+def _outer_per_step_matmul(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
     """Reference matmul: forms and adds the weight's outer product every step
-    (``a`` times the vector ``b``, or times each of the rows ``b`` of any rank)."""
-    ad, bd = a.data, b.data
-    out = Tensor(ad @ bd if bd.ndim == 1 else bd @ ad.T)
+    (``w`` times the vector ``x``, or times each of the rows ``x`` of any rank),
+    plus the bias ``b``."""
+    wd, xd = w.data, x.data
+    out = Tensor((wd @ xd if xd.ndim == 1 else xd @ wd.T) + (0.0 if b is None else b.data))
 
     def bw(g):
-        if bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        return g.reshape(-1, g.shape[-1]).T @ bd.reshape(-1, bd.shape[-1]), g @ ad
+        rows = g.reshape(-1, g.shape[-1])
+        if xd.ndim == 1:
+            return np.outer(g, xd), wd.T @ g, g
+        return rows.T @ xd.reshape(-1, xd.shape[-1]), g @ wd, rows.sum(axis=0)
 
-    return tensor_mod._record(out, (a, b), bw)
+    return tensor_mod._record(out, (w, x) if b is None else (w, x, b), bw)
 
 
 @pytest.mark.parametrize("dims", ["micro", "published"])

@@ -232,14 +232,14 @@ def _per_step_loss(model, token_ids, targets, weights=None):
     """The loss as teacher forcing computed it step by step: one ``head_logits``
     call per decoder step and one ``cross_entropy`` per step and slot, with
     ``targets`` either one sample's tuples or ``lockstep_targets``' arrays."""
-    pooled, contexts = model.encode(token_ids)
+    pooled, memory = model.encode(token_ids)
     hidden, cell = model.initial_decoder_state(pooled)
-    projected = model.project_contexts(contexts)
+    projected = model.project_contexts(memory)
     gold = np.asarray(targets)
     prev = np.array(training_mod.go_tuple_ids(model.vocab, model.dims.positions))
     mask = None
     if gold.ndim == 3:
-        mask = np.arange(len(contexts)) < np.array([len(ids) for ids in token_ids])[:, None]
+        mask = np.arange(memory.shape[-2]) < np.array([len(ids) for ids in token_ids])[:, None]
         prev = np.repeat(prev[:, None], len(gold), axis=1)
     total = 0.0
     for s in range(gold.shape[-2]):
@@ -594,12 +594,12 @@ class _RiggedDecoder:
         self.step = 0
 
     def encode(self, token_ids):
-        return Tensor(np.zeros(3)), [Tensor(np.zeros(3))]
+        return Tensor(np.zeros(3)), Tensor(np.zeros((1, 3)))
 
     def initial_decoder_state(self, pooled):
         return Tensor(np.zeros(2)), Tensor(np.zeros(2))
 
-    def project_contexts(self, contexts):
+    def project_contexts(self, memory):
         return Tensor(np.zeros((1, 2)))
 
     def decode_step(self, prev_ids, hidden, cell, projected):
@@ -682,8 +682,8 @@ def test_greedy_argmax_shift_invariance():
         def initial_decoder_state(self, pooled):
             return self.inner.initial_decoder_state(pooled)
 
-        def project_contexts(self, ctx):
-            return self.inner.project_contexts(ctx)
+        def project_contexts(self, memory):
+            return self.inner.project_contexts(memory)
 
         def decode_step(self, prev, h, c, proj):
             return self.inner.decode_step(prev, h, c, proj)
