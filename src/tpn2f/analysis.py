@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -56,8 +57,8 @@ def extract_assignments(model: Tpn2fModel, tokens: Sequence[str]) -> list[Assign
     if model.variant.encoder != "tpr":
         raise ValueError("assignment extraction needs the binding encoder")
     _, scores, _ = _encoder_positions(model.vocab.encode_text(tokens), model.encoder)
-    return [AssignmentRecord(token=tok, position=pos, kept_fillers=threshold_scores(a_f.data),
-                             kept_roles=threshold_scores(a_r.data))
+    return [AssignmentRecord(token=tok, position=pos, kept_fillers=threshold_scores(a_f),
+                             kept_roles=threshold_scores(a_r))
             for pos, (tok, (a_f, a_r)) in enumerate(zip(tokens, scores))]
 
 
@@ -210,7 +211,7 @@ def _svg_scatter(report: ClusterReport | None) -> str:
             color = _PALETTE[int(report.labels[i]) % len(_PALETTE)]
             parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="5" fill="{color}"/>')
             parts.append(f'<text x="{px + 7:.2f}" y="{py + 4:.2f}" '
-                         f'font-size="10">{rel}</text>')
+                         f'font-size="10">{escape(rel)}</text>')
         parts.append(f'<text x="{margin}" y="20" font-size="12">'
                      f'relation unbinding vectors, k={report.k}, seed={report.seed}</text>')
     parts.append("</svg>")
@@ -225,7 +226,7 @@ def _svg_roles(assignments: Sequence[AssignmentRecord]) -> str:
              f'<rect width="{w}" height="{h}" fill="white"/>']
     for rec in assignments:
         x = 10 + 110 * rec.position
-        parts.append(f'<text x="{x}" y="30" font-size="12" font-weight="bold">{rec.token}</text>')
+        parts.append(f'<text x="{x}" y="30" font-size="12" font-weight="bold">{escape(rec.token)}</text>')
         role_txt = " ".join(f"r{i}:{s:.2f}" for i, s in rec.kept_roles[:3]) or "-"
         fill_txt = " ".join(f"f{i}:{s:.2f}" for i, s in rec.kept_fillers[:3]) or "-"
         parts.append(f'<text x="{x}" y="60" font-size="10">{role_txt}</text>')

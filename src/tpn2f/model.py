@@ -36,11 +36,13 @@ from typing import Sequence
 import numpy as np
 
 from .data import Vocabularies
-# ``mul`` and ``sigmoid`` are unused here but stay importable: ``perfbench/tracer.py`` counts them.
+# ``mul``, ``outer_product``, ``sigmoid`` and ``softmax_with_temperature`` are unused here
+# but stay importable: ``perfbench/tracer.py`` counts the ``MODEL_OPS`` it reads from this module.
 from .tensor import (  # noqa: F401
     ShapeError,
     Tensor,
     add,
+    attend,
     concat,
     contract_last,
     embedding_row,
@@ -51,6 +53,7 @@ from .tensor import (  # noqa: F401
     outer_product,
     reshape,
     sigmoid,
+    soft_bind,
     softmax_with_temperature,
     split,
     stack_rows,
@@ -346,21 +349,19 @@ def _id_rows(token_ids) -> tuple[np.ndarray, np.ndarray | None]:
 
 def encoder_step(token_id, prev: Tensor, cell: Tensor,
                  params: EncoderParams | LstmEncoderParams
-                 ) -> tuple[Tensor, Tensor, tuple[Tensor, Tensor] | None]:
+                 ) -> tuple[Tensor, Tensor, tuple[np.ndarray, np.ndarray] | None]:
     """One encoder step from the previous position's vector ``prev``; returns
     this position's vector, the cell state and the filler and role selection
-    scores.  For the binding encoder that vector is the binding ``flatten(f (x)
-    r)`` and the cell state ``[c_f | c_r]``; for the LSTM encoder it is ``h``,
-    with no scores.  Token ids of B rows with ``(B, ...)`` states step at once."""
+    scores, arrays off the tape.  For the binding encoder that vector is the
+    binding ``flatten(f (x) r)`` (``tensor.soft_bind``) and the cell state
+    ``[c_f | c_r]``; for the LSTM encoder it is ``h``, with no scores.  Token
+    ids of B rows with ``(B, ...)`` states step at once."""
     h, cell = lstm_cell(params.lstm, [_embed(params.embed, token_id, "token")], prev, cell)
     if isinstance(params, LstmEncoderParams):
         return h, cell, None
-    h_f, h_r = split(h, 2)
-    a_f = softmax_with_temperature(matmul(params.w_filler_attn, h_f), params.temperature)
-    a_r = softmax_with_temperature(matmul(params.w_role_attn, h_r), params.temperature)
-    f = matmul(params.fillers, a_f)
-    r = matmul(params.roles, a_r)
-    return flatten(outer_product(f, r), f.ndim - 1), cell, (a_f, a_r)
+    binding, a_f, a_r = soft_bind(h, params.w_filler_attn, params.w_role_attn, params.fillers,
+                                  params.roles, params.temperature)
+    return binding, cell, (a_f, a_r)
 
 
 def _pool(memory: Tensor, pooling: str, lengths: np.ndarray | None) -> Tensor:
@@ -500,17 +501,6 @@ class LstmDecoderParams:
         )
 
 
-def _attend(h_input: Tensor, projected: Tensor, params: DecoderParams | LstmDecoderParams,
-            mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Dot-product attention over the memory's rows, then a tanh combining layer;
-    memory rows where ``mask`` is False get weight 0."""
-    scores = contract_last(projected, h_input)
-    weights = softmax_with_temperature(scores, 1.0, mask)
-    summary = contract_last(transpose(projected), weights)
-    combined = matmul(params.attn_combine, concat([h_input, summary]))
-    return tanh(combined), weights
-
-
 def _embed_tuple(prev_ids, params: DecoderParams | LstmDecoderParams) -> list[Tensor]:
     """The embedded ``(relation, *arguments)`` ids of one tuple, the decoder cell's
     input parts; for a minibatch, each slot holds one id per row."""
@@ -578,10 +568,11 @@ class Tpn2fModel:
     def decode_step(self, prev_ids, hidden: Tensor, cell: Tensor, projected: Tensor,
                     mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
         """One tuple-LSTM step: embed the previous tuple, recur, attend over the
-        memory rows ``mask`` keeps (all of them when it is None)."""
+        memory rows ``mask`` keeps (all of them when it is None) and combine
+        (``tensor.attend``)."""
         x = _embed_tuple(prev_ids, self.decoder)
         h_in, cell = lstm_cell(self.decoder.lstm, x, hidden, cell)
-        hidden, _ = _attend(h_in, projected, self.decoder, mask)
+        hidden, _ = attend(h_in, projected, self.decoder.attn_combine, mask)
         return hidden, cell
 
     def head_logits(self, hidden: Tensor) -> tuple[Tensor, list[Tensor], Tensor | None]:

@@ -85,8 +85,19 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
+def _new(data: np.ndarray) -> Tensor:
+    """A Tensor around ``data``, a float64 ndarray an op made: unlike
+    ``Tensor(data)`` it converts and checks nothing."""
+    t = _NEW(Tensor)
+    t.data, t.requires_grad, t.grad, t.source = data, False, None, None
+    return t
+
+
+_NEW = Tensor.__new__
+
+
 def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
+    return _new(np.zeros(shape))
 
 
 class GradientTape:
@@ -134,6 +145,17 @@ class GradientTape:
 _ACTIVE_TAPE: GradientTape | None = None
 
 
+def _taping(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` is recorded: a tape is active and one of
+    them requires grad.  An op that is not recorded returns its output before
+    it builds a backward closure or keeps what only its backward reads."""
+    if _ACTIVE_TAPE is not None:
+        for t in inputs:
+            if t.requires_grad:
+                return True
+    return False
+
+
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     tape = _ACTIVE_TAPE
     if tape is not None:
@@ -147,7 +169,8 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> T
 
 def _view(t: Tensor, data: np.ndarray, grad_map: Callable) -> Tensor:
     """``data``, a view of ``t``'s, whose grad reaches ``t`` through ``grad_map``."""
-    out = Tensor(data, _ACTIVE_TAPE is not None and t.requires_grad)
+    out = _new(data)
+    out.requires_grad = _ACTIVE_TAPE is not None and t.requires_grad
     out.source = (t, grad_map)
     return out
 
@@ -245,16 +268,19 @@ def matmul(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != w.shape[:1]:
         raise ShapeError(f"matmul bias {b.shape} does not match {w.shape[0]} output rows")
     wd, xd = w.data, x.data
-    out = Tensor(xd @ wd.T)   # for a vector, bit-identical to wd @ xd
+    out = _new(xd @ wd.T)   # for a vector, bit-identical to wd @ xd
     if b is not None:
         out.data += b.data
+    inputs = (w, x) if b is None else (w, x, b)
+    if not _taping(inputs):
+        return out
 
     def bw(g):
         rows = g.reshape(-1, wd.shape[0])
         grads = _OuterFactors(rows, xd.reshape(-1, wd.shape[1])), g @ wd
         return grads if b is None else (*grads, rows.sum(axis=0))
 
-    return _record(out, (w, x) if b is None else (w, x, b), bw)
+    return _record(out, inputs, bw)
 
 
 def outer_product(a: Tensor, b: Tensor) -> Tensor:
@@ -263,7 +289,9 @@ def outer_product(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 1 or b.ndim < 1 or a.shape[:-1] != b.shape[:-1]:
         raise RankError(f"outer_product expects vectors or equal rows, got {a.shape}, {b.shape}")
     ad, bd = a.data, b.data
-    out = Tensor(ad[..., :, None] * bd[..., None, :])
+    out = _new(ad[..., :, None] * bd[..., None, :])
+    if not _taping((a, b)):
+        return out
 
     def bw(g):
         return (g @ bd[..., :, None])[..., 0], (ad[..., None, :] @ g)[..., 0, :]
@@ -280,17 +308,18 @@ def contract_last(t: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"contract_last extents differ: {t.shape} with {v.shape}")
     td, vd = t.data, v.data
     if vd.ndim == 1:
-        out = Tensor(td @ vd)
+        out = td @ vd
+        out = _new(out if td.ndim > 1 else np.asarray(out))   # vector . vector: a numpy scalar
 
         def bw(g):
             return g[..., None] * vd, g.reshape(-1) @ td.reshape(-1, td.shape[-1])
     else:
-        out = Tensor((td @ vd[..., :, None])[..., 0])
+        out = _new((td @ vd[..., :, None])[..., 0])
 
         def bw(g):
             return g[..., :, None] * vd[..., None, :], (g[..., None, :] @ td)[..., 0, :]
 
-    return _record(out, (t, v), bw)
+    return _record(out, (t, v), bw) if _taping((t, v)) else out
 
 
 def softmax_with_temperature(logits: Tensor, temperature: float, mask=None) -> Tensor:
@@ -305,15 +334,26 @@ def softmax_with_temperature(logits: Tensor, temperature: float, mask=None) -> T
         if np.shape(mask) != logits.shape:
             raise ShapeError(f"softmax mask {np.shape(mask)} differs from logits {logits.shape}")
         z = np.where(mask, z, -np.inf)
-    rows = z.ndim > 1   # a vector's scalar max and sum broadcast faster
-    e = np.exp(z - z.max(axis=-1, keepdims=rows))
-    y = e / e.sum(axis=-1, keepdims=rows)
-    out = Tensor(y)
+    y = _softmax(z)
+    out = _new(y)
+    if not _taping((logits,)):
+        return out
 
     def bw(g):
-        return ((g - (g * y).sum(axis=-1, keepdims=rows)) * y / temperature,)
+        return (_softmax_grad(g, y, temperature),)
 
     return _record(out, (logits,), bw)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    rows = z.ndim > 1   # a vector's scalar max and sum broadcast faster
+    e = np.exp(z - z.max(axis=-1, keepdims=rows))
+    return e / e.sum(axis=-1, keepdims=rows)
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, temperature: float) -> np.ndarray:
+    """The grad of the logits of ``y = softmax(logits / temperature)`` from ``y``'s grad ``g``."""
+    return (g - (g * y).sum(axis=-1, keepdims=y.ndim > 1)) * y / temperature
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -326,7 +366,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(t: Tensor) -> Tensor:
     y = _sigmoid(t.data)
-    out = Tensor(y)
+    out = _new(y)
+    if not _taping((t,)):
+        return out
 
     def bw(g):
         return (g * y * (1.0 - y),)
@@ -336,7 +378,9 @@ def sigmoid(t: Tensor) -> Tensor:
 
 def tanh(t: Tensor) -> Tensor:
     y = np.tanh(t.data)
-    out = Tensor(y)
+    out = _new(y)
+    if not _taping((t,)):
+        return out
 
     def bw(g):
         return (g * (1.0 - y * y),)
@@ -360,7 +404,9 @@ def lstm_gates(z: Tensor, c_prev: Tensor) -> Tensor:
     c += i * g
     tc = np.tanh(c)
     np.multiply(o, tc, out=hc[..., :n])
-    out = Tensor(hc)
+    out = _new(hc)
+    if not _taping((z, c_prev)):
+        return out
 
     def bw(grad):
         gh = grad[..., :n]
@@ -375,18 +421,99 @@ def lstm_gates(z: Tensor, c_prev: Tensor) -> Tensor:
     return _record(out, (z, c_prev), bw)
 
 
+def soft_bind(h: Tensor, w_filler_attn: Tensor, w_role_attn: Tensor, fillers: Tensor,
+              roles: Tensor, temperature: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """The binding encoder's step after its cell as one op.  From ``h = [h_f | h_r]``:
+    the scores a_f = softmax(W_f h_f / T) and a_r = softmax(W_r h_r / T), the
+    soft-selected filler f = fillers a_f and role r = roles a_r, and their
+    binding flatten(f (x) r).  Returns the binding and, off the tape, a_f and a_r."""
+    if temperature <= 0.0:
+        raise ParameterError(f"temperature must be positive, got {temperature}")
+    wf, wr, fd, rd = w_filler_attn.data, w_role_attn.data, fillers.data, roles.data
+    n = wf.shape[-1]
+    if not (h.ndim >= 1 and wf.ndim == wr.ndim == fd.ndim == rd.ndim == 2 and h.shape[-1] == 2 * n
+            and wr.shape[1] == n and fd.shape[1] == wf.shape[0] and rd.shape[1] == wr.shape[0]):
+        raise ShapeError(f"soft_bind extents differ: h {h.shape}, attention {wf.shape} and "
+                         f"{wr.shape}, fillers {fd.shape}, roles {rd.shape}")
+    hd = h.data
+    h_f, h_r = hd[..., :n], hd[..., n:]
+    a_f, a_r = _softmax(h_f @ wf.T / temperature), _softmax(h_r @ wr.T / temperature)
+    f, r = a_f @ fd.T, a_r @ rd.T
+    out = _new((f[..., :, None] * r[..., None, :]).reshape(hd.shape[:-1] + (-1,)))
+    inputs = (h, w_filler_attn, w_role_attn, fillers, roles)
+    if not _taping(inputs):
+        return out, a_f, a_r
+
+    def bw(g):
+        g = g.reshape(f.shape + r.shape[-1:])
+        g_f, g_r = (g @ r[..., :, None])[..., 0], (f[..., None, :] @ g)[..., 0, :]
+        g_zf = _softmax_grad(g_f @ fd, a_f, temperature)
+        g_zr = _softmax_grad(g_r @ rd, a_r, temperature)
+        return (np.concatenate([g_zf @ wf, g_zr @ wr], axis=-1),
+                _OuterFactors(g_zf.reshape(-1, wf.shape[0]), h_f.reshape(-1, n)),
+                _OuterFactors(g_zr.reshape(-1, wr.shape[0]), h_r.reshape(-1, n)),
+                _OuterFactors(g_f.reshape(-1, fd.shape[0]), a_f.reshape(-1, fd.shape[1])),
+                _OuterFactors(g_r.reshape(-1, rd.shape[0]), a_r.reshape(-1, rd.shape[1])))
+
+    return _record(out, inputs, bw), a_f, a_r
+
+
+def attend(h: Tensor, memory: Tensor, combine: Tensor, mask=None) -> tuple[Tensor, np.ndarray]:
+    """Dot-product attention and its combining layer as one op: the scores
+    ``memory`` times ``h`` over the memory's rows, their softmax ``a`` (weight 0
+    where the boolean ``mask`` is False), the summary ``memory^T a``, and
+    tanh(``combine`` [h | summary]).  Returns that and, off the tape, ``a``."""
+    hd, md, cd = h.data, memory.data, combine.data
+    d = hd.shape[-1]
+    if not (hd.ndim >= 1 and md.ndim == hd.ndim + 1 and md.shape[:-2] == hd.shape[:-1]
+            and md.shape[-1] == d and cd.ndim == 2 and cd.shape[1] == 2 * d):
+        raise ShapeError(f"attend extents differ: h {hd.shape}, memory {md.shape}, "
+                         f"combine {cd.shape}")
+    rows = hd.ndim > 1
+    mt = md.swapaxes(-1, -2)
+    z = (md @ hd[..., :, None])[..., 0] if rows else md @ hd
+    if mask is not None:
+        if np.shape(mask) != z.shape:
+            raise ShapeError(f"attention mask {np.shape(mask)} differs from scores {z.shape}")
+        z = np.where(mask, z, -np.inf)
+    a = _softmax(z)   # at temperature 1, where dividing by it changes no bit
+    x = np.concatenate([hd, (mt @ a[..., :, None])[..., 0] if rows else mt @ a], axis=-1)
+    y = np.tanh(x @ cd.T)
+    out = _new(y)
+    if not _taping((h, memory, combine)):
+        return out, a
+
+    def bw(g):
+        g_y = g * (1.0 - y * y)
+        g_x = g_y @ cd
+        g_s = g_x[..., d:].copy()   # contiguous, as the summary's own grad was
+        g_a = (g_s[..., None, :] @ mt)[..., 0, :] if rows else g_s @ mt.reshape(-1, mt.shape[-1])
+        g_z = _softmax_grad(g_a, a, 1.0)
+        g_h = (g_z[..., None, :] @ md)[..., 0, :] if rows else g_z @ md.reshape(-1, d)
+        return (g_x[..., :d] + g_h,
+                (g_s[..., :, None] * a[..., None, :]).swapaxes(-1, -2),
+                g_z[..., :, None] * hd[..., None, :],
+                _OuterFactors(g_y.reshape(-1, cd.shape[0]), x.reshape(-1, 2 * d)))
+
+    # ``memory`` takes the summary's grad, then the scores', as the two products sent them.
+    return _record(out, (h, memory, memory, combine), bw), a
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """a + b, of equal shapes; a bias is added by ``matmul``."""
     if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    return _record(Tensor(a.data + b.data), (a, b), lambda g: (g, g))
+    out = _new(a.data + b.data)
+    return _record(out, (a, b), lambda g: (g, g)) if _taping((a, b)) else out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data)
     ad, bd = a.data, b.data
+    out = _new(ad * bd)
+    if not _taping((a, b)):
+        return out
 
     def bw(g):
         return g * bd, g * ad
@@ -395,7 +522,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(t: Tensor, factor: float) -> Tensor:
-    out = Tensor(t.data * factor)
+    out = _new(t.data * factor)
+    if not _taping((t,)):
+        return out
 
     def bw(g):
         return (g * factor,)
@@ -423,9 +552,11 @@ def transpose(t: Tensor) -> Tensor:
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Join vectors, or rows of equal count, along the last axis."""
     try:
-        out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+        out = _new(np.concatenate([p.data for p in parts], axis=-1))
     except ValueError as exc:   # no parts, a 0-d part or unequal leading axes
         raise RankError(f"concat expects vectors or equal rows: {exc}") from None
+    if not _taping(parts):
+        return out
     sizes = [p.shape[-1] for p in parts]
 
     def bw(g):
@@ -463,7 +594,9 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     """Stack equal vectors as the rows of a matrix; ``(B, d)`` rows give ``(B, n, d)``."""
     if not rows or any(r.ndim < 1 or r.shape != rows[0].shape for r in rows):
         raise RankError("stack_rows expects a non-empty sequence of equal vectors or rows")
-    out = Tensor(np.stack([r.data for r in rows], axis=-2))
+    out = _new(np.stack([r.data for r in rows], axis=-2))
+    if not _taping(rows):
+        return out
 
     def bw(g):
         return [g[..., k, :] for k in range(len(rows))]
@@ -483,7 +616,9 @@ def embedding_row(table: Tensor, index) -> Tensor:
     if (not 0 <= ids < table.shape[0]) if one else (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(f"id {index} out of range for table {table.shape}")
     rows = table.data[ids]
-    out = Tensor(rows.copy() if one else rows)   # an array of ids already copies
+    out = _new(rows.copy() if one else rows)   # an array of ids already copies
+    if not _taping((table,)):
+        return out
     shape = table.shape
 
     def bw(g):
@@ -495,7 +630,9 @@ def embedding_row(table: Tensor, index) -> Tensor:
 
 
 def sum_all(t: Tensor) -> Tensor:
-    out = Tensor(t.data.sum())
+    out = _new(np.asarray(t.data.sum()))
+    if not _taping((t,)):
+        return out
     shape = t.data.shape
 
     def bw(g):
@@ -520,7 +657,9 @@ def cross_entropy(logits: Tensor, true_index, weights=None) -> Tensor:
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     losses = lse[..., 0] - np.take_along_axis(z, target[..., None], axis=-1)[..., 0]
-    out = Tensor((losses * w).sum())
+    out = _new(np.asarray((losses * w).sum()))
+    if not _taping((logits,)):
+        return out
     probs = np.exp(z - lse)
 
     def bw(g):

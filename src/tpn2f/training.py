@@ -250,7 +250,8 @@ def greedy_decode_with_vectors(model, token_ids: Sequence[int], max_len: int
         arg_ids = [int(np.argmax(a.data)) for a in arg_logits]
         out.append(RelationalTuple(vocab.relations[rel_id],
                                    tuple(vocab.arguments[a] for a in arg_ids)))
-        vectors.append(r_unbind.data.copy() if r_unbind is not None else np.zeros(0))
+        # ``r_unbind`` is a fresh matmul output that nothing writes to later: no copy.
+        vectors.append(r_unbind.data if r_unbind is not None else np.zeros(0))
         prev = (rel_id, *arg_ids)
     return out, vectors
 

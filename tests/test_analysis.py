@@ -1,5 +1,7 @@
 """Threshold filtering, PCA, k-means, and report emission."""
 
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from tpn2f.data import build_vocabularies, preprocess_samples
 from tpn2f.model import ModelDims, build_model, encode_sequence, encoder_step
 from tpn2f.synthetic import make_micro_dataset, micro_config
 from tpn2f.tensor import Tensor
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +69,7 @@ def test_extract_assignments_reads_the_scores_of_the_encoders_own_steps():
         for tid in ids:
             binding, cell, (a_f, a_r) = encoder_step(tid, binding, cell, model.encoder)
             bindings.append(binding.data)
-            want.append((threshold_scores(a_f.data), threshold_scores(a_r.data)))
+            want.append((threshold_scores(a_f), threshold_scores(a_r)))
         records = extract_assignments(model, sample.text)
         assert [(r.kept_fillers, r.kept_roles) for r in records] == want
         assert [r.position for r in records] == list(range(len(ids)))
@@ -296,6 +300,22 @@ def test_emit_report_counts_and_headers(tmp_path):
     assert len(a_lines) == 1 + 4  # 3 kept entries for alpha, 1 for beta
     svg = (tmp_path / "scatter.svg").read_text()
     assert svg.startswith("<svg") and "add" in svg
+
+
+def test_emit_report_svgs_parse_with_markup_characters_in_names(tmp_path):
+    """Relation names such as AlgoLisp's ``<`` and ``<=`` and tokens such as
+    ``x<y`` are escaped: both SVGs are well-formed XML whose text shows them."""
+    assignments = [AssignmentRecord("x<y", 0, kept_fillers=[(3, 0.8)], kept_roles=[(1, 0.6)]),
+                   AssignmentRecord("a&b", 1, kept_fillers=[], kept_roles=[])]
+    stats = [RelationVectorStats("<", np.array([0.0, 1.0, 0.5]), 3),
+             RelationVectorStats("<=", np.array([1.0, 0.0, 0.2]), 2),
+             RelationVectorStats("a&b", np.array([0.9, 0.1, 0.1]), 1)]
+    emit_report(assignments, cluster_relation_vectors(stats, k=2, seed=0), tmp_path)
+    for name, shown in (("scatter.svg", {"<", "<=", "a&b"}), ("roles.svg", {"x<y", "a&b"})):
+        texts = {el.text for el in ET.parse(tmp_path / name).getroot().iter(f"{SVG}text")}
+        assert shown <= texts, name
+    rows = (tmp_path / "clusters.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["<", "<=", "a&b"]
 
 
 def test_emit_report_empty_inputs(tmp_path):

@@ -25,12 +25,12 @@ from tpn2f.model import (
     named_tensors,
     reasoning_map,
     unbinding_module,
-    _attend,
 )
 from tpn2f.tensor import (
     GradientTape,
     Tensor,
     add,
+    attend,
     backward,
     matmul,
     mul,
@@ -90,12 +90,12 @@ def test_encoder_step_zero_weights_uniform_softmax_closed_form():
 def test_encoder_selections_are_convex_combinations():
     model = micro_model(seed=3)
     binding, _, (a_f, a_r) = encoder_step(1, zeros(20), zeros(40), model.encoder)
-    for scores in (a_f.data, a_r.data):
+    for scores in (a_f, a_r):
         assert (scores >= 0).all()
         assert abs(scores.sum() - 1.0) <= 1e-12
     # The binding is the outer product of the dictionary mixtures.
-    f = model.encoder.fillers.data @ a_f.data
-    r = model.encoder.roles.data @ a_r.data
+    f = model.encoder.fillers.data @ a_f
+    r = model.encoder.roles.data @ a_r
     assert np.allclose(binding.data, np.outer(f, r).reshape(-1), atol=1e-15)
 
 
@@ -105,8 +105,8 @@ def test_encoder_binding_unbinds_to_its_filler_with_a_role_dual_vector():
     for seed in range(5):
         model = micro_model(seed=seed)
         binding, _, (a_f, a_r) = encoder_step(1 + seed % 4, zeros(20), zeros(40), model.encoder)
-        f = model.encoder.fillers.data @ a_f.data
-        r = model.encoder.roles.data @ a_r.data
+        f = model.encoder.fillers.data @ a_f
+        r = model.encoder.roles.data @ a_r
         u = dual_basis(r[:, None]).data[0]
         recovered = unbind2(binding.data.reshape(MICRO.d_filler, MICRO.d_role), u).data
         assert np.abs(recovered - f).max() < 1e-9
@@ -217,8 +217,8 @@ def test_attention_single_context_weight_one():
     rng = np.random.default_rng(1)
     h = Tensor(rng.standard_normal(MICRO.d_h))
     memory = Tensor(rng.standard_normal((1, 20)))
-    out, weights = _attend(h, model.project_contexts(memory), model.decoder)
-    assert np.array_equal(weights.data, [1.0])
+    out, weights = attend(h, model.project_contexts(memory), model.decoder.attn_combine)
+    assert np.array_equal(weights, [1.0])
     proj = model.decoder.w_context.data @ memory.data[0]
     manual = np.tanh(model.decoder.attn_combine.data @ np.concatenate([h.data, proj]))
     assert np.allclose(out.data, manual, atol=1e-15)
@@ -229,8 +229,9 @@ def test_attention_identical_contexts_split_evenly():
     rng = np.random.default_rng(2)
     h = Tensor(rng.standard_normal(MICRO.d_h))
     c = rng.standard_normal(20)
-    _, weights = _attend(h, model.project_contexts(Tensor(np.stack([c, c]))), model.decoder)
-    assert np.allclose(weights.data, [0.5, 0.5], atol=1e-15)
+    _, weights = attend(h, model.project_contexts(Tensor(np.stack([c, c]))),
+                        model.decoder.attn_combine)
+    assert np.allclose(weights, [0.5, 0.5], atol=1e-15)
 
 
 def test_attention_weights_sum_to_one():
@@ -238,8 +239,8 @@ def test_attention_weights_sum_to_one():
     rng = np.random.default_rng(3)
     h = Tensor(rng.standard_normal(MICRO.d_h))
     memory = Tensor(rng.standard_normal((6, 20)))
-    _, weights = _attend(h, model.project_contexts(memory), model.decoder)
-    assert abs(weights.data.sum() - 1.0) <= 1e-12
+    _, weights = attend(h, model.project_contexts(memory), model.decoder.attn_combine)
+    assert abs(weights.sum() - 1.0) <= 1e-12
 
 
 def _per_row_memory(contexts, params):
@@ -756,13 +757,12 @@ def test_stacked_cell_draws_two_cells_in_turn():
     assert [n for n, _ in named_tensors(stacked, "x")] == ["x.w", "x.b"]
 
 
-@pytest.mark.parametrize("encoder, nodes", [("tpr", 11), ("lstm", 4)])
+@pytest.mark.parametrize("encoder, nodes", [("tpr", 5), ("lstm", 4)])
 def test_tape_nodes_per_encoder_position(encoder, nodes):
-    """One more token costs the binding encoder 11 tape nodes (the embedding, 3
-    for the stacked cell: its concat, its biased product and its gates, and 7
-    for the selections and the binding) and the LSTM encoder 4; the views (the
-    cell's ``h``/``c`` split, the ``h_f``/``h_r`` split and the flattened
-    binding) record none."""
+    """One more token costs the binding encoder 5 tape nodes (the embedding, 3
+    for the stacked cell: its concat, its biased product and its gates, and
+    one ``soft_bind`` for the selections and the binding) and the LSTM encoder
+    4; the cell's ``h``/``c`` split is a view and records none."""
     model = micro_model(variant=ModelVariant(encoder, "tpr"))
     counts = []
     for ids in ([1, 2, 3], [1, 2, 3, 4]):
@@ -774,18 +774,17 @@ def test_tape_nodes_per_encoder_position(encoder, nodes):
 
 @pytest.mark.parametrize("decoder", ["tpr", "lstm"])
 def test_tape_nodes_per_teacher_forced_decoder_step(decoder):
-    """One more target tuple costs either decoder 12 tape nodes at 2 argument
+    """One more target tuple costs either decoder 7 tape nodes at 2 argument
     positions: 3 embeddings, one concat of them with the state, the cell's
-    biased product and gates, and 6 for the attention; the cell's ``h``/``c``
-    split and the memory's transpose are views and record none, and the heads
-    score every step in one pass."""
+    biased product and gates, and one ``attend``; the cell's ``h``/``c`` split
+    is a view and records none, and the heads score every step in one pass."""
     model = micro_model(variant=ModelVariant("tpr", decoder))
     counts = []
     for steps in (2, 3):
         with GradientTape() as tape:
             teacher_forced_logits(model, [1, 2, 3], np.full((steps, 3), 4))
         counts.append(len(tape))
-    assert counts[1] - counts[0] == 12
+    assert counts[1] - counts[0] == 7
 
 
 @pytest.mark.parametrize("encoder,decoder", [("tpr", "tpr"), ("lstm", "lstm")])

@@ -25,6 +25,7 @@ from tpn2f.tensor import (
     Tensor,
     adam_step,
     add,
+    attend,
     backward,
     clip_gradients,
     concat,
@@ -38,6 +39,7 @@ from tpn2f.tensor import (
     reshape,
     scale,
     sigmoid,
+    soft_bind,
     softmax_with_temperature,
     split,
     stack_rows,
@@ -243,6 +245,114 @@ def test_matmul_bias_equals_a_separate_add_bit_for_bit(lead):
     assert nodes == separate_nodes - 1
 
 
+def _composed_soft_bind(h, w_filler_attn, w_role_attn, fillers, roles, temperature):
+    """Reference: the binding encoder's former step after its cell, seven tape nodes."""
+    h_f, h_r = split(h, 2)
+    a_f = softmax_with_temperature(matmul(w_filler_attn, h_f), temperature)
+    a_r = softmax_with_temperature(matmul(w_role_attn, h_r), temperature)
+    f, r = matmul(fillers, a_f), matmul(roles, a_r)
+    return flatten(outer_product(f, r), f.ndim - 1), a_f.data, a_r.data
+
+
+def _composed_attend(h, memory, combine, mask=None):
+    """Reference: the decoder's former attention and combining layer, six tape nodes."""
+    weights = softmax_with_temperature(contract_last(memory, h), 1.0, mask)
+    summary = contract_last(transpose(memory), weights)
+    return tanh(matmul(combine, concat([h, summary]))), weights.data
+
+
+def _fused_against_composed(op, leaf_arrays, step_inputs, prepare=lambda *leaves: leaves):
+    """Two steps of ``op`` on what ``prepare`` makes of the leaves, each step on
+    its own produced ``h``, under one weighted loss: the outputs, the op's
+    off-tape scores, every leaf's grad and the tape's node count."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in leaf_arrays]
+    xs = [Tensor(x.copy(), requires_grad=True) for x in step_inputs]
+    with GradientTape() as tape:
+        args = prepare(*leaves)
+        outs = [op(tanh(x), *args) for x in xs]
+        weights = Tensor(np.linspace(-1.0, 1.5, outs[0][0].size).reshape(outs[0][0].shape))
+        losses = [sum_all(mul(tanh(out), weights)) for out, *_ in outs]
+        backward(add(*losses))
+    values = [a for out, *scores in outs for a in (out.data, *scores)]
+    return values, [t.grad for t in leaves + xs], len(tape)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["vector", "rows"])
+def test_soft_bind_equals_the_composed_ops_bit_for_bit(lead):
+    """``soft_bind`` gives the binding, the scores and the grads of ``h`` and of
+    the four weights of the split, two attention softmaxes, two selections and
+    the flattened outer product, bit for bit, in one tape node instead of seven."""
+    rng = np.random.default_rng(29)
+    leaf_arrays = [rng.uniform(-1, 1, s) for s in ((7, 5), (6, 5), (4, 7), (3, 6))]
+    step_inputs = [rng.uniform(-2, 2, lead + (10,)) for _ in range(2)]
+    fused = _fused_against_composed(lambda h, *w: soft_bind(h, *w, 0.1), leaf_arrays, step_inputs)
+    composed = _fused_against_composed(lambda h, *w: _composed_soft_bind(h, *w, 0.1),
+                                       leaf_arrays, step_inputs)
+    for got, want in zip(fused[0] + fused[1], composed[0] + composed[1], strict=True):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert fused[0][0].shape == lead + (12,)
+    assert fused[2] == composed[2] - 2 * 6
+
+
+@pytest.mark.parametrize("lead, masked", [((), False), ((3,), False), ((3,), True)],
+                         ids=["vector", "rows", "rows_masked"])
+def test_attend_equals_the_composed_ops_bit_for_bit(lead, masked):
+    """``attend`` gives the combined state, the weights and the grads of ``h``,
+    of the memory (here produced, read by both steps) and of the combining
+    weight of the scores, masked softmax, summary, concat, product and tanh,
+    bit for bit, in one tape node instead of six."""
+    rng = np.random.default_rng(31)
+    leaf_arrays = [rng.uniform(-1, 1, s) for s in ((6, 5), lead + (4, 5), (6, 12))]
+    step_inputs = [rng.uniform(-2, 2, lead + (6,)) for _ in range(2)]
+    mask = np.array([[True, True, False, True], [False, True, False, False],
+                     [True] * 4]) if masked else None
+
+    def steps(attention):   # the memory projected once, as the model does
+        return _fused_against_composed(
+            lambda h, memory, combine: attention(h, memory, combine, mask), leaf_arrays,
+            step_inputs, lambda w_context, contexts, combine: (matmul(w_context, contexts), combine))
+
+    fused, composed = steps(attend), steps(_composed_attend)
+    for got, want in zip(fused[0] + fused[1], composed[0] + composed[1], strict=True):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    if masked:
+        assert not fused[0][1][~mask].any()
+    assert fused[2] == composed[2] - 2 * 5
+
+
+def test_fused_ops_reject_mismatched_extents():
+    h, w = Tensor(np.ones(10)), Tensor(np.ones((7, 5)))
+    with pytest.raises(ShapeError):
+        soft_bind(h, w, Tensor(np.ones((6, 4))), Tensor(np.ones((4, 7))), Tensor(np.ones((3, 6))), 0.1)
+    with pytest.raises(ShapeError):
+        soft_bind(h, w, Tensor(np.ones((6, 5))), Tensor(np.ones((4, 6))), Tensor(np.ones((3, 6))), 0.1)
+    with pytest.raises(ParameterError):
+        soft_bind(h, w, Tensor(np.ones((6, 5))), Tensor(np.ones((4, 7))), Tensor(np.ones((3, 6))), 0.0)
+    memory, combine = Tensor(np.ones((2, 4, 6))), Tensor(np.ones((6, 12)))
+    with pytest.raises(ShapeError):
+        attend(Tensor(np.ones((3, 6))), memory, combine)
+    with pytest.raises(ShapeError):
+        attend(Tensor(np.ones((2, 6))), memory, Tensor(np.ones((6, 11))))
+    with pytest.raises(ShapeError):
+        attend(Tensor(np.ones((2, 6))), memory, combine, np.ones((2, 3), bool))
+
+
+def test_ops_outside_a_tape_return_plain_float64_arrays():
+    """Without an active tape an op returns a tensor around a float64 ndarray
+    (never a numpy scalar) that asks for no grad and views nothing, even when
+    its inputs require grad."""
+    x = Tensor(np.linspace(-1, 1, 10), requires_grad=True)
+    w = Tensor(np.ones((7, 5)), requires_grad=True)
+    outs = [matmul(w, split(x, 2)[0]), tanh(x), softmax_with_temperature(x, 0.5),
+            contract_last(x, x), sum_all(x), cross_entropy(x, 3),
+            soft_bind(x, w, Tensor(np.ones((6, 5))), Tensor(np.ones((4, 7))),
+                      Tensor(np.ones((3, 6))), 0.1)[0],
+            attend(Tensor(np.ones(5)), Tensor(np.ones((3, 5))), Tensor(np.ones((5, 10)), True))[0]]
+    for out in outs:
+        assert type(out.data) is np.ndarray and out.data.dtype == np.float64
+        assert not out.requires_grad and out.grad is None and out.source is None
+
+
 def test_cross_entropy_examples():
     assert cross_entropy(Tensor([100.0, 0.0]), 0).item() == pytest.approx(0.0, abs=1e-12)
     assert cross_entropy(Tensor([0.3, 0.3, 0.3, 0.3]), 2).item() == pytest.approx(
@@ -384,6 +494,7 @@ def test_tape_determinism():
     "contract_rows4",
     "softmax_masked", "cross_entropy_rows", "embed_ids", "concat_split_rows", "stack_rows3",
     "transpose_rows", "split_of_piece", "reshape_transpose_of_piece", "view_two_consumers",
+    "soft_bind", "soft_bind_rows", "attend", "attend_rows", "attend_masked",
 ])
 def test_gradient_check_all_ops(name):
     """Central differences (h=1e-5) vs backward(): relative error < 1e-4."""
@@ -426,6 +537,11 @@ def test_gradient_check_all_ops(name):
         "split_of_piece": [(8,)],
         "reshape_transpose_of_piece": [(3, 8)],
         "view_two_consumers": [(3, 4), (3,)],
+        "soft_bind": [(6,), (4, 3), (5, 3), (2, 4), (3, 5)],
+        "soft_bind_rows": [(2, 6), (4, 3), (5, 3), (2, 4), (3, 5)],
+        "attend": [(3,), (4, 3), (2, 6)],
+        "attend_rows": [(2, 3), (2, 4, 3), (2, 6)],
+        "attend_masked": [(2, 3), (2, 4, 3), (2, 6)],
     }[name]]
     weights = Tensor(rng.uniform(-1, 1, (3, 5)))
     mask = np.array([[True, False, True, True, False], [True] * 5, [False, False, True, False, False]])
@@ -518,6 +634,11 @@ def test_gradient_check_all_ops(name):
         if name == "view_two_consumers":
             v = transpose(tanh(xs[0]))
             return sum_all(tanh(add(matmul(v, xs[1]), contract_last(v, xs[1]))))
+        if name in ("soft_bind", "soft_bind_rows"):
+            return sum_all(tanh(soft_bind(*xs, 0.4)[0]))
+        if name in ("attend", "attend_rows", "attend_masked"):   # a row with one kept entry
+            keep = np.array([[True, False, True, True], [False, False, True, False]])
+            return sum_all(tanh(attend(*xs, keep if name == "attend_masked" else None)[0]))
         raise AssertionError(name)
 
     with GradientTape():

@@ -44,6 +44,7 @@ from tpn2f.training import (
     encode_sample,
     encode_samples,
     greedy_decode,
+    greedy_decode_with_vectors,
     load_checkpoint,
     lockstep_targets,
     mathqa_preset,
@@ -697,6 +698,33 @@ def test_greedy_argmax_shift_invariance():
     base = greedy_decode(model, enc.token_ids, 4)
     shifted = greedy_decode(Shifted(model, 7.5), enc.token_ids, 4)
     assert base == shifted
+
+
+def test_greedy_relation_vectors_are_each_steps_own_unbinding_vector():
+    """Each emitted step keeps its own array, equal to the relation unbinding
+    vector its head gave: a later step writes into none of them."""
+    cfg, samples, vocab, model, _ = micro_setup()
+    eos = vocab.relation_id("EOS")
+    heads = []
+
+    class NoEos:   # the model's own steps, with EOS never the argmax
+        def __init__(self, inner):
+            self.vocab, self.dims = inner.vocab, inner.dims
+            self.encode, self.initial_decoder_state = inner.encode, inner.initial_decoder_state
+            self.project_contexts, self.decode_step = inner.project_contexts, inner.decode_step
+            self.inner = inner
+
+        def head_logits(self, hidden):
+            rel, args, r = self.inner.head_logits(hidden)
+            heads.append(r.data.copy())
+            rel.data[eos] = -np.inf
+            return rel, args, r
+
+    ids = vocab.encode_text(samples[0].text)
+    tuples, vectors = greedy_decode_with_vectors(NoEos(model), ids, 3)
+    assert len(tuples) == len(vectors) == len(heads) == 3
+    assert not any(np.shares_memory(a, b) for k, a in enumerate(vectors) for b in vectors[k + 1:])
+    assert all(np.array_equal(v, h) for v, h in zip(vectors, heads))
 
 
 def test_greedy_rejects_bad_max_len():
