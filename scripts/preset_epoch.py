@@ -24,8 +24,10 @@ The phases are timed from outside ``src/``, by wrapping functions of the
 ``clip_gradients``, ``optimizer`` is ``adam_step``, ``eval`` is
 ``operation_accuracy`` and ``epoch`` is ``train_epoch``.  ``step`` is the
 epoch without its eval, and ``step_ms_per_sample`` is ``step`` over the
-problems.  Peak RSS is the run's ``ru_maxrss``.  The file holds every run and,
-per tree, the median and quartiles of each figure.
+problems.  ``first_chunk_tape_nodes`` is the node count of the epoch's first
+gradient tape, its first chunk of rows, read through a wrapped
+``training.GradientTape``.  Peak RSS is the run's ``ru_maxrss``.  The file
+holds every run and, per tree, the median and quartiles of each figure.
 """
 
 from __future__ import annotations
@@ -86,6 +88,15 @@ def run_epoch(problems: int, batch_size: int) -> dict:
 
     for phase, name in PHASES.items():
         setattr(training, name, timed(phase, getattr(training, name)))
+    tapes, new_tape = [], training.GradientTape
+
+    def first_tape():   # keeps the epoch's first tape, its first chunk, for its node count
+        tape = new_tape()
+        if not tapes:
+            tapes.append(tape)
+        return tape
+
+    training.GradientTape = first_tape
     history = training.train(model, samples, cfg)
     seconds["step"] = seconds["epoch"] - seconds["eval"]
     return {
@@ -95,6 +106,7 @@ def run_epoch(problems: int, batch_size: int) -> dict:
         "setup_s": setup_s,
         "phases_s": seconds,
         "calls": calls,
+        "first_chunk_tape_nodes": len(tapes[0]),
         "step_ms_per_sample": 1000.0 * seconds["step"] / problems,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "mean_loss": history[0].mean_loss,
@@ -118,7 +130,8 @@ def run_tree(copy: Path, problems: int, batch_size: int) -> dict:
 
 def _figures(run: dict) -> dict[str, float]:
     out = {f"{phase}_s": value for phase, value in run["phases_s"].items()}
-    out.update({k: run[k] for k in ("setup_s", "step_ms_per_sample", "peak_rss_mb")})
+    out.update({k: run[k] for k in ("setup_s", "step_ms_per_sample", "peak_rss_mb",
+                                    "first_chunk_tape_nodes")})
     out.update({f"projected_{phase}_s": v for phase, v in run["projected_epoch_s"].items()})
     return out
 
@@ -153,7 +166,8 @@ def main(argv=None) -> int:
                 run = run_tree(copy, args.problems, args.batch_size)
                 runs[name].append(run)
                 print(f"repeat {k} {name:<10} step {run['step_ms_per_sample']:.1f} ms/sample  "
-                      f"peak RSS {run['peak_rss_mb']:.0f} MB", flush=True)
+                      f"peak RSS {run['peak_rss_mb']:.0f} MB  "
+                      f"first chunk {run['first_chunk_tape_nodes']} tape nodes", flush=True)
     report = {
         "label": args.label,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),

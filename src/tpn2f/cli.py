@@ -197,9 +197,9 @@ def cmd_eval(args) -> int:
         options=[s.options for s in golds],
     )
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    print(text)
-    if args.out:
+    if args.out:   # before the print, which a closed stdout ends
         Path(args.out).write_text(text + "\n", encoding="utf-8")
+    print(text)
     return 0
 
 
@@ -369,6 +369,11 @@ def dispatch(argv=None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (0, None) else 1
+    except BrokenPipeError:  # stdout closed early, as by ``| head``: exit 1, as Python does
+        devnull = os.open(os.devnull, os.O_WRONLY)   # so the flush at exit cannot raise again
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except Exception as exc:  # noqa: BLE001 - report, don't crash with a traceback
         log.exception("internal error")
         print(f"internal error: {exc}", file=sys.stderr)

@@ -617,11 +617,11 @@ class MetricReport:
     given numbers, ``acc`` and ``p50_acc`` over the ``n_tests`` samples with a
     non-empty test suite; a rate is None when no sample supports it."""
 
-    op_acc: float
+    op_acc: float | None
     exec_acc: float | None
     acc: float | None
     p50_acc: float | None
-    m_acc: float
+    m_acc: float | None
     n: int
     n_exec: int
     n_tests: int
@@ -661,7 +661,8 @@ def evaluate_metrics(predictions: Sequence[Sequence[RelationalTuple]],
                      options: Sequence[Sequence[float] | None] | None = None) -> MetricReport:
     """Exact-match, execution, and test-suite pass rates over aligned programs.
 
-    - op_acc: exact tuple-sequence match rate; m_acc is AlgoLisp's name for it
+    - op_acc: exact tuple-sequence match rate; m_acc is AlgoLisp's name for it;
+      None when there are no samples
     - exec_acc: executed-answer match (nearest option when options are given;
       identical programs short-circuit to a match), over the samples whose
       ``envs`` entry is not None; None when no sample has numbers
@@ -675,7 +676,7 @@ def evaluate_metrics(predictions: Sequence[Sequence[RelationalTuple]],
         if extra is not None and len(extra) != n:
             raise ValueError(f"{name} has length {len(extra)}, expected {n}")
     if n == 0:
-        return MetricReport(0.0, None, None, None, 0.0, 0, 0, 0)
+        return MetricReport(None, None, None, None, None, 0, 0, 0)
 
     exact = executed = exec_ok = suites = full = half = 0
     for i in range(n):

@@ -36,8 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import Vocabularies
-# ``mul``, ``outer_product``, ``sigmoid`` and ``softmax_with_temperature`` are unused here
-# but stay importable: ``perfbench/tracer.py`` counts the ``MODEL_OPS`` it reads from this module.
+# ``concat``, ``mul``, ``outer_product``, ``sigmoid`` and ``softmax_with_temperature`` are unused
+# here but stay importable: ``perfbench/tracer.py`` counts the ``MODEL_OPS`` it reads from this module.
 from .tensor import (  # noqa: F401
     ShapeError,
     Tensor,
@@ -47,7 +47,7 @@ from .tensor import (  # noqa: F401
     contract_last,
     embedding_row,
     flatten,
-    lstm_gates,
+    lstm_cell,
     matmul,
     mul,
     outer_product,
@@ -55,7 +55,6 @@ from .tensor import (  # noqa: F401
     sigmoid,
     soft_bind,
     softmax_with_temperature,
-    split,
     stack_rows,
     tanh,
     transpose,
@@ -269,15 +268,6 @@ class LstmParams:
         return cls(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True), cells)
 
 
-def lstm_cell(p: LstmParams, x_parts: Sequence[Tensor], h_prev: Tensor, c_prev: Tensor
-              ) -> tuple[Tensor, Tensor]:
-    """One step: the input parts and ``h_prev`` joined by one concat, all four
-    gate pre-activations from one biased matrix-vector product, and the gates'
-    update of ``(h, c)`` as one op."""
-    h, c = split(lstm_gates(matmul(p.w, concat([*x_parts, h_prev]), p.b), c_prev), 2)
-    return h, c
-
-
 # ---------------------------------------------------------------------------
 # encoders
 
@@ -356,7 +346,8 @@ def encoder_step(token_id, prev: Tensor, cell: Tensor,
     binding ``flatten(f (x) r)`` (``tensor.soft_bind``) and the cell state
     ``[c_f | c_r]``; for the LSTM encoder it is ``h``, with no scores.  Token
     ids of B rows with ``(B, ...)`` states step at once."""
-    h, cell = lstm_cell(params.lstm, [_embed(params.embed, token_id, "token")], prev, cell)
+    h, cell = lstm_cell(params.lstm.w, params.lstm.b,
+                        [_embed(params.embed, token_id, "token"), prev], cell)
     if isinstance(params, LstmEncoderParams):
         return h, cell, None
     binding, a_f, a_r = soft_bind(h, params.w_filler_attn, params.w_role_attn, params.fillers,
@@ -570,8 +561,8 @@ class Tpn2fModel:
         """One tuple-LSTM step: embed the previous tuple, recur, attend over the
         memory rows ``mask`` keeps (all of them when it is None) and combine
         (``tensor.attend``)."""
-        x = _embed_tuple(prev_ids, self.decoder)
-        h_in, cell = lstm_cell(self.decoder.lstm, x, hidden, cell)
+        lstm, x = self.decoder.lstm, _embed_tuple(prev_ids, self.decoder)
+        h_in, cell = lstm_cell(lstm.w, lstm.b, [*x, hidden], cell)
         hidden, _ = attend(h_in, projected, self.decoder.attn_combine, mask)
         return hidden, cell
 

@@ -2,19 +2,19 @@
 
 Everything downstream (the encoder-decoder, the training loop, the gradient
 checks) is built on the small op set in this module.  Arrays are row-major
-float64 throughout; views (``split``, ``reshape``, ``transpose``) record no tape node.
+float64 throughout; views (``reshape``, ``flatten``, ``transpose``) record no tape node.
 
 Activations keep their features on the last axis under optional leading row
 axes: one sample's vector is ``(d,)`` and a minibatch run in lockstep holds
 one row per sample, ``(B, d)``.  Every op treats each row alike, so one model
 code path serves a sample and a minibatch.
 
-One gradient is formed late: ``matmul(W, X)`` with a leaf ``W`` (a parameter:
-no tape node produced it and it views nothing) hands ``backward`` the factors
-``G`` and ``X`` of its grad ``G^T X`` instead of the product.  ``backward``
-stacks each leaf's factor rows, B x T of them over B rows and T steps of a
-recurrence, and forms its grad with one GEMM after the reverse sweep, instead
-of one product and one full-size add per step.
+One gradient is formed late: ``matmul(W, X)`` or ``lstm_cell`` with a leaf
+``W`` (a parameter: no tape node produced it and it views nothing) hands
+``backward`` the factors ``G`` and ``X`` of its grad ``G^T X`` instead of the
+product.  ``backward`` stacks each leaf's factor rows, B x T of them over B
+rows and T steps of a recurrence, and forms its grad with one GEMM after the
+reverse sweep, instead of one product and one full-size add per step.
 """
 
 from __future__ import annotations
@@ -123,8 +123,9 @@ class GradientTape:
     """
 
     def __init__(self):
-        # A replayed node is set to None, so ``len`` still counts every node recorded.
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable] | None] = []
+        # ``(out, inputs, backward_fn)`` per node, ``out`` a tuple for an op with several
+        # outputs; a replayed node is set to None, so ``len`` still counts every node recorded.
+        self._nodes: list[tuple | None] = []
         self._replayed = False
 
     def __enter__(self) -> "GradientTape":
@@ -156,12 +157,15 @@ def _taping(inputs: Sequence[Tensor]) -> bool:
     return False
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
+def _record(out, inputs: tuple[Tensor, ...], backward_fn: Callable):
+    """Record an op whose output ``out`` is a Tensor, or a tuple of Tensors whose
+    grads ``backward_fn`` then takes as a tuple, in the same order."""
     tape = _ACTIVE_TAPE
     if tape is not None:
         for t in inputs:
             if t.requires_grad:
-                out.requires_grad = True
+                for o in out if type(out) is tuple else (out,):
+                    o.requires_grad = True
                 tape._nodes.append((out, inputs, backward_fn))
                 break
     return out
@@ -203,7 +207,9 @@ def backward(loss: Tensor) -> None:
 
     Leaf grads accumulate additively across uses and across calls; clearing
     is the optimizer's job.  A produced tensor's grad is dropped once its node
-    has been replayed, so the sweep holds only grads still to be passed on.
+    has been replayed, so the sweep holds only grads still to be passed on.  A
+    node with several outputs (``lstm_cell``'s ``h`` and ``c``) is replayed when
+    any of them has a grad, and an output with none passes zeros.
     The factors ``matmul(W, X)`` sends to a leaf ``W`` are kept during the
     reverse sweep and added to ``W.grad`` after it as one ``G^T X`` product
     over the stacked rows of every step; all other grads, including those of
@@ -225,16 +231,24 @@ def backward(loss: Tensor) -> None:
         raise TapeError("backward() has already replayed this tape; record a new one")
     tape._replayed = True
     nodes = tape._nodes
-    produced = {id(out) for out, _, _ in nodes}   # ids: the tensors go during the sweep
+    # ids: the tensors go during the sweep
+    produced = {id(o) for out, _, _ in nodes for o in (out if type(out) is tuple else (out,))}
     deferred: dict[Tensor, list[_OuterFactors]] = {}
     _accumulate(loss, np.ones_like(loss.data))
     for k in range(len(nodes) - 1, -1, -1):
         out, inputs, backward_fn = nodes[k]
         nodes[k] = None
-        g = out.grad
-        if g is None:
-            continue
-        out.grad = None
+        if type(out) is tuple:   # several outputs: one without a grad sends zeros
+            if all(o.grad is None for o in out):
+                continue
+            g = tuple(np.zeros(o.shape) if o.grad is None else o.grad for o in out)
+            for o in out:
+                o.grad = None
+        else:
+            g = out.grad
+            if g is None:
+                continue
+            out.grad = None
         for t, gt in zip(inputs, backward_fn(g)):
             if type(gt) is _OuterFactors:
                 if not t.requires_grad:
@@ -388,37 +402,49 @@ def tanh(t: Tensor) -> Tensor:
     return _record(out, (t,), bw)
 
 
-def lstm_gates(z: Tensor, c_prev: Tensor) -> Tensor:
-    """An LSTM cell's update as one op: from the gate pre-activations
-    ``z = [f | g | i | o]`` and the cell state ``c_prev``, ``[h | c]`` with
-    c = sigmoid(f) c_prev + sigmoid(i) tanh(g) and h = sigmoid(o) tanh(c)."""
-    n = c_prev.shape[-1]
-    if z.shape != c_prev.shape[:-1] + (4 * n,):
-        raise ShapeError(f"lstm_gates needs 4H gates for state {c_prev.shape}, got {z.shape}")
-    zd, cd = z.data, c_prev.data
-    s = _sigmoid(zd)   # f, i and o; the g block is taken through tanh instead
+def lstm_cell(w: Tensor, b: Tensor, parts: Sequence[Tensor], c_prev: Tensor
+              ) -> tuple[Tensor, Tensor]:
+    """An LSTM cell's step as one op with two outputs, ``h`` and ``c``.  ``parts``
+    (the step's inputs, then the recurrent vector) are joined as ``x``, the gate
+    pre-activations ``z = [f | g | i | o]`` are ``w`` times ``x`` plus ``b``, and
+    c = sigmoid(f) c_prev + sigmoid(i) tanh(g) and h = sigmoid(o) tanh(c).  Its
+    backward sends ``w`` the factors of its grad, as ``matmul`` does."""
+    try:
+        x = np.concatenate([p.data for p in parts], axis=-1)
+    except ValueError as exc:   # no parts, a 0-d part or unequal leading axes
+        raise RankError(f"lstm_cell expects vectors or equal rows: {exc}") from None
+    wd, cd = w.data, c_prev.data
+    n = wd.shape[0] // 4 if wd.ndim == 2 else -1
+    if not (wd.shape == (4 * n, x.shape[-1]) and b.shape == (4 * n,)
+            and cd.shape == x.shape[:-1] + (n,)):
+        raise ShapeError(f"lstm_cell extents differ: w {wd.shape}, b {b.shape}, "
+                         f"x {x.shape}, c_prev {cd.shape}")
+    z = x @ wd.T   # for a vector, bit-identical to wd @ x
+    z += b.data
+    s = _sigmoid(z)   # f, i and o; the g block is taken through tanh instead
     f, i, o = s[..., :n], s[..., 2 * n:3 * n], s[..., 3 * n:]
-    g = np.tanh(zd[..., n:2 * n])
-    hc = np.empty(cd.shape[:-1] + (2 * n,))
-    c = np.multiply(f, cd, out=hc[..., n:])
+    g = np.tanh(z[..., n:2 * n])
+    c = f * cd
     c += i * g
     tc = np.tanh(c)
-    np.multiply(o, tc, out=hc[..., :n])
-    out = _new(hc)
-    if not _taping((z, c_prev)):
-        return out
+    h, c = _new(o * tc), _new(c)
+    inputs = (w, b, *parts, c_prev)
+    if not _taping(inputs):
+        return h, c
 
-    def bw(grad):
-        gh = grad[..., :n]
-        gc = grad[..., n:] + gh * o * (1.0 - tc * tc)
-        gz = s * (1.0 - s)   # sigmoid' on every block; the g block is overwritten
-        gz[..., :n] *= gc * cd
-        gz[..., n:2 * n] = gc * i * (1.0 - g * g)
-        gz[..., 2 * n:3 * n] *= gc * g
-        gz[..., 3 * n:] *= gh * tc
-        return gz, gc * f
+    def bw(grads):
+        g_h, g_c = grads
+        g_c = g_c + g_h * o * (1.0 - tc * tc)
+        g_z = s * (1.0 - s)   # sigmoid' on every block; the g block is overwritten
+        g_z[..., :n] *= g_c * cd
+        g_z[..., n:2 * n] = g_c * i * (1.0 - g * g)
+        g_z[..., 2 * n:3 * n] *= g_c * g
+        g_z[..., 3 * n:] *= g_h * tc
+        rows, ends = g_z.reshape(-1, 4 * n), np.cumsum([p.shape[-1] for p in parts[:-1]])
+        return (_OuterFactors(rows, x.reshape(-1, x.shape[-1])), rows.sum(axis=0),
+                *np.split(g_z @ wd, ends, axis=-1), g_c * f)
 
-    return _record(out, (z, c_prev), bw)
+    return _record((h, c), inputs, bw)
 
 
 def soft_bind(h: Tensor, w_filler_attn: Tensor, w_role_attn: Tensor, fillers: Tensor,
@@ -567,27 +593,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
         return grads
 
     return _record(out, tuple(parts), bw)
-
-
-def split(t: Tensor, n: int) -> list[Tensor]:
-    """The ``n`` equal consecutive pieces of the last axis, each a view of ``t``
-    whose grad is scattered into a zero array the shape of ``t``."""
-    if t.ndim < 1:
-        raise RankError(f"split expects a vector or rows, got {t.shape}")
-    total = t.shape[-1]
-    if n < 1 or total % n:
-        raise ShapeError(f"cannot split {total} entries into {n} equal pieces")
-    shape = t.shape
-    size = total // n
-    pieces = []
-    for lo in range(0, total, size):
-        def scatter(g, lo=lo):
-            gt = np.zeros(shape)
-            gt[..., lo:lo + size] = g
-            return gt
-
-        pieces.append(_view(t, t.data[..., lo:lo + size], scatter))
-    return pieces
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:

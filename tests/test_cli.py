@@ -145,6 +145,42 @@ def test_eval_scores_each_metric_over_the_records_that_carry_its_data(capsys, tm
         "n_exec": 1, "n_tests": 1}
 
 
+def test_eval_of_empty_files_reports_null_rates(capsys, tmp_path):
+    """With no record, no rate has a sample: op_acc and m_acc once read 0.0."""
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text("")
+    pred.write_text("")
+    assert dispatch(["eval", "--pred", str(pred), "--gold", str(gold)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "op_acc": None, "exec_acc": None, "acc": None, "p50_acc": None, "m_acc": None, "n": 0,
+        "n_exec": 0, "n_tests": 0}
+
+
+def test_eval_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    """``eval ... | head -2`` once exited 2 with a traceback and ``internal
+    error: [Errno 32] Broken pipe``; a closed stdout now ends the run with exit
+    1, as Python's own EPIPE handling does, and nothing on stderr; the
+    ``--out`` report, once never written, is written before the print."""
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({"id": "r0", "text": "2 plus 3", "program": "(add,n0,n1)"}) + "\n")
+    pred.write_text(json.dumps({"id": "r0", "program": [["add", "n0", "n1"]]}) + "\n")
+    src = str(Path(tpn2f.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)   # closed before the run writes: every write to stdout fails
+    try:
+        done = subprocess.run([sys.executable, "-m", "tpn2f.cli", "eval", "--pred", str(pred),
+                               "--gold", str(gold), "--out", str(tmp_path / "report.json")],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""
+    assert json.loads((tmp_path / "report.json").read_text())["op_acc"] == 1.0
+
+
 def test_missing_config_file_exits_1(capsys, tmp_path):
     code = dispatch(["train", "--config", "missing.cfg",
                      "--data", str(tmp_path / "x.jsonl"), "--out", str(tmp_path)])

@@ -21,7 +21,6 @@ from tpn2f.model import (
     build_model,
     encode_sequence,
     encoder_step,
-    lstm_cell,
     named_tensors,
     reasoning_map,
     unbinding_module,
@@ -32,6 +31,7 @@ from tpn2f.tensor import (
     add,
     attend,
     backward,
+    lstm_cell,
     matmul,
     mul,
     sigmoid,
@@ -689,7 +689,7 @@ def test_fused_cell_matches_four_gate_maths(in_dim, hidden):
             backward(add(sum_all(mul(h, Tensor(weights_h))), sum_all(mul(c, Tensor(weights_c)))))
         return h.data, c.data, [x.grad for x in xs]
 
-    fused = run(lambda x, h, c: lstm_cell(cell, [x], h, c))
+    fused = run(lambda x, h, c: lstm_cell(cell.w, cell.b, [x, h], c))
     old = run(lambda x, h, c: _four_gate_cell(gates, x, h, c))
     pairs = [(fused[0], old[0]), (fused[1], old[1])] + list(zip(fused[2], old[2]))
     for n in GATE_NAMES:
@@ -736,7 +736,7 @@ def test_stacked_cell_is_the_two_cell_maths(lead):
     cell = LstmParams.random(rng, 8, 6, cells=2)
     x, prev = rng.uniform(-1, 1, lead + (8,)), rng.uniform(-1, 1, lead + (6,))
     cells = rng.uniform(-1, 1, lead + (12,))
-    h, c = lstm_cell(cell, [Tensor(x)], Tensor(prev), Tensor(cells))
+    h, c = lstm_cell(cell.w, cell.b, [Tensor(x), Tensor(prev)], Tensor(cells))
     for j, part in enumerate(_unstacked(cell)):
         gates = {n: Tensor(getattr(part, n)) for n in GATE_NAMES}
         own = slice(j * 6, (j + 1) * 6)
@@ -757,12 +757,12 @@ def test_stacked_cell_draws_two_cells_in_turn():
     assert [n for n, _ in named_tensors(stacked, "x")] == ["x.w", "x.b"]
 
 
-@pytest.mark.parametrize("encoder, nodes", [("tpr", 5), ("lstm", 4)])
+@pytest.mark.parametrize("encoder, nodes", [("tpr", 3), ("lstm", 2)])
 def test_tape_nodes_per_encoder_position(encoder, nodes):
-    """One more token costs the binding encoder 5 tape nodes (the embedding, 3
-    for the stacked cell: its concat, its biased product and its gates, and
-    one ``soft_bind`` for the selections and the binding) and the LSTM encoder
-    4; the cell's ``h``/``c`` split is a view and records none."""
+    """One more token costs the binding encoder 3 tape nodes (the embedding,
+    one ``lstm_cell`` for the stacked cell, whose ``h`` and ``c`` are its two
+    outputs, and one ``soft_bind`` for the selections and the binding) and the
+    LSTM encoder 2."""
     model = micro_model(variant=ModelVariant(encoder, "tpr"))
     counts = []
     for ids in ([1, 2, 3], [1, 2, 3, 4]):
@@ -774,17 +774,17 @@ def test_tape_nodes_per_encoder_position(encoder, nodes):
 
 @pytest.mark.parametrize("decoder", ["tpr", "lstm"])
 def test_tape_nodes_per_teacher_forced_decoder_step(decoder):
-    """One more target tuple costs either decoder 7 tape nodes at 2 argument
-    positions: 3 embeddings, one concat of them with the state, the cell's
-    biased product and gates, and one ``attend``; the cell's ``h``/``c`` split
-    is a view and records none, and the heads score every step in one pass."""
+    """One more target tuple costs either decoder 5 tape nodes at 2 argument
+    positions: 3 embeddings, one ``lstm_cell`` that joins them with the state
+    and returns ``h`` and ``c``, and one ``attend``; the heads score every step
+    in one pass."""
     model = micro_model(variant=ModelVariant("tpr", decoder))
     counts = []
     for steps in (2, 3):
         with GradientTape() as tape:
             teacher_forced_logits(model, [1, 2, 3], np.full((steps, 3), 4))
         counts.append(len(tape))
-    assert counts[1] - counts[0] == 7
+    assert counts[1] - counts[0] == 5
 
 
 @pytest.mark.parametrize("encoder,decoder", [("tpr", "tpr"), ("lstm", "lstm")])

@@ -12,8 +12,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_a_short_preset_epoch_writes_its_phases_and_peak_rss(tmp_path):
     """A batch of ``CHUNK_ROWS + 4`` problems trains as two chunks, so two
-    forward and backward calls and one Adam step; every phase takes time and the
-    file states the tree's figures and their medians."""
+    forward and backward calls and one Adam step; every phase takes time, the
+    first chunk's tape records 215 nodes (327 when each LSTM step was four ops)
+    and the file states the tree's figures and their medians."""
     n = CHUNK_ROWS + 4
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "preset_epoch.py"), "--label", "smoke",
@@ -27,8 +28,8 @@ def test_a_short_preset_epoch_writes_its_phases_and_peak_rss(tmp_path):
     assert tree.keys() == {"commit", "summary", "runs"}
     (run,) = tree["runs"]
     assert run.keys() == {"problems", "batch_size", "chunk_rows", "params", "setup_s",
-                          "phases_s", "calls", "step_ms_per_sample", "peak_rss_mb",
-                          "mean_loss", "projected_epoch_s"}
+                          "phases_s", "calls", "first_chunk_tape_nodes", "step_ms_per_sample",
+                          "peak_rss_mb", "mean_loss", "projected_epoch_s"}
     assert (run["problems"], run["batch_size"], run["chunk_rows"]) == (n, n, CHUNK_ROWS)
     assert run["calls"] == {"forward": 2, "backward": 2, "clip": 1, "optimizer": 1,
                             "eval": 1, "epoch": 1}
@@ -36,6 +37,8 @@ def test_a_short_preset_epoch_writes_its_phases_and_peak_rss(tmp_path):
                                       "epoch", "step"}
     assert all(seconds > 0 for seconds in run["phases_s"].values())
     assert run["peak_rss_mb"] > 0 and run["step_ms_per_sample"] > 0
+    assert run["first_chunk_tape_nodes"] == 215
     assert run["params"] > 10_000_000
     assert tree["summary"]["peak_rss_mb"]["median"] == run["peak_rss_mb"]
+    assert tree["summary"]["first_chunk_tape_nodes"]["median"] == run["first_chunk_tape_nodes"]
     assert tree["summary"]["projected_epoch_s"]["n"] == 1

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import tpn2f.model as model_mod
 import tpn2f.tensor as tensor_mod
 from tpn2f.data import build_vocabularies, preprocess_samples
-from tpn2f.model import build_model
+from tpn2f.model import LstmParams, build_model
 from tpn2f.synthetic import make_micro_dataset, micro_config
 from tpn2f.tensor import (
     AdamState,
@@ -33,6 +33,7 @@ from tpn2f.tensor import (
     cross_entropy,
     embedding_row,
     flatten,
+    lstm_cell,
     matmul,
     mul,
     outer_product,
@@ -41,7 +42,6 @@ from tpn2f.tensor import (
     sigmoid,
     soft_bind,
     softmax_with_temperature,
-    split,
     stack_rows,
     sum_all,
     tanh,
@@ -245,9 +245,9 @@ def test_matmul_bias_equals_a_separate_add_bit_for_bit(lead):
     assert nodes == separate_nodes - 1
 
 
-def _composed_soft_bind(h, w_filler_attn, w_role_attn, fillers, roles, temperature):
-    """Reference: the binding encoder's former step after its cell, seven tape nodes."""
-    h_f, h_r = split(h, 2)
+def _composed_soft_bind(h_f, h_r, w_filler_attn, w_role_attn, fillers, roles, temperature):
+    """Reference: the binding encoder's former step after its cell, seven tape nodes,
+    from the two halves of ``h``."""
     a_f = softmax_with_temperature(matmul(w_filler_attn, h_f), temperature)
     a_r = softmax_with_temperature(matmul(w_role_attn, h_r), temperature)
     f, r = matmul(fillers, a_f), matmul(roles, a_r)
@@ -261,37 +261,43 @@ def _composed_attend(h, memory, combine, mask=None):
     return tanh(matmul(combine, concat([h, summary]))), weights.data
 
 
-def _fused_against_composed(op, leaf_arrays, step_inputs, prepare=lambda *leaves: leaves):
+def _fused_against_composed(op, leaf_arrays, step_inputs, prepare=lambda *leaves: leaves,
+                            pieces=1):
     """Two steps of ``op`` on what ``prepare`` makes of the leaves, each step on
-    its own produced ``h``, under one weighted loss: the outputs, the op's
-    off-tape scores, every leaf's grad and the tape's node count."""
+    its own produced ``h`` (given as ``pieces`` equal leaves, each through its own
+    tanh), under one weighted loss: the outputs, the op's off-tape scores, every
+    leaf's grad (a step's pieces' joined) and the tape's node count."""
     leaves = [Tensor(a.copy(), requires_grad=True) for a in leaf_arrays]
-    xs = [Tensor(x.copy(), requires_grad=True) for x in step_inputs]
+    steps = [[Tensor(p.copy(), requires_grad=True) for p in np.split(x, pieces, axis=-1)]
+             for x in step_inputs]
     with GradientTape() as tape:
         args = prepare(*leaves)
-        outs = [op(tanh(x), *args) for x in xs]
+        outs = [op(*map(tanh, step), *args) for step in steps]
         weights = Tensor(np.linspace(-1.0, 1.5, outs[0][0].size).reshape(outs[0][0].shape))
         losses = [sum_all(mul(tanh(out), weights)) for out, *_ in outs]
         backward(add(*losses))
     values = [a for out, *scores in outs for a in (out.data, *scores)]
-    return values, [t.grad for t in leaves + xs], len(tape)
+    grads = [t.grad for t in leaves] + [np.concatenate([p.grad for p in step], axis=-1)
+                                        for step in steps]
+    return values, grads, len(tape)
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["vector", "rows"])
 def test_soft_bind_equals_the_composed_ops_bit_for_bit(lead):
     """``soft_bind`` gives the binding, the scores and the grads of ``h`` and of
-    the four weights of the split, two attention softmaxes, two selections and
-    the flattened outer product, bit for bit, in one tape node instead of seven."""
+    the four weights of two attention softmaxes, two selections and the
+    flattened outer product on ``h``'s halves, bit for bit, in one tape node
+    instead of seven (the halves take a tanh each, one node more per step)."""
     rng = np.random.default_rng(29)
     leaf_arrays = [rng.uniform(-1, 1, s) for s in ((7, 5), (6, 5), (4, 7), (3, 6))]
     step_inputs = [rng.uniform(-2, 2, lead + (10,)) for _ in range(2)]
     fused = _fused_against_composed(lambda h, *w: soft_bind(h, *w, 0.1), leaf_arrays, step_inputs)
-    composed = _fused_against_composed(lambda h, *w: _composed_soft_bind(h, *w, 0.1),
-                                       leaf_arrays, step_inputs)
+    composed = _fused_against_composed(lambda *h_w: _composed_soft_bind(*h_w, 0.1),
+                                       leaf_arrays, step_inputs, pieces=2)
     for got, want in zip(fused[0] + fused[1], composed[0] + composed[1], strict=True):
         assert got.shape == want.shape and np.array_equal(got, want)
     assert fused[0][0].shape == lead + (12,)
-    assert fused[2] == composed[2] - 2 * 6
+    assert fused[2] == composed[2] - 2 * (6 + 1)
 
 
 @pytest.mark.parametrize("lead, masked", [((), False), ((3,), False), ((3,), True)],
@@ -320,6 +326,129 @@ def test_attend_equals_the_composed_ops_bit_for_bit(lead, masked):
     assert fused[2] == composed[2] - 2 * 5
 
 
+def _former_cell_step(w, b, parts, c_prev):
+    """The cell's former forward, transcribed: ``concat``, the biased ``matmul``
+    and ``lstm_gates`` into one ``[h | c]`` array, of which ``split`` gave views.
+    Returns that array and what the backward reads."""
+    x = np.concatenate(parts, axis=-1)
+    z = x @ w.T
+    z += b
+    n = c_prev.shape[-1]
+    s = np.tanh(0.5 * z)
+    s += 1.0
+    s *= 0.5
+    f, i, o = s[..., :n], s[..., 2 * n:3 * n], s[..., 3 * n:]
+    g = np.tanh(z[..., n:2 * n])
+    hc = np.empty(c_prev.shape[:-1] + (2 * n,))
+    c = np.multiply(f, c_prev, out=hc[..., n:])
+    c += i * g
+    tc = np.tanh(c)
+    np.multiply(o, tc, out=hc[..., :n])
+    return hc, (x, s, g, tc, c_prev)
+
+
+def _former_cell_grads(w, saved, g_hc):
+    """Its backward, transcribed: ``lstm_gates``' from ``[g_h | g_c]``, the sum
+    of ``split``'s scatters, then the ``matmul``'s.  Returns the grad and input
+    rows of ``w``, the grads of ``b`` and of the joined parts, and ``c_prev``'s."""
+    x, s, g, tc, c_prev = saved
+    n = c_prev.shape[-1]
+    f, i, o = s[..., :n], s[..., 2 * n:3 * n], s[..., 3 * n:]
+    gh = g_hc[..., :n]
+    gc = g_hc[..., n:] + gh * o * (1.0 - tc * tc)
+    gz = s * (1.0 - s)
+    gz[..., :n] *= gc * c_prev
+    gz[..., n:2 * n] = gc * i * (1.0 - g * g)
+    gz[..., 2 * n:3 * n] *= gc * g
+    gz[..., 3 * n:] *= gh * tc
+    rows = gz.reshape(-1, 4 * n)
+    return rows, x.reshape(-1, x.shape[-1]), rows.sum(axis=0), gz @ w, gc * f
+
+
+@pytest.mark.parametrize("cell", ["encoder", "decoder"])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["vector", "rows"])
+def test_lstm_cell_equals_the_former_cell_bit_for_bit(cell, lead):
+    """Two steps of ``lstm_cell`` give the former cell's ``h``, ``c`` and every
+    grad (``w``, ``b``, each input part and the initial ``c``) bit for bit: the
+    binding encoder's stacked two-cell layout with a recurrent input of its own
+    each step, and a decoder cell of three embeddings whose second step reads
+    the first's ``h``.  The loss weighs both steps' ``h`` and neither ``c``, so
+    the last step's ``c`` has no grad and sends zeros."""
+    rng = np.random.default_rng(37)
+    if cell == "encoder":
+        params, sizes = LstmParams.random(rng, 5, 4, cells=2), [5, 4]
+    else:
+        params, sizes = LstmParams.random(rng, 6, 5), [2, 2, 2, 5]
+    w, b, n = params.w.data, params.b.data, params.hidden
+    steps = [[rng.uniform(-1, 1, lead + (k,)) for k in sizes] for _ in range(2)]
+    c0, u = rng.uniform(-1, 1, lead + (n,)), rng.uniform(-1, 1, (2,) + lead + (n,))
+
+    hc1, saved1 = _former_cell_step(w, b, steps[0], c0)
+    if cell == "decoder":
+        steps[1][-1] = hc1[..., :n]
+    hc2, saved2 = _former_cell_step(w, b, steps[1], hc1[..., n:])
+    rows2, x2, gb2, gx2, gc1 = _former_cell_grads(w, saved2, np.concatenate(
+        [u[1], np.zeros(lead + (n,))], axis=-1))
+    gh1 = u[0] + gx2[..., -n:] if cell == "decoder" else u[0]
+    rows1, x1, gb1, gx1, gc0 = _former_cell_grads(w, saved1, np.concatenate([gh1, gc1], -1))
+    ends = np.cumsum(sizes)[:-1]
+    want = ([hc1[..., :n], hc1[..., n:], hc2[..., :n], hc2[..., n:],
+             np.concatenate([rows2, rows1]).T @ np.concatenate([x2, x1]), gb2 + gb1, gc0]
+            + np.split(gx1, ends, axis=-1) + np.split(gx2, ends, axis=-1))
+    if cell == "decoder":
+        want.pop()   # the second step's recurrent part is the first's h, no leaf
+
+    w_t, b_t = (Tensor(a, requires_grad=True) for a in (w, b))
+    c0_t = Tensor(c0, requires_grad=True)
+    parts = [[Tensor(a, requires_grad=True) for a in step] for step in steps]
+    with GradientTape():
+        h1, c1 = lstm_cell(w_t, b_t, parts[0], c0_t)
+        if cell == "decoder":
+            parts[1][-1] = h1
+        h2, c2 = lstm_cell(w_t, b_t, parts[1], c1)
+        backward(add(sum_all(mul(h1, Tensor(u[0]))), sum_all(mul(h2, Tensor(u[1])))))
+    got = ([h1.data, c1.data, h2.data, c2.data, w_t.grad, b_t.grad, c0_t.grad]
+           + [p.grad for p in parts[0]] + [p.grad for p in parts[1] if p is not h1])
+    for g, want_g in zip(got, want, strict=True):
+        assert g.shape == want_g.shape and np.array_equal(g, want_g)
+    assert all(t.grad is None for t in (h1, c1, h2, c2))
+
+
+def _halves(t: Tensor) -> tuple[Tensor, Tensor]:
+    """A two-output op: the two halves of ``t``'s last axis, as new arrays."""
+    n = t.shape[-1] // 2
+    return tensor_mod._record((Tensor(t.data[..., :n].copy()), Tensor(t.data[..., n:].copy())),
+                              (t,), lambda grads: (np.concatenate(grads, axis=-1),))
+
+
+@pytest.mark.parametrize("uses", ["first", "second", "first_then_second", "second_then_first",
+                                  "neither"])
+def test_a_node_with_two_outputs(uses):
+    """Both outputs of a two-output node require grad; the node is replayed
+    once, when either output has a grad, and an output with none sends zeros;
+    consumers recorded in either order give the same grads; afterwards no
+    output holds a grad.  With neither output used the node is skipped."""
+    rng = np.random.default_rng(41)
+    t = Tensor(rng.uniform(-1, 1, (2, 6)), requires_grad=True)
+    weights = [rng.uniform(-1, 1, (2, 3)) for _ in range(2)]
+    other = Tensor(rng.uniform(-1, 1, (2, 6)), requires_grad=True)
+    order = {"first": [0], "second": [1], "first_then_second": [0, 1],
+             "second_then_first": [1, 0], "neither": []}[uses]
+    with GradientTape():
+        halves = _halves(t)
+        assert all(h.requires_grad for h in halves)
+        loss = sum_all(other)
+        for k in order:
+            loss = add(loss, sum_all(mul(halves[k], Tensor(weights[k]))))
+        backward(loss)
+    want = [weights[k] if k in order else np.zeros((2, 3)) for k in range(2)]
+    if order:
+        assert np.array_equal(t.grad, np.concatenate(want, axis=-1))
+    else:
+        assert t.grad is None
+    assert all(h.grad is None for h in halves) and other.grad is not None
+
+
 def test_fused_ops_reject_mismatched_extents():
     h, w = Tensor(np.ones(10)), Tensor(np.ones((7, 5)))
     with pytest.raises(ShapeError):
@@ -335,6 +464,17 @@ def test_fused_ops_reject_mismatched_extents():
         attend(Tensor(np.ones((2, 6))), memory, Tensor(np.ones((6, 11))))
     with pytest.raises(ShapeError):
         attend(Tensor(np.ones((2, 6))), memory, combine, np.ones((2, 3), bool))
+    w, b, c = Tensor(np.ones((8, 5))), Tensor(np.ones(8)), Tensor(np.ones(2))
+    with pytest.raises(ShapeError):
+        lstm_cell(w, b, [Tensor(np.ones(3)), Tensor(np.ones(3))], c)
+    with pytest.raises(ShapeError):
+        lstm_cell(w, Tensor(np.ones(4)), [Tensor(np.ones(5))], c)
+    with pytest.raises(ShapeError):
+        lstm_cell(Tensor(np.ones((7, 5))), b, [Tensor(np.ones(5))], c)
+    with pytest.raises(ShapeError):
+        lstm_cell(w, b, [Tensor(np.ones((3, 5)))], Tensor(np.ones((2, 2))))
+    with pytest.raises(RankError):
+        lstm_cell(w, b, [Tensor(np.ones((3, 2))), Tensor(np.ones((2, 3)))], c)
 
 
 def test_ops_outside_a_tape_return_plain_float64_arrays():
@@ -343,11 +483,13 @@ def test_ops_outside_a_tape_return_plain_float64_arrays():
     its inputs require grad."""
     x = Tensor(np.linspace(-1, 1, 10), requires_grad=True)
     w = Tensor(np.ones((7, 5)), requires_grad=True)
-    outs = [matmul(w, split(x, 2)[0]), tanh(x), softmax_with_temperature(x, 0.5),
+    outs = [matmul(w, reshape(x, (2, 5))), tanh(x), softmax_with_temperature(x, 0.5),
             contract_last(x, x), sum_all(x), cross_entropy(x, 3),
             soft_bind(x, w, Tensor(np.ones((6, 5))), Tensor(np.ones((4, 7))),
                       Tensor(np.ones((3, 6))), 0.1)[0],
-            attend(Tensor(np.ones(5)), Tensor(np.ones((3, 5))), Tensor(np.ones((5, 10)), True))[0]]
+            attend(Tensor(np.ones(5)), Tensor(np.ones((3, 5))), Tensor(np.ones((5, 10)), True))[0],
+            *lstm_cell(Tensor(np.ones((8, 12)), True), Tensor(np.ones(8), True),
+                       [x, Tensor(np.ones(2))], Tensor(np.ones(2), True))]
     for out in outs:
         assert type(out.data) is np.ndarray and out.data.dtype == np.float64
         assert not out.requires_grad and out.grad is None and out.source is None
@@ -488,13 +630,13 @@ def test_tape_determinism():
     "matmul_mat", "matmul_vec", "outer", "contract3", "softmax", "sigmoid",
     "tanh", "add", "mul", "cross_entropy", "reshape", "transpose", "concat",
     "stack", "embed", "scale", "matmul_recurrent", "matmul_produced", "matmul_mixed",
-    "split", "split_partial",
     "matmul_rows_recurrent", "matmul_rows3", "bias_vec", "bias_rows", "outer_rows",
     "contract_rows",
     "contract_rows4",
-    "softmax_masked", "cross_entropy_rows", "embed_ids", "concat_split_rows", "stack_rows3",
-    "transpose_rows", "split_of_piece", "reshape_transpose_of_piece", "view_two_consumers",
+    "softmax_masked", "cross_entropy_rows", "embed_ids", "stack_rows3",
+    "transpose_rows", "reshape_transpose_of_piece", "view_two_consumers",
     "soft_bind", "soft_bind_rows", "attend", "attend_rows", "attend_masked",
+    "lstm_cell", "lstm_cell_rows",
 ])
 def test_gradient_check_all_ops(name):
     """Central differences (h=1e-5) vs backward(): relative error < 1e-4."""
@@ -519,8 +661,6 @@ def test_gradient_check_all_ops(name):
         "matmul_recurrent": [(4, 4), (4,), (4,), (4,)],
         "matmul_produced": [(3, 4), (4,), (4,)],
         "matmul_mixed": [(4, 3), (3,), (4,)],
-        "split": [(8,), (2,)],
-        "split_partial": [(9,)],
         "matmul_rows_recurrent": [(4, 4), (3, 4), (3, 4), (3, 4)],
         "matmul_rows3": [(3, 4), (2, 5, 4)],
         "bias_vec": [(3, 4), (4,), (3,)],
@@ -531,10 +671,8 @@ def test_gradient_check_all_ops(name):
         "softmax_masked": [(3, 5)],
         "cross_entropy_rows": [(4, 5)],
         "embed_ids": [(4, 3)],
-        "concat_split_rows": [(2, 3), (2, 5)],
         "stack_rows3": [(2, 3), (2, 3)],
         "transpose_rows": [(2, 3, 4)],
-        "split_of_piece": [(8,)],
         "reshape_transpose_of_piece": [(3, 8)],
         "view_two_consumers": [(3, 4), (3,)],
         "soft_bind": [(6,), (4, 3), (5, 3), (2, 4), (3, 5)],
@@ -542,6 +680,8 @@ def test_gradient_check_all_ops(name):
         "attend": [(3,), (4, 3), (2, 6)],
         "attend_rows": [(2, 3), (2, 4, 3), (2, 6)],
         "attend_masked": [(2, 3), (2, 4, 3), (2, 6)],
+        "lstm_cell": [(12, 5), (12,), (2,), (3,), (3,)],
+        "lstm_cell_rows": [(12, 5), (12,), (2, 2), (2, 3), (2, 3)],
     }[name]]
     weights = Tensor(rng.uniform(-1, 1, (3, 5)))
     mask = np.array([[True, False, True, True, False], [True] * 5, [False, False, True, False, False]])
@@ -590,12 +730,6 @@ def test_gradient_check_all_ops(name):
             w = xs[0]
             return sum_all(tanh(concat([matmul(w, xs[1]),
                                         add(matmul(transpose(w), xs[2]), embedding_row(w, 1))])))
-        if name == "split":  # every piece used, one of them twice
-            a, b, c, d = split(xs[0], 4)
-            return sum_all(tanh(concat([mul(a, d), sigmoid(b), add(c, xs[1]), tanh(d)])))
-        if name == "split_partial":  # an unused piece gets a zero grad
-            a, _, c = split(tanh(xs[0]), 3)
-            return sum_all(mul(a, c))
         if name == "matmul_rows_recurrent":  # B x T factor rows stacked for one leaf
             h = tanh(matmul(xs[0], xs[1]))
             for x in xs[2:]:
@@ -615,22 +749,14 @@ def test_gradient_check_all_ops(name):
             return cross_entropy(xs[0], np.array([2, 0, 4, 1]), np.array([1.0, 0.0, 0.5, 2.0]))
         if name == "embed_ids":  # id 1 repeats
             return sum_all(tanh(embedding_row(xs[0], np.array([1, 3, 1]))))
-        if name == "concat_split_rows":
-            a, b = split(concat([xs[0], xs[1]]), 2)
-            return sum_all(tanh(mul(a, b)))
         if name == "stack_rows3":
             return sum_all(tanh(mul(stack_rows([xs[0], xs[1]]), Tensor(np.arange(12.0).reshape(2, 2, 3)))))
         if name == "transpose_rows":
             return sum_all(tanh(mul(transpose(xs[0]), Tensor(np.arange(24.0).reshape(2, 4, 3)))))
-        if name == "split_of_piece":  # pieces of pieces, of a leaf and of a produced tensor
-            a, b = split(xs[0], 2)
-            c, d = split(a, 2)
-            e, f = split(split(tanh(xs[0]), 2)[1], 2)
-            return sum_all(tanh(concat([mul(c, d), sigmoid(b), mul(e, f)])))
-        if name == "reshape_transpose_of_piece":  # the piece ``a`` is viewed twice
-            a, b = split(xs[0], 2)
-            return add(sum_all(tanh(mul(transpose(a), reshape(b, (4, 3))))),
-                       sum_all(sigmoid(flatten(transpose(a)))))
+        if name == "reshape_transpose_of_piece":  # views of views, of a leaf and of a produced
+            a = transpose(reshape(xs[0], (4, 6)))   # tensor; ``a`` is viewed twice
+            b = reshape(transpose(tanh(xs[0])), (4, 6))
+            return add(sum_all(tanh(mul(a, transpose(b)))), sum_all(sigmoid(flatten(a))))
         if name == "view_two_consumers":
             v = transpose(tanh(xs[0]))
             return sum_all(tanh(add(matmul(v, xs[1]), contract_last(v, xs[1]))))
@@ -639,6 +765,10 @@ def test_gradient_check_all_ops(name):
         if name in ("attend", "attend_rows", "attend_masked"):   # a row with one kept entry
             keep = np.array([[True, False, True, True], [False, False, True, False]])
             return sum_all(tanh(attend(*xs, keep if name == "attend_masked" else None)[0]))
+        if name in ("lstm_cell", "lstm_cell_rows"):   # c read twice; the last step's c unused
+            h, c = lstm_cell(xs[0], xs[1], xs[2:4], xs[4])
+            h, _ = lstm_cell(xs[0], xs[1], [xs[2], h], c)
+            return add(sum_all(tanh(h)), sum_all(mul(c, c)))
         raise AssertionError(name)
 
     with GradientTape():
@@ -648,28 +778,17 @@ def test_gradient_check_all_ops(name):
         assert rel_err(x.grad, fd) < 1e-4, f"{name}: gradient mismatch"
 
 
-def test_split_pieces_are_consecutive_and_checked():
-    t = Tensor(np.arange(6.0))
-    assert [p.data.tolist() for p in split(t, 3)] == [[0, 1], [2, 3], [4, 5]]
-    with pytest.raises(ShapeError):
-        split(t, 4)
-    with pytest.raises(RankError):
-        split(Tensor(np.zeros(())), 2)
-    rows = split(Tensor(np.arange(8.0).reshape(2, 4)), 2)
-    assert [p.data.tolist() for p in rows] == [[[0, 1], [4, 5]], [[2, 3], [6, 7]]]
-
-
 def test_views_record_no_tape_node():
-    """split, reshape/flatten and transpose share their input's data and leave
-    the tape as it was; a view knows what it views and never holds a grad."""
+    """reshape/flatten and transpose share their input's data and leave the
+    tape as it was; a view knows what it views and never holds a grad."""
     t = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
     with GradientTape() as tape:
         y = tanh(t)
         nodes = len(tape)
-        a, b = split(y, 2)
-        v = transpose(reshape(flatten(a), (2, 3)))
+        a, b = reshape(y, (2, 6)), transpose(y)
+        v = transpose(reshape(flatten(a), (4, 3)))
         leaf_views = [reshape(t, (12,)), transpose(t)]
-        views = [a, b, v, split(a, 2)[0], *leaf_views]
+        views = [a, b, v, flatten(b), *leaf_views]
         assert len(tape) == nodes
         assert all(np.shares_memory(x.data, y.data) for x in (a, b))
         assert all(np.shares_memory(x.data, t.data) for x in leaf_views)
@@ -707,19 +826,6 @@ def _recorded_transpose(t: Tensor) -> Tensor:
                               lambda g: (g.swapaxes(-1, -2),))
 
 
-def _recorded_split(t: Tensor, n: int) -> list[Tensor]:
-    shape, size = t.shape, t.shape[-1] // n
-    pieces = []
-    for lo in range(0, shape[-1], size):
-        def bw(g, lo=lo):
-            gt = np.zeros(shape)
-            gt[..., lo:lo + size] = g
-            return (gt,)
-
-        pieces.append(tensor_mod._record(Tensor(t.data[..., lo:lo + size]), (t,), bw))
-    return pieces
-
-
 @pytest.mark.parametrize("variant", ["tpr-tpr", "tpr-lstm", "lstm-tpr", "lstm-lstm"])
 def test_views_give_the_recorded_view_ops_loss_and_grads_exactly(variant, monkeypatch):
     """A padded micro minibatch's loss and every parameter grad are equal (==)
@@ -742,8 +848,7 @@ def test_views_give_the_recorded_view_ops_loss_and_grads_exactly(variant, monkey
         return loss.item(), grads, len(tape)
 
     loss, grads, nodes = loss_and_grads()
-    for name, op in [("split", _recorded_split), ("reshape", _recorded_reshape),
-                     ("transpose", _recorded_transpose),
+    for name, op in [("reshape", _recorded_reshape), ("transpose", _recorded_transpose),
                      ("flatten", lambda t, start=0: _recorded_reshape(t, t.shape[:start] + (-1,)))]:
         monkeypatch.setattr(model_mod, name, op)
     want_loss, want, recorded_nodes = loss_and_grads()
@@ -841,6 +946,9 @@ def test_deferred_weight_grads_match_outer_per_step(dims, monkeypatch):
 
     deferred = grads()
     monkeypatch.setattr(model_mod, "matmul", _outer_per_step_matmul)
+    # A view of a leaf weight is no leaf: its cell's outer product is formed every step.
+    monkeypatch.setattr(model_mod, "lstm_cell",
+                        lambda w, b, parts, c: lstm_cell(reshape(w, w.shape), b, parts, c))
     reference = grads()
     for (name, got), (_, want) in zip(deferred, reference):
         if want is None:
