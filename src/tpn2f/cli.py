@@ -361,7 +361,9 @@ def dispatch(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()   # a closed pipe raises here, not at exit, even if stdout is buffered
+        return code
     except (UserError, ConfigError, training_mod.CheckpointError, data_mod.DatasetError,
             data_mod.PreprocessError, fl.ParseError, fl.ExecutionError,
             FileNotFoundError, FloatingPointError) as exc:

@@ -123,8 +123,8 @@ class GradientTape:
     """
 
     def __init__(self):
-        # ``(out, inputs, backward_fn)`` per node, ``out`` a tuple for an op with several
-        # outputs; a replayed node is set to None, so ``len`` still counts every node recorded.
+        # ``(outs, inputs, backward_fn)`` per node, ``outs`` the tuple of its outputs; a
+        # replayed node is set to None, so ``len`` still counts every node recorded.
         self._nodes: list[tuple | None] = []
         self._replayed = False
 
@@ -164,9 +164,10 @@ def _record(out, inputs: tuple[Tensor, ...], backward_fn: Callable):
     if tape is not None:
         for t in inputs:
             if t.requires_grad:
-                for o in out if type(out) is tuple else (out,):
+                outs = out if type(out) is tuple else (out,)
+                for o in outs:
                     o.requires_grad = True
-                tape._nodes.append((out, inputs, backward_fn))
+                tape._nodes.append((outs, inputs, backward_fn))
                 break
     return out
 
@@ -232,24 +233,18 @@ def backward(loss: Tensor) -> None:
     tape._replayed = True
     nodes = tape._nodes
     # ids: the tensors go during the sweep
-    produced = {id(o) for out, _, _ in nodes for o in (out if type(out) is tuple else (out,))}
+    produced = {id(o) for outs, _, _ in nodes for o in outs}
     deferred: dict[Tensor, list[_OuterFactors]] = {}
     _accumulate(loss, np.ones_like(loss.data))
     for k in range(len(nodes) - 1, -1, -1):
-        out, inputs, backward_fn = nodes[k]
+        outs, inputs, backward_fn = nodes[k]
         nodes[k] = None
-        if type(out) is tuple:   # several outputs: one without a grad sends zeros
-            if all(o.grad is None for o in out):
-                continue
-            g = tuple(np.zeros(o.shape) if o.grad is None else o.grad for o in out)
-            for o in out:
-                o.grad = None
-        else:
-            g = out.grad
-            if g is None:
-                continue
-            out.grad = None
-        for t, gt in zip(inputs, backward_fn(g)):
+        if all(o.grad is None for o in outs):
+            continue
+        g = tuple(np.zeros(o.shape) if o.grad is None else o.grad for o in outs)   # unused: zeros
+        for o in outs:
+            o.grad = None
+        for t, gt in zip(inputs, backward_fn(g if len(g) > 1 else g[0])):
             if type(gt) is _OuterFactors:
                 if not t.requires_grad:
                     continue

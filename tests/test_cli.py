@@ -165,8 +165,8 @@ def test_eval_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
     gold.write_text(json.dumps({"id": "r0", "text": "2 plus 3", "program": "(add,n0,n1)"}) + "\n")
     pred.write_text(json.dumps({"id": "r0", "program": [["add", "n0", "n1"]]}) + "\n")
     src = str(Path(tpn2f.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}   # stdout buffered
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     read_end, write_end = os.pipe()
     os.close(read_end)   # closed before the run writes: every write to stdout fails
     try:
