@@ -65,7 +65,7 @@ def load_config(path) -> TrainConfig:
     if raw.lstrip().startswith("{"):
         try:
             entries = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # not JSON, or an integer past 4,300 digits
             raise ConfigError(f"{path}: invalid JSON config: {exc}") from exc
     else:
         entries = {}
@@ -172,13 +172,11 @@ def _read_predictions(path) -> dict[str, list[fl.RelationalTuple]]:
     text = _require_file(path, "prediction file").read_text(encoding="utf-8")
     for lineno, record in data_mod.read_json_lines(path, text):
         program = record.get("program") if isinstance(record, dict) else None
-        if not (isinstance(program, list) and "id" in record and all(
-                isinstance(t, list) and 2 <= len(t) <= 4 and t[0]
-                and all(isinstance(s, str) for s in t) for t in program)):
+        if not (isinstance(program, list) and "id" in record):
             raise UserError(f"{path}:{lineno}: a prediction is an object with an 'id' and a "
-                            f"'program' of [relation, arg, ...] lists of 2-4 strings")
+                            f"'program' list of [relation, arg, ...] lists")
         preds[str(record["id"])] = data_mod.normalize_consts(
-            fl.RelationalTuple(t[0], tuple(t[1:])) for t in program)
+            data_mod.relational_tuple(t, f"{path}:{lineno}: field 'program'") for t in program)
     return preds
 
 
@@ -249,7 +247,7 @@ def cmd_exec(args) -> int:
         if args.dataset == "mathqa":
             try:
                 numbers = [float(x) for x in args.numbers.split(",")] if args.numbers else []
-                if not np.isfinite(numbers).all():
+                if not all(map(data_mod.is_finite_number, numbers)):
                     raise ValueError(f"got {args.numbers}")
             except ValueError as exc:
                 raise UserError(f"--numbers must be comma-separated finite floats: {exc}") from exc

@@ -91,23 +91,44 @@ def read_json_lines(path, text: str) -> list[tuple[int, Any]]:
             continue
         try:
             values.append((lineno, json.loads(line)))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # not JSON, or an integer past 4,300 digits
             raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
     return values
 
 
-def _tuple_from_record(entry) -> RelationalTuple:
-    if not (isinstance(entry, list) and 2 <= len(entry) <= 4 and str(entry[0])):
-        raise SchemaError(f"field 'program' entries are [relation, 1-3 args], got {entry!r:.60}")
-    rel, *args = (str(x) for x in entry)
-    return RelationalTuple(rel, tuple(args))
+def is_finite_number(value) -> bool:
+    """An int or a float, never a bool, that is finite as a float: an int beyond
+    the float range is not."""
+    with contextlib.suppress(OverflowError):
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    return False
+
+
+def is_count(value) -> bool:
+    """An int, never a bool, that is at least 0."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def relational_tuple(entry, what: str, numbers: bool = True) -> RelationalTuple:
+    """The tuple a ``[relation, arg…]`` JSON list spells: a non-empty string
+    relation, then 1-3 arguments, each a non-empty string or, when ``numbers``,
+    a finite number read as its text.  Anything else is a ``SchemaError``
+    that names ``what``."""
+    rel, *args = entry if isinstance(entry, list) and 2 <= len(entry) <= 4 else [None]
+    if not (isinstance(rel, str) and rel and all(
+            (isinstance(a, str) and a) or (numbers and is_finite_number(a)) for a in args)):
+        raise SchemaError(f"{what}: a tuple is a non-empty string relation and 1-3 arguments, "
+                          f"each a non-empty string{' or a finite number' * numbers}, "
+                          f"got {entry!r:.60}")
+    return RelationalTuple(rel, tuple(str(a) for a in args))
 
 
 def _parse_program(value) -> list[RelationalTuple]:
     if isinstance(value, str):
         return parse_tuple_sequence(value)
     if isinstance(value, list):
-        return [_tuple_from_record(e) for e in value]
+        return [relational_tuple(e, "field 'program'") for e in value]
     raise SchemaError(f"field 'program' must be a string or list, got {type(value).__name__}")
 
 
@@ -127,11 +148,9 @@ def _parse_tests(value) -> list[tuple[dict, Any]]:
 
 def _numbers(value, name: str) -> list[float]:
     """A list of finite numbers: a NaN option would compare false with every answer."""
-    with contextlib.suppress(OverflowError):  # an integer beyond the float range
-        if isinstance(value, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                                           and math.isfinite(x) for x in value):
-            return [float(x) for x in value]
-    raise SchemaError(f"field {name!r} must be a list of finite numbers, got {value!r:.60}")
+    if not (isinstance(value, list) and all(map(is_finite_number, value))):
+        raise SchemaError(f"field {name!r} must be a list of finite numbers, got {value!r:.60}")
+    return [float(x) for x in value]
 
 
 def _sample_from_record(record: dict, index: int, fmt: str) -> Sample:
@@ -190,7 +209,7 @@ def load_dataset(path, fmt: str = "mathqa-style") -> list[Sample]:
     if stripped.startswith("["):
         try:
             arr = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # not JSON, or an integer past 4,300 digits
             raise DatasetError(f"{path}: invalid JSON array: {exc}") from exc
         records = list(enumerate(arr))
     else:
@@ -327,16 +346,18 @@ def preprocess_samples(samples: Sequence[Sample], positions: int = 2,
 def load_rewrite_table(path) -> dict[str, list[list[str]]]:
     try:
         table = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # not JSON, or an integer past 4,300 digits
         raise PreprocessError(f"{path}: invalid JSON rewrite table: {exc}") from exc
     if not isinstance(table, dict):
         raise PreprocessError(f"{path}: a rewrite table must be a JSON object of rules")
     for op, templates in table.items():
-        if not (isinstance(templates, list) and len(templates) == 2
-                and all(isinstance(t, list) and 2 <= len(t) <= 4
-                        and all(isinstance(s, str) and s for s in t) for t in templates)):
-            raise PreprocessError(f"{path}: rewrite rule for {op!r} must be two template "
-                                  "tuples, each a relation and 1-3 arguments as non-empty strings")
+        if not (isinstance(templates, list) and len(templates) == 2):
+            raise PreprocessError(f"{path}: rewrite rule for {op!r} must be two template tuples")
+        try:   # slot names and symbols, written as strings
+            for t in templates:
+                relational_tuple(t, f"rewrite rule for {op!r}", numbers=False)
+        except SchemaError as exc:
+            raise PreprocessError(f"{path}: {exc}") from exc
     return table
 
 

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Vocabularies
+from .data import Vocabularies, is_finite_number
 # ``concat``, ``mul``, ``outer_product``, ``sigmoid`` and ``softmax_with_temperature`` are unused
 # here but stay importable: ``perfbench/tracer.py`` counts the ``MODEL_OPS`` it reads from this module.
 from .tensor import (  # noqa: F401
@@ -66,6 +66,10 @@ class VocabError(ValueError):
     """Token/relation/argument id outside its vocabulary."""
 
 
+class ConfigError(ValueError):
+    """Unknown key or bad value in a training configuration, or a model too large to build."""
+
+
 def checked(default, *, at_least=None, above=None, one_of=None):
     """A dataclass field whose values must also be ``>= at_least``, ``> above``
     or in ``one_of``, as ``check_fields`` checks."""
@@ -94,17 +98,16 @@ def check_fields(obj, cls, error: type[Exception]) -> None:
         kind, optional = field_type(f)
         if value is None and optional:
             continue
-        numeric = (int, float) if kind is float else kind
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, numeric):
-            raise error(f"{f.name} must be {f.type}, got {value!r}")
         if kind is float:
+            if not is_finite_number(value):
+                raise error(f"{f.name} must be a finite number, got {value!r:.60}")
             value = float(value)
-            if not np.isfinite(value):
-                raise error(f"{f.name} must be a finite number, got {value!r}")
             setattr(obj, f.name, value)
+        elif isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise error(f"{f.name} must be {f.type}, got {value!r:.60}")
         ok, wanted = f.metadata.get("rule", (None, None))
         if ok is not None and not ok(value):
-            raise error(f"{f.name} must be {wanted}, got {value!r}")
+            raise error(f"{f.name} must be {wanted}, got {value!r:.60}")
 
 
 @dataclass
@@ -282,7 +285,6 @@ class EncoderParams:
     w_role_attn: Tensor           # (n_roles, d_t)
     fillers: Tensor               # (d_filler, n_fillers)
     roles: Tensor                 # (d_role, n_roles)
-    temperature: float = 0.1      # fixed during training and inference
 
     @classmethod
     def random(cls, rng, dims: ModelDims, n_tokens: int) -> "EncoderParams":
@@ -337,6 +339,9 @@ def _id_rows(token_ids) -> tuple[np.ndarray, np.ndarray | None]:
     return pad_rows(token_ids)
 
 
+SELECTION_TEMPERATURE = 0.1   # the binding encoder's, fixed in training and inference
+
+
 def encoder_step(token_id, prev: Tensor, cell: Tensor,
                  params: EncoderParams | LstmEncoderParams
                  ) -> tuple[Tensor, Tensor, tuple[np.ndarray, np.ndarray] | None]:
@@ -351,7 +356,7 @@ def encoder_step(token_id, prev: Tensor, cell: Tensor,
     if isinstance(params, LstmEncoderParams):
         return h, cell, None
     binding, a_f, a_r = soft_bind(h, params.w_filler_attn, params.w_role_attn, params.fillers,
-                                  params.roles, params.temperature)
+                                  params.roles, SELECTION_TEMPERATURE)
     return binding, cell, (a_f, a_r)
 
 
@@ -579,15 +584,19 @@ def build_model(variant: ModelVariant, dims: ModelDims, vocab: Vocabularies,
     With ``rng`` None it is the layout only: every parameter is a read-only
     zero of its shape that holds no memory (one stored zero), for a caller
     that then sets each parameter's ``data``, as ``Checkpoint.build`` does.
+    Dims too large for numpy to lay out or allocate are a ``ConfigError`` naming them.
     """
     dims.validate()
     variant.validate()
-    encoder = (EncoderParams if variant.encoder == "tpr" else LstmEncoderParams).random(
-        rng, dims, vocab.n_tokens)
-    enc_dim = encoder.lstm.recurrent   # each encoder position's vector is its recurrent input
-    decoder = (DecoderParams if variant.decoder == "tpr" else LstmDecoderParams).random(
-        rng, dims, vocab.n_relations, vocab.n_arguments, enc_dim)
-    reasoning = ReasoningParams.random(rng, enc_dim, decoder.lstm.hidden,
-                                       variant.reasoning_layers)
+    try:
+        encoder = (EncoderParams if variant.encoder == "tpr" else LstmEncoderParams).random(
+            rng, dims, vocab.n_tokens)
+        enc_dim = encoder.lstm.recurrent   # each encoder position's vector is its recurrent input
+        decoder = (DecoderParams if variant.decoder == "tpr" else LstmDecoderParams).random(
+            rng, dims, vocab.n_relations, vocab.n_arguments, enc_dim)
+        reasoning = ReasoningParams.random(rng, enc_dim, decoder.lstm.hidden,
+                                           variant.reasoning_layers)
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's size limit
+        raise ConfigError(f"cannot allocate the model of config {dims}: {exc}") from exc
     return Tpn2fModel(dims=dims, variant=variant, vocab=vocab,
                       encoder=encoder, reasoning=reasoning, decoder=decoder)

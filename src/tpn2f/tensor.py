@@ -159,16 +159,12 @@ def _taping(inputs: Sequence[Tensor]) -> bool:
 
 def _record(out, inputs: tuple[Tensor, ...], backward_fn: Callable):
     """Record an op whose output ``out`` is a Tensor, or a tuple of Tensors whose
-    grads ``backward_fn`` then takes as a tuple, in the same order."""
-    tape = _ACTIVE_TAPE
-    if tape is not None:
-        for t in inputs:
-            if t.requires_grad:
-                outs = out if type(out) is tuple else (out,)
-                for o in outs:
-                    o.requires_grad = True
-                tape._nodes.append((outs, inputs, backward_fn))
-                break
+    grads ``backward_fn`` then takes as a tuple, in the same order.  Only for
+    ``inputs`` that ``_taping`` has found to be recorded."""
+    outs = out if type(out) is tuple else (out,)
+    for o in outs:
+        o.requires_grad = True
+    _ACTIVE_TAPE._nodes.append((outs, inputs, backward_fn))
     return out
 
 

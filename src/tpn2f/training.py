@@ -25,9 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import EOS_SYMBOL, GO_SYMBOL, Sample, Vocabularies
+from .data import EOS_SYMBOL, GO_SYMBOL, Sample, Vocabularies, is_count, is_finite_number
 from .formal_lang import PAD_SYMBOL, RelationalTuple
 from .model import (
+    ConfigError,
     ModelDims,
     ModelVariant,
     Tpn2fModel,
@@ -48,10 +49,6 @@ from .tensor import (
     scale,
     stack_rows,
 )
-
-
-class ConfigError(ValueError):
-    """Unknown key or bad value in a training configuration."""
 
 
 class CheckpointError(RuntimeError):
@@ -328,9 +325,6 @@ def train_epoch(model: Tpn2fModel, encoded: Sequence[EncodedSample], optimizer: 
                     _require_finite("loss", loss.item(), epoch, chunk)
                     backward(scale(loss, 1.0 / len(batch)))
                 total_loss += loss.item()
-            for p in params:
-                if p.grad is None:
-                    p.grad = np.zeros(p.shape)
             norm = clip_gradients(params, config.grad_clip or math.inf)
             _require_finite("grad norm", norm, epoch, batch)
             adam_step(params, optimizer)
@@ -380,15 +374,6 @@ def train(model: Tpn2fModel, samples: Sequence[Sample], config: TrainConfig,
 # checkpoints
 
 CHECKPOINT_MAGIC = b"TPN2FCK1"
-# Version 6 lists each parameter once, by name and shape, and packs every weight, then
-# every first and every second Adam moment in that order; version 5 gave each Adam moment
-# its own table entry and every tensor a byte offset.
-# Version 5 stacked the encoder's filler and role LSTMs into one cell, ``encoder.lstm``
-# (version 4 stored them as ``encoder.filler_lstm`` and ``encoder.role_lstm``).
-# Version 4 renamed the reasoning tensors ``reasoning.wk``/``bk`` to ``weights.k``/``biases.k``.
-# Version 3: the config object dropped two model options that were never enabled.
-# Version 2 introduced one weight ``w`` and one bias ``b`` per LSTM cell (see
-# ``model.LstmParams``); version 1 stored 12 per-gate tensors.
 CHECKPOINT_VERSION = 6
 _ADAM_FIELDS = ("step_count", "learning_rate", "beta1", "beta2", "epsilon")
 
@@ -430,9 +415,8 @@ class Checkpoint:
         dims = self.config.dims()
         try:
             model = build_model(self.config.variant(), dims, self.vocab, None)
-        except (MemoryError, ValueError) as exc:  # ValueError: past numpy's size limit
-            raise CheckpointError(f"cannot allocate the model of the checkpoint's config "
-                                  f"{dims}: {exc}") from exc
+        except ConfigError as exc:
+            raise CheckpointError(f"checkpoint: {exc}") from exc
         named = model.parameters()
         expected = [(name, t.shape) for name, t in named]
         for k, (have, want) in enumerate(zip_longest(self.table, expected, fillvalue="nothing")):
@@ -498,24 +482,15 @@ def save_checkpoint(path, model: Tpn2fModel, optimizer: AdamState, config: Train
         raise
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def _check_header_values(header: dict) -> None:
     """Raise ``CheckpointError`` naming the first optimizer value, ``rng_state``
     or ``epoch`` of the wrong type: a count, finite numbers, an object, a count."""
-    checks = [("adam.step_count", header["adam"]["step_count"], _is_count, "a count")]
-    checks += [(f"adam.{k}", header["adam"][k], _is_finite_number, "a finite number")
+    checks = [("adam.step_count", header["adam"]["step_count"], is_count, "a count")]
+    checks += [(f"adam.{k}", header["adam"][k], is_finite_number, "a finite number")
                for k in _ADAM_FIELDS[1:]]
     checks += [("rng_state", header.get("rng_state", {}), lambda v: isinstance(v, dict),
                 "an object"),
-               ("epoch", header.get("epoch", 0), _is_count, "a count")]
+               ("epoch", header.get("epoch", 0), is_count, "a count")]
     for key, value, ok, wanted in checks:
         if not ok(value):
             raise CheckpointError(f"checkpoint {key} must be {wanted}, got {value!r:.60}")
@@ -573,7 +548,7 @@ def _read_header(reader: _CheckedReader) -> tuple[dict, TrainConfig, Vocabularie
                               f"of the file (truncated)")
     try:
         header = json.loads(reader.read(head_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # not UTF-8 or not JSON, or an integer past 4,300 digits
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header is not a JSON object")
@@ -604,7 +579,7 @@ def _tensor_table(entries: list, n_bytes: int) -> list[tuple[str, tuple[int, ...
             raise CheckpointError(f"tensor entry {entry!r:.80} must hold just a name and a shape")
         name, shape = entry["name"], entry["shape"]
         if not (isinstance(name, str) and isinstance(shape, list)
-                and all(_is_count(d) for d in shape)):
+                and all(is_count(d) for d in shape)):
             raise CheckpointError(f"tensor {name!r:.60}: shape must be a list of non-negative "
                                   f"integers, got {shape!r:.60}")
         if name in names:

@@ -486,6 +486,22 @@ def test_train_at_a_non_finite_rate_or_loss_exits_1_with_no_nan_logged(
     assert not (run / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("args, config, message", [
+    (["--d-word", str(10**30)], {},
+     f"cannot allocate the model of config ModelDims(d_word={10**30},"),
+    ([], {"learning_rate": 10**400}, "learning_rate must be a finite number"),
+], ids=["d-word-past-numpy-size-limit", "rate-beyond-float-range"])
+def test_train_on_a_config_it_cannot_build_or_read_exits_1(tmp_path, micro_file, capsys,
+                                                           args, config, message):
+    """Only sizes numpy rejects before it allocates anything."""
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(config))
+    assert dispatch(["train", "--data", str(micro_file), "--out", str(tmp_path / "run"),
+                     "--config", str(cfg_file), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_train_zero_epochs_reports_zero_and_exits_0(tmp_path, micro_file, capsys):
     cfg_file = tmp_path / "c.cfg"
     cfg_file.write_text(MICRO_CFG)
@@ -565,6 +581,27 @@ def test_key_value_line_of_wrong_type_names_the_key(tmp_path, line):
         load_config(p)
 
 
+_DIGITS = "9" * 5000   # past Python's 4,300-digit limit on reading an integer
+
+
+@pytest.mark.parametrize("option, text", [
+    ("--data", '{"text": "a 3", "program": "(add,n0,n0)", "numbers": [%s]}\n' % _DIGITS),
+    ("--data", '[{"text": "a 3", "program": "(add,n0,n0)", "numbers": [%s]}]' % _DIGITS),
+    ("--rewrite-table", '{"if": [["if1", "$1", %s], ["if2", "$prev", "$3"]]}' % _DIGITS),
+    ("--config", '{"epochs": %s}' % _DIGITS),
+], ids=["dataset-line", "dataset-array", "rewrite-table", "config"])
+def test_a_json_integer_too_long_to_read_is_invalid_json(tmp_path, micro_file, capsys,
+                                                         option, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    files = {"--data": str(micro_file), option: str(bad)}
+    command = "train" if option == "--config" else "prepare"
+    assert dispatch([command, *(a for kv in files.items() for a in kv),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and "invalid JSON" in err
+
+
 @pytest.mark.parametrize("text", ["{nope", "[1, 2]", '{"if": 3}', '{"if": [[], []]}',
                                   '{"if": [["if1", "$1", 5], ["if2", "$prev", "$3"]]}'])
 def test_prepare_rejects_a_rewrite_table_that_is_not_an_object_of_rules(tmp_path, micro_file,
@@ -581,15 +618,28 @@ def test_prepare_rejects_a_rewrite_table_that_is_not_an_object_of_rules(tmp_path
     '{"id": "micro-0", "program": "(add,n0,n1)"}',
     '{"id": "micro-0", "program": [["add"]]}',
     '{"id": "micro-0", "program": [["add", "n0", "n1", "n2", "n3"]]}',
-    '{"id": "micro-0", "program": [["add", 0, 1]]}',
     '{"id": "micro-0", "program": [["", "n0", "n1"]]}',
+    '{"id": "micro-0", "program": [["add", null, "n1"]]}',
+    '{"id": "micro-0", "program": [["add", true, false]]}',
+    '{"id": "micro-0", "program": [["add", "", "n1"]]}',
 ], ids=["number", "list", "no-id", "program-string", "entry-1-item", "entry-5-items",
-        "entry-numbers", "entry-empty-relation"])
+        "entry-empty-relation", "entry-null", "entry-bools", "entry-empty-argument"])
 def test_eval_rejects_a_malformed_prediction_line(tmp_path, micro_file, capsys, line):
     pred = tmp_path / "pred.jsonl"
     pred.write_text('{"id": "micro-1", "program": [["add", "n0", "n1"]]}\n' + line + "\n")
     assert dispatch(["eval", "--pred", str(pred), "--gold", str(micro_file)]) == 1
     assert f"{pred}:2" in capsys.readouterr().err
+
+
+def test_eval_scores_a_gold_file_with_numeric_arguments_against_itself(tmp_path, capsys):
+    """A prediction's tuples are read as a dataset record's list program is: a JSON
+    number argument is its text, so a gold file is also a prediction file."""
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text("".join(json.dumps(r) + "\n" for r in (
+        {"id": "q", "text": "a 3 b 4", "program": [["add", 0, 1], ["multiply", "#0", 2.5]]},
+        {"id": "r", "text": "a 3 b 4", "program": [["add", "n0", "n1"]]})))
+    assert dispatch(["eval", "--pred", str(gold), "--gold", str(gold)]) == 0
+    assert json.loads(capsys.readouterr().out)["op_acc"] == 1.0
 
 
 def test_eval_rejects_a_prediction_line_that_is_not_json(tmp_path, micro_file, capsys):

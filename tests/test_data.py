@@ -18,6 +18,8 @@ from tpn2f.data import (
     SchemaError,
     Vocabularies,
     build_vocabularies,
+    is_count,
+    is_finite_number,
     link_numbers,
     load_dataset,
     load_rewrite_table,
@@ -115,12 +117,19 @@ def test_const_dash_reads_as_const_in_every_program_syntax(tmp_path, fmt, field,
     ({"tests": 5}, "tests"), ({"tests": [{"input": 3, "output": 1}]}, "tests"),
     ({"numbers": [3, float("nan")]}, "numbers"), ({"numbers": [float("inf")]}, "numbers"),
     ({"options": [float("nan"), 5, 6]}, "options"), ({"options": [4, -float("inf")]}, "options"),
+    ({"program": [[None, "x"]]}, "program"), ({"program": [[True, False]]}, "program"),
+    ({"program": [["add", "", "x"]]}, "program"), ({"program": [["add", "x", None]]}, "program"),
+    ({"program": [[5, "x"]]}, "program"), ({"program": [["add", ["x"]]]}, "program"),
+    ({"numbers": [10**400]}, "numbers"), ({"program": [["add", 10**400]]}, "program"),
 ], ids=["numbers-text", "numbers-digits", "numbers-bool", "numbers-null", "options-text",
         "options-number", "options-zero", "options-false", "options-empty-string",
         "text-number", "text-mixed", "text-empty", "text-blank", "text-empty-list",
         "program-5-items",
         "program-empty-relation", "program-empty-entry", "tests-number", "tests-input-number",
-        "numbers-nan", "numbers-infinity", "options-nan", "options-minus-infinity"])
+        "numbers-nan", "numbers-infinity", "options-nan", "options-minus-infinity",
+        "program-null-relation", "program-bools", "program-empty-argument", "program-null-argument",
+        "program-number-relation", "program-list-argument", "numbers-past-float-range",
+        "program-argument-past-float-range"])
 def test_load_bad_field_names_record_and_field(tmp_path, fields, field):
     """A non-finite number, which JSON's ``NaN`` and ``Infinity`` spell, is a bad field:
     a NaN option would compare false with every answer and so match option 0."""
@@ -129,6 +138,22 @@ def test_load_bad_field_names_record_and_field(tmp_path, fields, field):
     path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **fields}) + "\n")
     with pytest.raises(SchemaError, match=f"record 2: field '{field}'"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("value, finite, count", [
+    (0, True, True), (7, True, True), (-2, True, False), (1.5, True, False), (-0.0, True, False),
+    (True, False, False), (float("nan"), False, False), (float("inf"), False, False),
+    (10**400, False, True), (-10**400, False, False), ("1", False, False), (None, False, False),
+], ids=["zero", "int", "negative-int", "float", "negative-zero", "bool", "nan", "infinity",
+        "int-past-float-range", "negative-int-past-float-range", "digits", "null"])
+def test_one_definition_of_a_finite_number_and_of_a_count(value, finite, count):
+    assert (is_finite_number(value), is_count(value)) == (finite, count)
+
+
+def test_number_arguments_of_a_list_program_read_as_their_text(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps({"text": "a 3", "program": [["add", 0, 1.5], ["neg", "#0"]]}))
+    assert load_dataset(path)[0].program == [T("add", "0", "1.5"), T("neg", "#0")]
 
 
 def test_missing_null_or_empty_options_read_as_no_options(tmp_path):

@@ -1,5 +1,6 @@
 """Encoder/decoder behavior: closed forms, shapes, variants, gradient flow."""
 
+import dataclasses
 import tracemalloc
 import types
 
@@ -9,6 +10,7 @@ import pytest
 from tpn2f.data import Sample, Vocabularies
 from tpn2f.formal_lang import RelationalTuple
 from tpn2f.model import (
+    ConfigError,
     EncoderParams,
     LstmDecoderParams,
     LstmEncoderParams,
@@ -62,6 +64,16 @@ def tiny_vocab(n_tokens=5, n_rel=6, n_arg=7):
 def micro_model(seed=0, dims=MICRO, variant=None, vocab=None):
     return build_model(variant or ModelVariant(), dims, vocab or tiny_vocab(),
                        np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("layout", [False, True], ids=["weights", "layout"])
+@pytest.mark.parametrize("field", ["d_word", "d_filler", "d_pos"])
+def test_dims_past_numpy_size_limit_are_a_config_error_naming_them(layout, field):
+    """Only sizes numpy rejects before it allocates anything: 10**30 elements."""
+    dims = dataclasses.replace(MICRO, **{field: 10**30})
+    with pytest.raises(ConfigError, match=rf"config ModelDims\(.*{field}={10**30}"):
+        build_model(ModelVariant(), dims, tiny_vocab(),
+                    None if layout else np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

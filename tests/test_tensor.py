@@ -216,10 +216,16 @@ def test_add_of_rows_and_a_vector_is_a_shape_error():
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(np.ones(3)))
 
 
+def _record_if_taping(out, inputs, backward_fn):
+    """``out``, recorded as an op of ``inputs`` when ``tensor._taping`` says it is one,
+    as every op of ``tensor`` calls ``_record``."""
+    return tensor_mod._record(out, inputs, backward_fn) if tensor_mod._taping(inputs) else out
+
+
 def _former_bias_add(a: Tensor, b: Tensor) -> Tensor:
     """Reference: the former ``add`` of rows ``a`` and a bias vector ``b``, a node of its own."""
-    return tensor_mod._record(Tensor(a.data + b.data), (a, b),
-                              lambda g: (g, g.reshape(-1, b.size).sum(axis=0)))
+    return _record_if_taping(Tensor(a.data + b.data), (a, b),
+                             lambda g: (g, g.reshape(-1, b.size).sum(axis=0)))
 
 
 @pytest.mark.parametrize("lead", [(), (2, 3)], ids=["vector", "rows"])
@@ -417,8 +423,8 @@ def test_lstm_cell_equals_the_former_cell_bit_for_bit(cell, lead):
 def _halves(t: Tensor) -> tuple[Tensor, Tensor]:
     """A two-output op: the two halves of ``t``'s last axis, as new arrays."""
     n = t.shape[-1] // 2
-    return tensor_mod._record((Tensor(t.data[..., :n].copy()), Tensor(t.data[..., n:].copy())),
-                              (t,), lambda grads: (np.concatenate(grads, axis=-1),))
+    return _record_if_taping((Tensor(t.data[..., :n].copy()), Tensor(t.data[..., n:].copy())),
+                             (t,), lambda grads: (np.concatenate(grads, axis=-1),))
 
 
 @pytest.mark.parametrize("uses", ["first", "second", "first_then_second", "second_then_first",
@@ -818,12 +824,12 @@ def test_a_view_of_a_leaf_passes_its_matmul_weight_grad_to_the_leaf():
 def _recorded_reshape(t: Tensor, shape) -> Tensor:
     """Reference view ops: each records a tape node, as these ops once did."""
     orig = t.shape
-    return tensor_mod._record(Tensor(t.data.reshape(shape)), (t,), lambda g: (g.reshape(orig),))
+    return _record_if_taping(Tensor(t.data.reshape(shape)), (t,), lambda g: (g.reshape(orig),))
 
 
 def _recorded_transpose(t: Tensor) -> Tensor:
-    return tensor_mod._record(Tensor(t.data.swapaxes(-1, -2)), (t,),
-                              lambda g: (g.swapaxes(-1, -2),))
+    return _record_if_taping(Tensor(t.data.swapaxes(-1, -2)), (t,),
+                             lambda g: (g.swapaxes(-1, -2),))
 
 
 @pytest.mark.parametrize("variant", ["tpr-tpr", "tpr-lstm", "lstm-tpr", "lstm-lstm"])
@@ -922,7 +928,7 @@ def _outer_per_step_matmul(w: Tensor, x: Tensor, b: Tensor | None = None) -> Ten
             return np.outer(g, xd), wd.T @ g, g
         return rows.T @ xd.reshape(-1, xd.shape[-1]), g @ wd, rows.sum(axis=0)
 
-    return tensor_mod._record(out, (w, x) if b is None else (w, x, b), bw)
+    return _record_if_taping(out, (w, x) if b is None else (w, x, b), bw)
 
 
 @pytest.mark.parametrize("dims", ["micro", "published"])

@@ -102,6 +102,7 @@ def test_config_rejects_unknown_key():
     ("d_word", "wide"), *((f.name, 0) for f in fields(ModelDims)),
     ("epochs", 2.7), ("seed", "x"), ("learning_rate", True), ("reasoning_layers", 1.5),
     ("stop_at_full_accuracy", None), ("learning_rate", float("inf")), ("grad_clip", float("inf")),
+    ("learning_rate", 10**400), ("grad_clip", 10**400),
 ])
 def test_config_rejects_bad_value(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -1023,6 +1024,34 @@ def test_header_optimizer_rng_and_epoch_values_are_type_checked(tmp_path, key, v
     (tmp_path / "bad.ckpt").write_bytes(
         _reseal((tmp_path / "m.ckpt").read_bytes(), _set_header(key, value)))
     with pytest.raises(CheckpointError, match=f"checkpoint {key} must be"):
+        load_checkpoint(tmp_path / "bad.ckpt")
+
+
+@pytest.mark.parametrize("key", ["adam.learning_rate", "config.learning_rate"])
+def test_header_integer_beyond_the_float_range_is_named_and_infer_exits_1(tmp_path, capsys, key):
+    """A 401-digit integer is not a finite number: float() of it overflows."""
+    cfg, samples, vocab, model = _trained_bundle(tmp_path)
+    (tmp_path / "bad.ckpt").write_bytes(
+        _reseal((tmp_path / "m.ckpt").read_bytes(), _set_header(key, 10**400)))
+    with pytest.raises((CheckpointError, ConfigError), match="learning_rate must be a finite"):
+        load_checkpoint(tmp_path / "bad.ckpt")
+    save_dataset(tmp_path / "data.jsonl", samples)
+    assert dispatch(["infer", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                     "--data", str(tmp_path / "data.jsonl"),
+                     "--out", str(tmp_path / "pred.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "learning_rate must be a finite number" in err
+
+
+def test_header_integer_too_long_to_read_is_an_unreadable_header(tmp_path):
+    """Python reads no JSON integer of more than 4,300 digits."""
+    _trained_bundle(tmp_path)
+    raw = _reseal((tmp_path / "m.ckpt").read_bytes(), _set_header("epoch", "digits"))
+    head_len = int.from_bytes(raw[8:16], "little")
+    head = raw[16:16 + head_len].replace(b'"digits"', b"9" * 5000)
+    body = raw[:8] + len(head).to_bytes(8, "little") + head + raw[16 + head_len:-4]
+    (tmp_path / "bad.ckpt").write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    with pytest.raises(CheckpointError, match="unreadable checkpoint header"):
         load_checkpoint(tmp_path / "bad.ckpt")
 
 
