@@ -216,6 +216,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         ap.error(f"--seeds {args.seeds!r}: {exc}")
 
+    out = Path(args.out_dir) / f"BENCH_{args.label}.json"
+    try:   # before the sweep, so that a directory it cannot make costs no runs
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        ap.error(f"--out-dir {args.out_dir!r}: {exc}")
+
     commits = {name: git_commit(root) for name, root in checkouts.items()}
     with tempfile.TemporaryDirectory(prefix="bench_json_") as tmp:
         copies = {name: plain_copy(root, Path(tmp) / name) for name, root in checkouts.items()}
@@ -257,7 +263,6 @@ def main(argv=None) -> int:
                             if k not in ("git_commit", "src_lines")},
             "workloads": per_workload,
         }
-    out = Path(args.out_dir) / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     for line in verdict_lines(report):

@@ -175,7 +175,10 @@ def _read_predictions(path) -> dict[str, list[fl.RelationalTuple]]:
         if not (isinstance(program, list) and "id" in record):
             raise UserError(f"{path}:{lineno}: a prediction is an object with an 'id' and a "
                             f"'program' list of [relation, arg, ...] lists")
-        preds[str(record["id"])] = data_mod.normalize_consts(
+        sample_id = str(record["id"])
+        if sample_id in preds:
+            raise UserError(f"{path}:{lineno}: a second prediction for id {sample_id!r}")
+        preds[sample_id] = data_mod.normalize_consts(
             data_mod.relational_tuple(t, f"{path}:{lineno}: field 'program'") for t in program)
     return preds
 

@@ -9,7 +9,7 @@ either encoder, is one vector.
 A reasoning MLP maps the pooled encoding to the decoder's initial state.  The
 decoder is an attentional tuple-LSTM whose hidden state is treated as an
 order-3 binding and unbound into relation and argument vectors, which feed
-separate classifier heads.
+separate classifier heads; a tuple's P argument positions are one array axis.
 
 Ablation variants swap either side for a plain LSTM (hidden size 100).
 
@@ -184,12 +184,12 @@ def _uniform(rng: np.random.Generator | None, shape) -> Tensor:
     return Tensor(rng.uniform(-0.1, 0.1, size=shape), requires_grad=True)
 
 
-def _unit_normal(rng: np.random.Generator | None, size: int) -> Tensor:
-    """A standard normal draw scaled to unit length."""
+def _unit_rows(rng: np.random.Generator | None, rows: int, size: int) -> Tensor:
+    """``rows`` standard normal draws of ``size``, drawn in turn, each scaled to unit length."""
     if rng is None:
-        return _layout((size,))
-    v = rng.standard_normal(size)
-    return Tensor(v / np.linalg.norm(v), requires_grad=True)
+        return _layout((rows, size))
+    draws = (rng.standard_normal(size) for _ in range(rows))
+    return Tensor(np.stack([v / np.linalg.norm(v) for v in draws]), requires_grad=True)
 
 
 class _GateBlock:
@@ -449,7 +449,7 @@ class DecoderParams:
     lstm: LstmParams              # input d_dec, hidden d_h
     w_context: Tensor             # (d_h, enc_dim) projection building the attention memory
     attn_combine: Tensor          # (d_h, 2*d_h)
-    pos_unbind: list[Tensor]      # positional unbinding vectors, each (d_pos,)
+    pos_unbind: Tensor            # (positions, d_pos), one unbinding vector per position
     w_dual: Tensor                # (d_rel, d_arg*d_rel)
     rel_classifier: Tensor        # (n_relations, d_rel)
     arg_classifier: Tensor        # (n_arguments, d_arg)
@@ -457,7 +457,7 @@ class DecoderParams:
     @classmethod
     def random(cls, rng, dims: ModelDims, n_relations: int, n_arguments: int, enc_dim: int):
         # Unbinding vectors start as distinct unit Gaussians.
-        pos = [_unit_normal(rng, dims.d_pos) for _ in range(dims.positions)]
+        pos = _unit_rows(rng, dims.positions, dims.d_pos)
         return cls(
             rel_embed=_uniform(rng, (n_relations, dims.d_rel)),
             arg_embed=_uniform(rng, (n_arguments, dims.d_arg)),
@@ -473,7 +473,7 @@ class DecoderParams:
 
 @dataclass
 class LstmDecoderParams:
-    """Attentional LSTM baseline emitting one classifier head per output slot."""
+    """Attentional LSTM baseline with a relation head and an argument head per position."""
 
     rel_embed: Tensor
     arg_embed: Tensor
@@ -481,7 +481,7 @@ class LstmDecoderParams:
     w_context: Tensor             # (hidden, enc_dim)
     attn_combine: Tensor          # (hidden, 2*hidden)
     rel_head: Tensor              # (n_relations, hidden)
-    arg_heads: list[Tensor]       # per position, (n_arguments, hidden)
+    arg_head: Tensor              # (positions * n_arguments, hidden), position k's in block k
 
     @classmethod
     def random(cls, rng, dims: ModelDims, n_relations: int, n_arguments: int, enc_dim: int):
@@ -493,42 +493,33 @@ class LstmDecoderParams:
             w_context=_uniform(rng, (h, enc_dim)),
             attn_combine=_uniform(rng, (h, 2 * h)),
             rel_head=_uniform(rng, (n_relations, h)),
-            arg_heads=[_uniform(rng, (n_arguments, h)) for _ in range(dims.positions)],
+            arg_head=_uniform(rng, (dims.positions * n_arguments, h)),
         )
 
 
-def _embed_tuple(prev_ids, params: DecoderParams | LstmDecoderParams) -> list[Tensor]:
-    """The embedded ``(relation, *arguments)`` ids of one tuple, the decoder cell's
-    input parts; for a minibatch, each slot holds one id per row."""
-    return ([_embed(params.rel_embed, prev_ids[0], "relation")]
-            + [_embed(params.arg_embed, ids, "argument") for ids in prev_ids[1:]])
-
-
 def unbinding_module(hidden: Tensor, params: DecoderParams, dims: ModelDims
-                     ) -> tuple[Tensor, list[Tensor], Tensor]:
-    """Treat the hidden state as an order-3 binding and unbind it.
-
-    Returns (relation logits, per-position argument logits, relation
-    unbinding vector).
-    """
+                     ) -> tuple[Tensor, Tensor, Tensor]:
+    """View the hidden state as ``(..., d_arg * d_rel, d_pos)``, an order-3 binding, and
+    unbind it: one product with ``pos_unbind`` gives every position's slab, their sum
+    the relation unbinding vector through ``w_dual``, and one contraction of the slabs
+    with it every position's argument vector.  Returns (relation logits, argument
+    logits ``(..., P, n_arguments)``, relation unbinding vector)."""
     if hidden.shape[-1] != dims.d_h:
         raise ShapeError(f"hidden size {hidden.shape[-1]} != d_arg*d_rel*d_pos = {dims.d_h}")
-    lead = hidden.shape[:-1]
-    cube = reshape(hidden, lead + (dims.d_arg, dims.d_rel, dims.d_pos))
-    slabs = [contract_last(cube, p) for p in params.pos_unbind]
-    total = slabs[0]
-    for s in slabs[1:]:
-        total = add(total, s)
-    r_unbind = matmul(params.w_dual, flatten(total, len(lead)))
+    lead, p = hidden.shape[:-1], params.pos_unbind.shape[0]
+    slabs = matmul(params.pos_unbind, reshape(hidden, lead + (dims.d_arg * dims.d_rel, dims.d_pos)))
+    r_unbind = matmul(params.w_dual, contract_last(slabs, Tensor(np.ones(p))))
     rel_logits = matmul(params.rel_classifier, r_unbind)
-    arg_logits = [matmul(params.arg_classifier, contract_last(slab, r_unbind)) for slab in slabs]
-    return rel_logits, arg_logits, r_unbind
+    by_position = reshape(transpose(slabs), lead + (p * dims.d_arg, dims.d_rel))
+    args = reshape(contract_last(by_position, r_unbind), lead + (p, dims.d_arg))
+    return rel_logits, matmul(params.arg_classifier, args), r_unbind
 
 
-def lstm_head_logits(hidden: Tensor, params: LstmDecoderParams) -> tuple[Tensor, list[Tensor], None]:
+def lstm_head_logits(hidden: Tensor, params: LstmDecoderParams, dims: ModelDims
+                     ) -> tuple[Tensor, Tensor, None]:
     rel_logits = matmul(params.rel_head, hidden)
-    arg_logits = [matmul(head, hidden) for head in params.arg_heads]
-    return rel_logits, arg_logits, None
+    arg_logits = matmul(params.arg_head, hidden)
+    return rel_logits, reshape(arg_logits, hidden.shape[:-1] + (dims.positions, -1)), None
 
 
 # ---------------------------------------------------------------------------
@@ -563,18 +554,22 @@ class Tpn2fModel:
 
     def decode_step(self, prev_ids, hidden: Tensor, cell: Tensor, projected: Tensor,
                     mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-        """One tuple-LSTM step: embed the previous tuple, recur, attend over the
-        memory rows ``mask`` keeps (all of them when it is None) and combine
-        (``tensor.attend``)."""
-        lstm, x = self.decoder.lstm, _embed_tuple(prev_ids, self.decoder)
-        h_in, cell = lstm_cell(lstm.w, lstm.b, [*x, hidden], cell)
-        hidden, _ = attend(h_in, projected, self.decoder.attn_combine, mask)
+        """One tuple-LSTM step: embed the previous tuple's ids ``(..., 1 + P)``, the
+        relation's and, in one lookup, the P arguments' read as ``(..., P * d_arg)``;
+        recur, attend over the memory rows ``mask`` keeps (all of them when it is
+        None) and combine (``tensor.attend``)."""
+        dec, ids = self.decoder, np.asarray(prev_ids)
+        rel = _embed(dec.rel_embed, ids[..., 0], "relation")
+        args = flatten(_embed(dec.arg_embed, ids[..., 1:], "argument"), ids.ndim - 1)
+        h_in, cell = lstm_cell(dec.lstm.w, dec.lstm.b, [rel, args, hidden], cell)
+        hidden, _ = attend(h_in, projected, dec.attn_combine, mask)
         return hidden, cell
 
-    def head_logits(self, hidden: Tensor) -> tuple[Tensor, list[Tensor], Tensor | None]:
-        if self.variant.decoder == "tpr":
-            return unbinding_module(hidden, self.decoder, self.dims)
-        return lstm_head_logits(hidden, self.decoder)
+    def head_logits(self, hidden: Tensor) -> tuple[Tensor, Tensor, Tensor | None]:
+        """Relation logits, argument logits ``(..., P, n_arguments)`` and the relation
+        unbinding vector (None for the LSTM decoder)."""
+        head = unbinding_module if self.variant.decoder == "tpr" else lstm_head_logits
+        return head(hidden, self.decoder, self.dims)
 
 
 def build_model(variant: ModelVariant, dims: ModelDims, vocab: Vocabularies,

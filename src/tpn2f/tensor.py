@@ -609,10 +609,10 @@ def embedding_row(table: Tensor, index) -> Tensor:
         ids, one = operator.index(index), True   # one id, as a Python int
     except TypeError:
         ids, one = np.asarray(index), False
-    if (not 0 <= ids < table.shape[0]) if one else (ids.min() < 0 or ids.max() >= table.shape[0]):
+    listed = [ids] if one else ids.ravel().tolist()   # a step's few ids: bounded faster as a list
+    if min(listed) < 0 or max(listed) >= table.shape[0]:
         raise IndexError(f"id {index} out of range for table {table.shape}")
-    rows = table.data[ids]
-    out = _new(rows.copy() if one else rows)   # an array of ids already copies
+    out = _new(table.data[ids].copy() if one else table.data.take(ids, axis=0))
     if not _taping((table,)):
         return out
     shape = table.shape

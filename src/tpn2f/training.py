@@ -146,27 +146,28 @@ def go_tuple_ids(vocab: Vocabularies, positions: int) -> tuple[int, ...]:
 
 def sequence_loss(heads: Sequence[Tensor], gold_ids, weights: np.ndarray | None = None
                   ) -> Tensor:
-    """Summed cross entropy of ``teacher_forced_logits``' relation and argument
-    ``heads`` against ``gold_ids``, one id tuple per step, ``(..., steps, 1 +
-    positions)``, each step weighted by ``weights`` ``(..., steps)`` (1 when None):
-    one ``cross_entropy`` per head, relations scored over the relation
-    vocabulary only and arguments over the argument vocabulary only."""
+    """Summed cross entropy of ``teacher_forced_logits``' relation and argument logits
+    against ``gold_ids``, one id tuple per step, ``(..., steps, 1 + positions)``, each
+    step weighted by ``weights`` ``(..., steps)`` (1 when None): one ``cross_entropy``
+    over the relation vocabulary and one over the argument vocabulary, every position at once."""
+    rel_logits, arg_logits = heads
     gold = np.asarray(gold_ids)
-    if gold.ndim < 2 or len(heads) != gold.shape[-1]:
-        raise ValueError(f"{len(heads)} heads vs gold ids of shape {gold.shape}")
-    total = cross_entropy(heads[0], gold[..., 0], weights)
-    for k, head in enumerate(heads[1:], start=1):
-        total = add(total, cross_entropy(head, gold[..., k], weights))
-    return total
+    if arg_logits.shape[:-1] != gold[..., 1:].shape:
+        raise ValueError(f"argument logits of shape {arg_logits.shape} vs gold ids of "
+                         f"shape {gold.shape}")
+    arg_weights = None if weights is None else np.broadcast_to(
+        np.asarray(weights)[..., None], gold[..., 1:].shape)
+    return add(cross_entropy(rel_logits, gold[..., 0], weights),
+               cross_entropy(arg_logits, gold[..., 1:], arg_weights))
 
 
-def teacher_forced_logits(model: Tpn2fModel, token_ids, target_ids) -> list[Tensor]:
-    """``[relation, *argument]`` logits, each ``(steps, n)``, of every target step
-    with the gold tuple fed as the next input: the decoder steps from GO through
-    the targets, and one ``head_logits`` pass scores its stacked states.  For a
-    minibatch in lockstep, ``token_ids`` lists each sample's ids and ``target_ids``
-    is ``pad_rows``' ``(B, steps, 1 + positions)``; the logits are then
-    ``(B, steps, n)``, and attention skips each row's padded positions."""
+def teacher_forced_logits(model: Tpn2fModel, token_ids, target_ids) -> tuple[Tensor, Tensor]:
+    """Relation logits ``(steps, n_relations)`` and argument logits ``(steps, positions,
+    n_arguments)`` of every target step with the gold tuple fed as the next input: the
+    decoder steps from GO through the targets, and one ``head_logits`` pass scores its
+    stacked states.  For a minibatch in lockstep, ``token_ids`` lists each sample's ids
+    and ``target_ids`` is ``pad_rows``' ``(B, steps, 1 + positions)``; the logits then
+    lead with ``B``, and attention skips each row's padded positions."""
     pooled, memory = model.encode(token_ids)
     hidden, cell = model.initial_decoder_state(pooled)
     projected = model.project_contexts(memory)
@@ -178,11 +179,10 @@ def teacher_forced_logits(model: Tpn2fModel, token_ids, target_ids) -> list[Tens
     if hidden.ndim > 1:   # a minibatch: attention skips each row's padding
         mask = np.arange(memory.shape[-2]) < np.array([len(ids) for ids in token_ids])[:, None]
     states = []
-    for step in range(inputs.shape[-2]):   # each slot's ids, one per row
-        hidden, cell = model.decode_step(inputs[..., step, :].T, hidden, cell, projected, mask)
+    for step in range(inputs.shape[-2]):   # each row's tuple of ids
+        hidden, cell = model.decode_step(inputs[..., step, :], hidden, cell, projected, mask)
         states.append(hidden)
-    rel_logits, arg_logits, _ = model.head_logits(stack_rows(states))
-    return [rel_logits, *arg_logits]
+    return model.head_logits(stack_rows(states))[:2]
 
 
 def minibatch_loss(model: Tpn2fModel, batch: Sequence[EncodedSample]) -> Tensor:
@@ -223,7 +223,8 @@ def greedy_decode(model, token_ids: Sequence[int], max_len: int) -> list[Relatio
 
 def greedy_decode_with_vectors(model, token_ids: Sequence[int], max_len: int
                                ) -> tuple[list[RelationalTuple], list[np.ndarray]]:
-    """Greedy decoding: argmax per head, stop on the EOS relation or max_len.
+    """Greedy decoding: the relation's argmax and every position's argument
+    argmax, stopping on the EOS relation or at max_len.
 
     Also returns the relation unbinding vector captured at each emitted step
     (empty entries for decoders without one).
@@ -244,7 +245,7 @@ def greedy_decode_with_vectors(model, token_ids: Sequence[int], max_len: int
         rel_id = int(np.argmax(rel_logits.data))
         if rel_id == eos:
             break
-        arg_ids = [int(np.argmax(a.data)) for a in arg_logits]
+        arg_ids = arg_logits.data.argmax(axis=-1).tolist()
         out.append(RelationalTuple(vocab.relations[rel_id],
                                    tuple(vocab.arguments[a] for a in arg_ids)))
         # ``r_unbind`` is a fresh matmul output that nothing writes to later: no copy.
@@ -374,7 +375,7 @@ def train(model: Tpn2fModel, samples: Sequence[Sample], config: TrainConfig,
 # checkpoints
 
 CHECKPOINT_MAGIC = b"TPN2FCK1"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 _ADAM_FIELDS = ("step_count", "learning_rate", "beta1", "beta2", "epsilon")
 
 
@@ -389,7 +390,6 @@ class Checkpoint:
     and sets all three to None, and a second build is a ``CheckpointError``.
     """
 
-    version: int
     config: TrainConfig
     vocab: Vocabularies
     table: list[tuple[str, tuple[int, ...]]]
@@ -619,7 +619,6 @@ def load_checkpoint(path) -> Checkpoint:
         weights, m, v = (reader.read_array((n,)) for _ in range(3))
         reader.check_crc()
     return Checkpoint(
-        version=header["version"],
         config=config,
         vocab=vocab,
         table=table,

@@ -140,6 +140,33 @@ def test_a_failed_run_is_recorded_left_out_and_exits_1(tmp_path, monkeypatch, ca
         "train_samples_per_s"]["n"] == 3
 
 
+def test_the_out_dir_is_made_before_the_sweep_or_is_an_argparse_error(tmp_path, monkeypatch,
+                                                                      capsys):
+    """A missing ``--out-dir`` is made, and one that cannot be made stops the
+    script before its first run, not after the sweep."""
+    root = _checkout(tmp_path / "a")
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        calls.append(cmd)
+        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {
+            "train_samples_per_s": {"value": 1.0, "unit": "1/s"}}}
+        env = {"git_commit": "a", "src_lines": 1, "nproc": 2}
+        return subprocess.CompletedProcess(
+            cmd, 0, f"env {json.dumps(env)}\n{json.dumps(result)}\n", "")
+
+    monkeypatch.setattr(bench_json.subprocess, "run", fake_run)
+    args = ["--label", "t", "--checkout", f"a={root}", "--workloads", "micro-train",
+            "--seeds", "0", "--seconds", "1", "--out-dir"]
+    assert bench_json.main(args + [str(tmp_path / "new" / "dir")]) == 0
+    assert (tmp_path / "new" / "dir" / "BENCH_t.json").is_file() and len(calls) == 1
+    (tmp_path / "file").write_text("")
+    with pytest.raises(SystemExit) as exited:
+        bench_json.main(args + [str(tmp_path / "file" / "dir")])
+    assert exited.value.code == 2 and len(calls) == 1
+    assert "--out-dir" in capsys.readouterr().err
+
+
 def test_a_run_with_no_result_line_is_a_failed_run(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_json.subprocess, "run", lambda cmd, cwd, **kw:
                         subprocess.CompletedProcess(cmd, 0, "", "nothing printed"))

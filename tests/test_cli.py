@@ -631,6 +631,20 @@ def test_eval_rejects_a_malformed_prediction_line(tmp_path, micro_file, capsys, 
     assert f"{pred}:2" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_second_prediction_for_one_id(tmp_path, micro_file, capsys):
+    """Every gold program, then a wrong second line for ``micro-0``: the file
+    does not say which line to score, so it is a user error naming the line."""
+    lines = [json.dumps({"id": r["id"], "program": r["program"]})
+             for r in map(json.loads, micro_file.read_text().splitlines())]
+    lines.append(json.dumps({"id": "micro-0", "program": [["add", "n0", "n0"]]}))
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text("\n".join(lines) + "\n")
+    assert dispatch(["eval", "--pred", str(pred), "--gold", str(micro_file)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {pred}:13: ") and "'micro-0'" in out.err
+
+
 def test_eval_scores_a_gold_file_with_numeric_arguments_against_itself(tmp_path, capsys):
     """A prediction's tuples are read as a dataset record's list program is: a JSON
     number argument is its text, so a gold file is also a prediction file."""

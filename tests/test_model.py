@@ -11,6 +11,7 @@ from tpn2f.data import Sample, Vocabularies
 from tpn2f.formal_lang import RelationalTuple
 from tpn2f.model import (
     ConfigError,
+    DecoderParams,
     EncoderParams,
     LstmDecoderParams,
     LstmEncoderParams,
@@ -357,7 +358,7 @@ def _rigged_head(q, a, rel_classifier, arg_classifier):
     s = a.sum(axis=0)
     d_rel = rel_classifier.shape[1]
     return types.SimpleNamespace(
-        pos_unbind=[Tensor(q[:, k]) for k in range(q.shape[1])],
+        pos_unbind=Tensor(q.T),
         w_dual=Tensor(np.kron(s / (s @ s), np.eye(d_rel))),  # [k, j*d_rel + k] = u_j
         rel_classifier=Tensor(rel_classifier), arg_classifier=Tensor(arg_classifier))
 
@@ -376,8 +377,7 @@ def test_unbinding_round_trip_with_rigged_dual_map():
     hidden = Tensor(_tuple_binding(np.stack([a1, a2]), r, q))
 
     dec = model.decoder
-    for i in range(2):
-        dec.pos_unbind[i].data[...] = q[:, i]
+    dec.pos_unbind.data[...] = q.T
     u = (a1 + a2) / np.dot(a1 + a2, a1 + a2)
     w_dual = np.zeros((dims.d_rel, dims.d_arg * dims.d_rel))
     for k in range(dims.d_rel):
@@ -388,8 +388,9 @@ def test_unbinding_round_trip_with_rigged_dual_map():
     rel_logits, arg_logits, r_unbind = unbinding_module(hidden, dec, dims)
     assert np.abs(r_unbind.data - r).max() < 1e-9
     recovered = [dec.arg_classifier.data @ a for a in (a1, a2)]
-    for got, want in zip(arg_logits, recovered):
-        assert np.abs(got.data - want).max() < 1e-9
+    assert arg_logits.shape == (2, model.vocab.n_arguments)
+    for got, want in zip(arg_logits.data, recovered):
+        assert np.abs(got - want).max() < 1e-9
 
 
 def test_unbinding_round_trip_three_positions_at_algolisp_dims():
@@ -408,9 +409,9 @@ def test_unbinding_round_trip_three_positions_at_algolisp_dims():
     rel_logits, arg_logits, r_unbind = unbinding_module(hidden, head, dims)
     assert np.abs(r_unbind.data - r).max() < 1e-9
     assert np.abs(rel_logits.data - head.rel_classifier.data @ r).max() < 1e-9
-    assert len(arg_logits) == 3
-    for got, a_k in zip(arg_logits, a):
-        assert np.abs(got.data - head.arg_classifier.data @ a_k).max() < 1e-9
+    assert arg_logits.shape == (3, 9)
+    for got, a_k in zip(arg_logits.data, a):
+        assert np.abs(got - head.arg_classifier.data @ a_k).max() < 1e-9
 
 
 @pytest.mark.parametrize("positions", [2, 3])
@@ -431,9 +432,9 @@ def test_unbinding_reads_basis_tuples_from_their_layout(positions):
     head = _rigged_head(q, a, np.eye(dims.d_rel), np.eye(dims.d_arg))
     rel_logits, arg_logits, _ = unbinding_module(Tensor(hidden), head, dims)
     assert np.abs(rel_logits.data - r).max() < 1e-12
-    assert len(arg_logits) == positions
-    for got, a_k in zip(arg_logits, a):
-        assert np.abs(got.data - a_k).max() < 1e-12
+    assert arg_logits.shape == (positions, dims.d_arg)
+    for got, a_k in zip(arg_logits.data, a):
+        assert np.abs(got - a_k).max() < 1e-12
 
 
 @pytest.mark.parametrize("positions", [2, 3])
@@ -448,8 +449,8 @@ def test_unbinding_zero_arguments_give_zero_logits(positions):
                             rng.standard_normal((dims.d_pos, positions)))
     assert np.array_equal(hidden, np.zeros(dims.d_h))
     rel_logits, arg_logits, r_unbind = unbinding_module(Tensor(hidden), model.decoder, dims)
-    assert len(arg_logits) == positions
-    for logits in (rel_logits, r_unbind, *arg_logits):
+    assert arg_logits.shape[0] == positions
+    for logits in (rel_logits, r_unbind, arg_logits):
         assert np.array_equal(logits.data, np.zeros_like(logits.data))
 
 
@@ -464,14 +465,14 @@ def test_unbinding_matches_loops_over_all_small_shapes(positions):
             for d_pos in range(1, 4):
                 dims = ModelDims(d_arg=d_arg, d_rel=d_rel, d_pos=d_pos, positions=positions)
                 head = types.SimpleNamespace(
-                    pos_unbind=[Tensor(rng.standard_normal(d_pos)) for _ in range(positions)],
+                    pos_unbind=Tensor(rng.standard_normal((positions, d_pos))),
                     w_dual=Tensor(rng.standard_normal((d_rel, d_arg * d_rel))),
                     rel_classifier=Tensor(rng.standard_normal((5, d_rel))),
                     arg_classifier=Tensor(rng.standard_normal((6, d_arg))))
                 hidden = rng.standard_normal(dims.d_h)
                 slabs = np.zeros((positions, d_arg, d_rel))
                 for k in range(positions):
-                    q_k = head.pos_unbind[k].data
+                    q_k = head.pos_unbind.data[k]
                     for i in range(d_arg):
                         for j in range(d_rel):
                             for p in range(d_pos):
@@ -486,18 +487,18 @@ def test_unbinding_matches_loops_over_all_small_shapes(positions):
                 rel_logits, arg_logits, r_unbind = unbinding_module(Tensor(hidden), head, dims)
                 assert np.abs(r_unbind.data - r).max() < 1e-12
                 assert np.abs(rel_logits.data - head.rel_classifier.data @ r).max() < 1e-12
-                for k, got in enumerate(arg_logits):
+                assert arg_logits.shape == (positions, 6)
+                for k, got in enumerate(arg_logits.data):
                     want = head.arg_classifier.data @ np.array(
                         [sum(slabs[k, i, j] * r[j] for j in range(d_rel)) for i in range(d_arg)])
-                    assert np.abs(got.data - want).max() < 1e-12
+                    assert np.abs(got - want).max() < 1e-12
 
 
 def test_unbinding_zero_hidden_gives_zero_logits():
     model = micro_model()
     rel_logits, arg_logits, r_unbind = unbinding_module(zeros(MICRO.d_h), model.decoder, MICRO)
     assert np.array_equal(rel_logits.data, np.zeros_like(rel_logits.data))
-    for a in arg_logits:
-        assert np.array_equal(a.data, np.zeros_like(a.data))
+    assert np.array_equal(arg_logits.data, np.zeros((MICRO.positions, model.vocab.n_arguments)))
     assert np.array_equal(r_unbind.data, np.zeros(MICRO.d_rel))
 
 
@@ -506,8 +507,8 @@ def test_unbinding_position_slabs_differ_generically():
     rng = np.random.default_rng(12)
     hidden = Tensor(rng.standard_normal(MICRO.d_h))
     cube = hidden.data.reshape(MICRO.d_arg, MICRO.d_rel, MICRO.d_pos)
-    slab1 = cube @ model.decoder.pos_unbind[0].data
-    slab2 = cube @ model.decoder.pos_unbind[1].data
+    slab1 = cube @ model.decoder.pos_unbind.data[0]
+    slab2 = cube @ model.decoder.pos_unbind.data[1]
     assert np.abs(slab1 - slab2).max() > 1e-8
 
 
@@ -518,7 +519,7 @@ def test_unbinding_position_slabs_differ_generically():
 def test_build_full_model_has_binding_parts():
     model = micro_model(variant=ModelVariant("tpr", "tpr"))
     names = [n for n, _ in model.parameters()]
-    assert "encoder.fillers" in names and "decoder.pos_unbind.0" in names
+    assert "encoder.fillers" in names and "decoder.pos_unbind" in names
 
 
 _ENCODER_NAMES = {
@@ -528,12 +529,11 @@ _ENCODER_NAMES = {
 }
 _DECODER_NAMES = {
     "tpr": ["decoder.rel_embed", "decoder.arg_embed", "decoder.lstm.w", "decoder.lstm.b",
-            "decoder.w_context", "decoder.attn_combine", "decoder.pos_unbind.0",
-            "decoder.pos_unbind.1", "decoder.w_dual", "decoder.rel_classifier",
-            "decoder.arg_classifier"],
+            "decoder.w_context", "decoder.attn_combine", "decoder.pos_unbind",
+            "decoder.w_dual", "decoder.rel_classifier", "decoder.arg_classifier"],
     "lstm": ["decoder.rel_embed", "decoder.arg_embed", "decoder.lstm.w", "decoder.lstm.b",
              "decoder.w_context", "decoder.attn_combine", "decoder.rel_head",
-             "decoder.arg_heads.0", "decoder.arg_heads.1"],
+             "decoder.arg_head"],
 }
 
 
@@ -573,14 +573,40 @@ def test_build_lstm2tp_mixes_parts():
     model = micro_model(variant=ModelVariant("lstm", "tpr"))
     names = [n for n, _ in model.parameters()]
     assert all("fillers" not in n for n in names)
-    assert "decoder.pos_unbind.1" in names
+    assert "decoder.pos_unbind" in names
 
 
 def test_distinct_position_unbinding_vectors_at_init():
     model = micro_model(seed=4)
-    p1, p2 = (p.data for p in model.decoder.pos_unbind)
+    p1, p2 = model.decoder.pos_unbind.data
     assert not np.allclose(p1, p2)
     assert np.linalg.norm(p1) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("positions", [2, 3])
+def test_position_axes_hold_the_per_position_draws_in_turn(positions):
+    """Row k of ``pos_unbind`` and row block k of ``arg_head`` are, bit for bit,
+    position k's own draw from an equally seeded generator: the unit Gaussians
+    come first, in turn, and the LSTM decoder's argument heads last, in turn."""
+    dims = dataclasses.replace(MICRO, positions=positions)
+    h, n_arg = dims.lstm_hidden, 7
+    tpr = DecoderParams.random(np.random.default_rng(5), dims, 6, n_arg, 20)
+    replay = np.random.default_rng(5)
+    for k in range(positions):
+        v = replay.standard_normal(dims.d_pos)
+        assert np.array_equal(tpr.pos_unbind.data[k], v / np.linalg.norm(v))
+    assert np.array_equal(tpr.rel_embed.data, replay.uniform(-0.1, 0.1, (6, dims.d_rel)))
+    lstm = LstmDecoderParams.random(np.random.default_rng(5), dims, 6, n_arg, 20)
+    replay = np.random.default_rng(5)
+    for shape in ((6, dims.d_rel), (n_arg, dims.d_arg)):
+        replay.uniform(-0.1, 0.1, shape)
+    LstmParams.random(replay, dims.d_dec, h)
+    for shape in ((h, 20), (h, 2 * h), (6, h)):
+        replay.uniform(-0.1, 0.1, shape)
+    assert lstm.arg_head.shape == (positions * n_arg, h)
+    for k in range(positions):
+        block = lstm.arg_head.data[k * n_arg:(k + 1) * n_arg]
+        assert np.array_equal(block, replay.uniform(-0.1, 0.1, (n_arg, h)))
 
 
 def test_same_seed_same_parameters():
@@ -736,7 +762,7 @@ def test_fused_cell_layout_and_read_only_views():
         cell.v_f[0, 0] = 1.0
     cell.w.data[4, 5] = 2.5     # the views follow the fused weight
     assert cell.v_g[0, 2] == 2.5
-    assert len(micro_model(dims=MATHQA).parameters()) == 20
+    assert len(micro_model(dims=MATHQA).parameters()) == 19
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["vector", "rows"])
@@ -786,17 +812,36 @@ def test_tape_nodes_per_encoder_position(encoder, nodes):
 
 @pytest.mark.parametrize("decoder", ["tpr", "lstm"])
 def test_tape_nodes_per_teacher_forced_decoder_step(decoder):
-    """One more target tuple costs either decoder 5 tape nodes at 2 argument
-    positions: 3 embeddings, one ``lstm_cell`` that joins them with the state
-    and returns ``h`` and ``c``, and one ``attend``; the heads score every step
-    in one pass."""
-    model = micro_model(variant=ModelVariant("tpr", decoder))
-    counts = []
-    for steps in (2, 3):
-        with GradientTape() as tape:
-            teacher_forced_logits(model, [1, 2, 3], np.full((steps, 3), 4))
-        counts.append(len(tape))
-    assert counts[1] - counts[0] == 5
+    """One more target tuple costs either decoder 4 tape nodes at 2 and at 3
+    argument positions: the relation's embedding, one embedding of every
+    argument, one ``lstm_cell`` that joins them with the state and returns ``h``
+    and ``c``, and one ``attend``; the heads score every step in one pass."""
+    for positions in (2, 3):
+        model = micro_model(dims=dataclasses.replace(MICRO, positions=positions),
+                            variant=ModelVariant("tpr", decoder))
+        counts = []
+        for steps in (2, 3):
+            with GradientTape() as tape:
+                teacher_forced_logits(model, [1, 2, 3], np.full((steps, 1 + positions), 4))
+            counts.append(len(tape))
+        assert counts[1] - counts[0] == 4, positions
+
+
+@pytest.mark.parametrize("decoder, nodes", [("tpr", 6), ("lstm", 2)])
+@pytest.mark.parametrize("positions", [2, 3])
+def test_tape_nodes_per_head_pass(decoder, nodes, positions):
+    """A head pass over stacked states records 6 nodes for the TPR decoder at any
+    number of positions (the slabs' product, their sum, the dual map, the relation
+    classifier, the argument contraction and the argument classifier) and 2 for
+    the LSTM decoder (its relation and argument heads)."""
+    dims = dataclasses.replace(MICRO, positions=positions)
+    model = micro_model(dims=dims, variant=ModelVariant("tpr", decoder))
+    hidden = Tensor(np.random.default_rng(0).standard_normal((3, 4, model.decoder.lstm.hidden)),
+                    requires_grad=True)
+    with GradientTape() as tape:
+        rel_logits, arg_logits, _ = model.head_logits(hidden)
+    assert len(tape) == nodes
+    assert rel_logits.shape == (3, 4, 6) and arg_logits.shape == (3, 4, positions, 7)
 
 
 @pytest.mark.parametrize("encoder,decoder", [("tpr", "tpr"), ("lstm", "lstm")])

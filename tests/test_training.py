@@ -29,8 +29,13 @@ from tpn2f.tensor import (
     GradientTape,
     StateError,
     Tensor,
+    add,
     backward,
+    contract_last,
     cross_entropy,
+    flatten,
+    matmul,
+    reshape,
     scale,
 )
 from tpn2f.training import (
@@ -175,20 +180,21 @@ def _one_hot_logits(n, idx, sharp=100.0):
 
 def test_sequence_loss_perfect_prediction_near_zero():
     gold = [(1, 2, 3)]
-    heads = [_one_hot_logits(6, 1), _one_hot_logits(7, 2), _one_hot_logits(7, 3)]
+    args = np.stack([_one_hot_logits(7, 2).data, _one_hot_logits(7, 3).data], axis=1)
+    heads = (_one_hot_logits(6, 1), Tensor(args))
+    assert args.shape == (1, 2, 7)
     assert sequence_loss(heads, gold).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sequence_loss_uniform_closed_form():
     gold = [(0, 1, 2)]
-    heads = [Tensor(np.zeros((1, 4))) for _ in range(3)]
+    heads = (Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 2, 4))))
     assert sequence_loss(heads, gold).item() == pytest.approx(3 * math.log(4), abs=1e-12)
 
 
 def test_sequence_loss_additive_over_tuples():
     rng = np.random.default_rng(0)
-    heads = [rng.standard_normal((4, 5)), rng.standard_normal((4, 6)),
-             rng.standard_normal((4, 6))]
+    heads = [rng.standard_normal((4, 5)), rng.standard_normal((4, 2, 6))]
     gold = [(1, 2, 3) for _ in range(4)]
 
     def loss(steps):
@@ -199,22 +205,20 @@ def test_sequence_loss_additive_over_tuples():
 
 
 def test_sequence_loss_length_mismatch():
-    heads = [Tensor(np.zeros((2, 4))) for _ in range(3)]
+    heads = (Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 2, 4))))
     with pytest.raises(ValueError):   # 2 steps of logits, 3 gold tuples
         sequence_loss(heads, [(0, 0, 0)] * 3)
-    with pytest.raises(ValueError, match="3 heads"):   # 3 heads, 4 slots per tuple
-        sequence_loss(heads, [(0, 0, 0, 0)] * 2)
+    with pytest.raises(ValueError, match=r"shape \(2, 2, 4\) vs gold ids of shape \(2, 4\)"):
+        sequence_loss(heads, [(0, 0, 0, 0)] * 2)   # 2 positions, 3 arguments per tuple
 
 
 def test_head_sizes_match_vocabularies_every_step():
     cfg, samples, vocab, model, _ = micro_setup()
     enc = encode_sample(samples[0], vocab, cfg.positions)
-    rel_logits, *arg_logits = teacher_forced_logits(model, enc.token_ids, enc.target_ids)
+    rel_logits, arg_logits = teacher_forced_logits(model, enc.token_ids, enc.target_ids)
     steps = len(enc.target_ids)
     assert rel_logits.shape == (steps, vocab.n_relations)
-    assert len(arg_logits) == cfg.positions
-    for a in arg_logits:
-        assert a.shape == (steps, vocab.n_arguments)
+    assert arg_logits.shape == (steps, cfg.positions, vocab.n_arguments)
 
 
 def test_teacher_forcing_isolation():
@@ -232,8 +236,9 @@ def test_teacher_forcing_isolation():
 
 def _per_step_loss(model, token_ids, targets, weights=None):
     """The loss as teacher forcing computed it step by step: one ``head_logits``
-    call per decoder step and one ``cross_entropy`` per step and slot, with
-    ``targets`` either one sample's tuples or ``lockstep_targets``' arrays."""
+    call per decoder step and one ``cross_entropy`` per step and slot (the
+    relation, then each argument position), with ``targets`` either one sample's
+    tuples or ``lockstep_targets``' arrays."""
     pooled, memory = model.encode(token_ids)
     hidden, cell = model.initial_decoder_state(pooled)
     projected = model.project_contexts(memory)
@@ -242,15 +247,16 @@ def _per_step_loss(model, token_ids, targets, weights=None):
     mask = None
     if gold.ndim == 3:
         mask = np.arange(memory.shape[-2]) < np.array([len(ids) for ids in token_ids])[:, None]
-        prev = np.repeat(prev[:, None], len(gold), axis=1)
+        prev = np.repeat(prev[None], len(gold), axis=0)
     total = 0.0
     for s in range(gold.shape[-2]):
         hidden, cell = model.decode_step(prev, hidden, cell, projected, mask)
         rel_logits, arg_logits, _ = model.head_logits(hidden)
         w = None if weights is None else weights[:, s]
-        for k, head in enumerate([rel_logits, *arg_logits]):
-            total += cross_entropy(head, gold[..., s, k], w).item()
-        prev = gold[..., s, :].T
+        slots = [rel_logits.data] + [arg_logits.data[..., k, :] for k in range(gold.shape[-1] - 1)]
+        for k, head in enumerate(slots):
+            total += cross_entropy(Tensor(head), gold[..., s, k], w).item()
+        prev = gold[..., s, :]
     return total
 
 
@@ -271,6 +277,86 @@ def test_scoring_every_step_at_once_equals_the_per_step_loss(setting):
     want = _per_step_loss(model, token_ids, targets, weights)
     got = minibatch_loss(model, batch).item()
     assert abs(got - want) <= 1e-12 * want
+
+
+def _per_position_head_and_loss(model, hidden, targets, weights):
+    """The former head and loss, one argument position at a time: each
+    position's slab (``contract_last`` with its own unbinding vector, the slabs
+    then added up) or its own argument head, and one ``cross_entropy`` per slot.
+    Returns the relation logits, each position's argument logits, the loss, and
+    the per-position leaves standing in for ``pos_unbind``'s rows or
+    ``arg_head``'s row blocks."""
+    dec, dims = model.decoder, model.dims
+    if model.variant.decoder == "tpr":
+        leaves = [Tensor(row.copy(), requires_grad=True) for row in dec.pos_unbind.data]
+        cube = reshape(hidden, hidden.shape[:-1] + (dims.d_arg, dims.d_rel, dims.d_pos))
+        slabs = [contract_last(cube, u) for u in leaves]
+        total = slabs[0]
+        for slab in slabs[1:]:
+            total = add(total, slab)
+        r_unbind = matmul(dec.w_dual, flatten(total, hidden.ndim - 1))
+        rel = matmul(dec.rel_classifier, r_unbind)
+        args = [matmul(dec.arg_classifier, contract_last(slab, r_unbind)) for slab in slabs]
+    else:
+        leaves = [Tensor(block.copy(), requires_grad=True)
+                  for block in np.split(dec.arg_head.data, dims.positions)]
+        rel = matmul(dec.rel_head, hidden)
+        args = [matmul(head, hidden) for head in leaves]
+    loss = cross_entropy(rel, targets[..., 0], weights)
+    for k, head in enumerate(args, start=1):
+        loss = add(loss, cross_entropy(head, targets[..., k], weights))
+    return rel, args, loss, leaves
+
+
+@pytest.mark.parametrize("decoder", ["tpr", "lstm"])
+@pytest.mark.parametrize("positions", [2, 3])
+def test_one_argument_axis_equals_the_per_position_head_and_loss(decoder, positions):
+    """On a padded minibatch's stacked states, the ``(B, steps, P, n)`` argument
+    logits, the loss and every grad (the states', the shared head weights' and
+    each position's row of ``pos_unbind`` or row block of ``arg_head``) agree with
+    the former per-position maths within 1e-12 relative to the largest entry."""
+    cfg = replace(micro_config(), decoder=decoder, positions=positions)
+    model, short, long = _lockstep_setup(cfg)
+    targets, weights = lockstep_targets(short[:3] + [long])
+    states = np.random.default_rng(4).standard_normal(
+        targets.shape[:2] + (model.decoder.lstm.hidden,))
+    stacked = "decoder.pos_unbind" if decoder == "tpr" else "decoder.arg_head"
+
+    def run(head_and_loss):
+        hidden = Tensor(states, requires_grad=True)
+        with GradientTape():
+            rel, args, loss, leaves = head_and_loss(hidden)
+            backward(loss)
+        grads = {name: t.grad for name, t in model.parameters() if t.grad is not None}
+        for _, t in model.parameters():
+            t.grad = None
+        if leaves:
+            grads[stacked] = np.concatenate([t.grad.reshape(-1, t.shape[-1]) for t in leaves])
+        return [rel.data, args, np.asarray(loss.item()), hidden.grad], grads
+
+    def one_axis(hidden):
+        rel, args, _ = model.head_logits(hidden)
+        return rel, args.data, sequence_loss((rel, args), targets, weights), []
+
+    got, got_grads = run(one_axis)
+    want, want_grads = run(lambda h: _per_position_head_and_loss(model, h, targets, weights))
+    want[1] = np.stack([a.data for a in want[1]], axis=-2)
+    assert got[1].shape == targets.shape[:2] + (positions, model.vocab.n_arguments)
+    assert got_grads.keys() == want_grads.keys() and stacked in got_grads
+    pairs = list(zip(got, want)) + [(got_grads[k], want_grads[k]) for k in want_grads]
+    for a, b in pairs:
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_the_loss_records_three_nodes_at_any_number_of_positions():
+    """One relation and one argument cross entropy, and their sum."""
+    for positions in (2, 3):
+        heads = (Tensor(np.zeros((2, 5, 6)), requires_grad=True),
+                 Tensor(np.zeros((2, 5, positions, 7)), requires_grad=True))
+        with GradientTape() as tape:
+            sequence_loss(heads, np.ones((2, 5, 1 + positions), dtype=int), np.ones((2, 5)))
+        assert len(tape) == 3
 
 
 def test_one_teacher_forced_pass_makes_one_head_call(monkeypatch):
@@ -324,6 +410,48 @@ def test_same_seed_identical_trajectory():
         return [s.mean_loss for s in train(model, samples, cfg)]
 
     assert run() == run()  # bit-identical floats
+
+
+_PRESET_STEP_DIGEST = """
+import hashlib
+import numpy as np
+from tpn2f.data import build_vocabularies, preprocess_samples
+from tpn2f.model import build_model
+from tpn2f.synthetic import make_micro_dataset
+from tpn2f.tensor import AdamState, GradientTape, adam_step, backward
+from tpn2f.training import CHUNK_ROWS, encode_samples, mathqa_preset, minibatch_loss
+
+cfg = mathqa_preset()
+samples = preprocess_samples(make_micro_dataset(CHUNK_ROWS, seed=0), positions=cfg.positions)
+vocab = build_vocabularies(samples)
+model = build_model(cfg.variant(), cfg.dims(), vocab, np.random.default_rng(cfg.seed))
+params = [t for _, t in model.parameters()]
+with GradientTape():
+    loss = minibatch_loss(model, encode_samples(samples, vocab, cfg.positions))
+    backward(loss)
+adam_step(params, AdamState.for_params(params, cfg.learning_rate))
+digest = hashlib.sha256(np.float64(loss.item()).tobytes())
+for p in params:
+    digest.update(p.data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_a_seeded_preset_step_is_bit_identical_at_one_blas_thread_count():
+    """A seed reproduces a run on one machine at one BLAS thread count: one
+    seeded training step at the mathqa preset dims (micro vocabulary, one
+    16-row tape and one Adam step), run in two processes at 2 OpenBLAS
+    threads, gives one sha256 over the loss and every parameter after it."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
+    digests = []
+    for _ in range(2):
+        done = subprocess.run([sys.executable, "-c", _PRESET_STEP_DIGEST], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +739,7 @@ class _RiggedDecoder:
         rel = np.zeros(self.vocab.n_relations)
         rel[self.rel_scripts[min(self.step, len(self.rel_scripts) - 1)]] = 10.0
         self.step += 1
-        args = [Tensor(np.zeros(self.vocab.n_arguments))
-                for _ in range(self.dims.positions)]
+        args = Tensor(np.zeros((self.dims.positions, self.vocab.n_arguments)))
         return Tensor(rel), args, None
 
 
@@ -692,8 +819,7 @@ def test_greedy_argmax_shift_invariance():
 
         def head_logits(self, hidden):
             rel, args, r = self.inner.head_logits(hidden)
-            return Tensor(rel.data + self.delta), \
-                [Tensor(a.data + self.delta) for a in args], r
+            return Tensor(rel.data + self.delta), Tensor(args.data + self.delta), r
 
     enc = encode_sample(samples[3], vocab, cfg.positions)
     base = greedy_decode(model, enc.token_ids, 4)
@@ -859,7 +985,7 @@ def test_one_train_step_leaves_the_textbook_moments_packed_in_parameter_order(mo
 
 def test_trained_checkpoint_lists_each_parameter_once_and_packs_weights_then_moments(
         tmp_path, monkeypatch):
-    """A seeded micro ``train`` writes one name/shape entry per parameter, 20 for
+    """A seeded micro ``train`` writes one name/shape entry per parameter, 19 for
     a TPR model, then every weight, every first and every second moment, packed;
     ``build`` gives back the trained weights and moments bit for bit."""
     made = []
@@ -872,10 +998,10 @@ def test_trained_checkpoint_lists_each_parameter_once_and_packs_weights_then_mom
     raw = (tmp_path / "m.ckpt").read_bytes()
     head_len = int.from_bytes(raw[8:16], "little")
     header = json.loads(raw[16:16 + head_len])
-    assert header["version"] == CHECKPOINT_VERSION == 6
+    assert header["version"] == CHECKPOINT_VERSION == 7
     named = model.parameters()
     assert header["tensors"] == [{"name": n, "shape": list(t.shape)} for n, t in named]
-    assert len(header["tensors"]) == 20
+    assert len(header["tensors"]) == 19
     trained = _built_arrays(model, optimizer)
     assert raw[16 + head_len:-4] == b"".join(a.astype("<f8").tobytes() for a in trained)
     restored, restored_opt = load_checkpoint(tmp_path / "m.ckpt").build()
@@ -973,11 +1099,11 @@ def _retabled(raw: bytes, edit) -> bytes:
 
 @pytest.mark.parametrize("edit, message", [
     (lambda pairs: pairs + [({"name": "extra", "shape": [3]}, (np.ones(3),) * 3)],
-     "entry 20 is ('extra', (3,)), the model of the checkpoint's config"),
+     "entry 19 is ('extra', (3,)), the model of the checkpoint's config"),
     (lambda pairs: [pairs[1], pairs[0], *pairs[2:]],
      "entry 0 is ('encoder.lstm.w', (640, 96)), the model of the checkpoint's config"),
     (lambda pairs: pairs + [({"name": "z", "shape": [0, 10**30]}, (np.zeros(0),) * 3)],
-     f"entry 20 is ('z', (0, {10**30})), the model of the checkpoint's config"),
+     f"entry 19 is ('z', (0, {10**30})), the model of the checkpoint's config"),
 ], ids=["extra-entry-with-its-bytes", "swapped-entries-and-bytes", "zero-size-huge-shape"])
 def test_off_spec_table_makes_infer_exit_1_naming_the_entry(tmp_path, capsys, edit, message):
     """The table must list the model's parameters in order: an entry the model
@@ -1090,6 +1216,7 @@ def _joined_checkpoint_bytes(model, optimizer, config, rng_state=None, epoch=0,
 
     From version 6 the table holds one name and shape per parameter, and the
     body is every weight, then every first and every second Adam moment.
+    Version 6 gave each argument position its own unbinding vector or head.
     Versions 1-5 gave every weight and every moment (``adam.m.``/``adam.v.``
     and the parameter's name) an entry with its byte offset, moments after
     the weights, each parameter's ``m`` then ``v``."""
@@ -1224,6 +1351,35 @@ def test_version5_checkpoint_is_rejected_naming_its_version(tmp_path, capsys):
     raw = _joined_checkpoint_bytes(model, optimizer, cfg, version=5)
     assert b'"adam.m.encoder.lstm.w"' in raw and b'"offset":' in raw
     _assert_rejected_naming_version(tmp_path, capsys, samples, raw, 5)
+
+
+def _version6_parameters(model) -> list[tuple[str, Tensor]]:
+    """The parameters under version 6's names: one tensor per argument position,
+    ``decoder.pos_unbind.k`` for row k of ``pos_unbind`` and ``decoder.arg_heads.k``
+    for row block k of ``arg_head``."""
+    named = []
+    for name, t in model.parameters():
+        if name == "decoder.pos_unbind":
+            named += [(f"{name}.{k}", Tensor(row)) for k, row in enumerate(t.data)]
+        elif name == "decoder.arg_head":
+            blocks = np.split(t.data, model.dims.positions)
+            named += [(f"decoder.arg_heads.{k}", Tensor(b)) for k, b in enumerate(blocks)]
+        else:
+            named.append((name, t))
+    return named
+
+
+@pytest.mark.parametrize("decoder", ["tpr", "lstm"])
+def test_version6_checkpoint_is_rejected_naming_its_version(tmp_path, capsys, decoder):
+    """Version 6 had today's layout, but one tensor per argument position."""
+    cfg, samples, _, model, _ = micro_setup(n=8, cfg=replace(micro_config(), decoder=decoder))
+    named = _version6_parameters(model)
+    assert len(named) == len(model.parameters()) + 1
+    old = types.SimpleNamespace(parameters=lambda: named, vocab=model.vocab)
+    optimizer = AdamState.for_params([t for _, t in named], cfg.learning_rate)
+    raw = _joined_checkpoint_bytes(old, optimizer, cfg, version=6)
+    assert (b'"decoder.pos_unbind.1"' if decoder == "tpr" else b'"decoder.arg_heads.1"') in raw
+    _assert_rejected_naming_version(tmp_path, capsys, samples, raw, 6)
 
 
 def _header_with(model, cfg, config=None, vocab=None) -> bytes:
